@@ -7,6 +7,10 @@ hopcroft_karp    maximum bipartite matching, used for feasibility questions
                  (forbidden edges, bottleneck thresholds).
 bottleneck_assignment
                  minimax matching by binary search over the distinct entries.
+lex_smallest_matching
+                 the deterministic tie-break: lexicographically smallest perfect
+                 matching of the optimal duals' equality subgraph (or of the
+                 bottleneck threshold graph), grown from the solver's matching.
 exhaustive_min   brute-force enumeration over all permutations (vectorized),
                  guarded at n <= 9; the independent oracle for everything else.
 """
@@ -16,11 +20,13 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import SizeLimitError
 from .metric_core import INF, as_exponent
+
+if TYPE_CHECKING:
+    import numpy as np
 
 EXHAUSTIVE_LIMIT = 9
 
@@ -213,61 +219,42 @@ def bottleneck_assignment(costs) -> tuple[float, tuple[int, ...]]:
     return value, tuple(match_left)
 
 
-def lex_smallest_bottleneck(costs, value: float) -> tuple[int, ...]:
-    """Lexicographically smallest permutation with all entries <= value."""
-    n = len(costs)
-    if math.isinf(value):
-        _, match_left = hopcroft_karp(_finite_adjacency(costs), n)
-        return tuple(_complete_greedily(n, match_left))
-    chosen: list[int] = []
-    free = list(range(n))
-    for i in range(n):
-        for j in free:
-            if costs[i][j] > value:
-                continue
-            rest_rows = range(i + 1, n)
-            rest_cols = [c for c in free if c != j]
-            col_pos = {c: k for k, c in enumerate(rest_cols)}
-            adjacency = [
-                [col_pos[c] for c in rest_cols if costs[r][c] <= value]
-                for r in rest_rows
-            ]
-            if has_perfect_matching(adjacency, len(rest_cols)):
-                chosen.append(j)
-                free.remove(j)
-                break
-        else:  # pragma: no cover - value came from a feasible matching
-            raise AssertionError("no feasible column at a certified threshold")
-    return tuple(chosen)
+def lex_smallest_matching(adjacency: list[list[int]], perm) -> tuple[int, ...]:
+    """Lexicographically smallest perfect matching of a bipartite graph.
 
-
-def lex_smallest_assignment(costs, optimal_total: float, *,
-                            tolerance: float = 1e-9) -> tuple[int, ...]:
-    """Lexicographically smallest permutation whose total meets the optimum.
-
-    Row by row, commit to the smallest column whose forced subproblem still
-    reaches optimal_total (within tolerance, relative to its magnitude).
+    adjacency[i] lists row i's columns; perm is one perfect matching in it.
+    Row by row, commit the smallest column on an alternating cycle through
+    the current matching over uncommitted rows, and rotate along the cycle.
     """
-    n = len(costs)
-    slack = tolerance * max(1.0, abs(optimal_total))
-    chosen: list[int] = []
-    free = list(range(n))
-    fixed = 0.0
+    n = len(adjacency)
+    match = list(perm)
+    owner = [0] * n
+    for i, j in enumerate(match):
+        owner[j] = i
+    rows_of: list[list[int]] = [[] for _ in range(n)]
+    for i, cols in enumerate(adjacency):
+        for j in cols:
+            rows_of[j].append(i)
     for i in range(n):
-        for j in free:
-            if math.isinf(costs[i][j]):
-                continue
-            rest_cols = [c for c in free if c != j]
-            sub = [[costs[r][c] for c in rest_cols] for r in range(i + 1, n)]
-            rest = min_cost_assignment(sub).total
-            if fixed + costs[i][j] + rest <= optimal_total + slack:
-                chosen.append(j)
-                free.remove(j)
-                fixed += costs[i][j]
-                break
-        else:  # pragma: no cover - optimal_total came from a feasible solve
-            raise AssertionError("no feasible column at a certified total")
-    return tuple(chosen)
+        target = match[i]
+        # step[k] (k > i): the column row k moves to on an alternating path
+        # that ends at `target`, the column row i gives up.
+        step = [-1] * n
+        stack = [target]
+        while stack:
+            col = stack.pop()
+            for k in rows_of[col]:
+                if k > i and step[k] == -1:
+                    step[k] = col
+                    stack.append(match[k])
+        best = min((j for j in adjacency[i] if j < target and step[owner[j]] != -1),
+                   default=target)
+        k, col = owner[best], best
+        match[i], owner[best] = best, i
+        while col != target:  # each row on the cycle moves on to its step
+            col = step[k]
+            match[k], owner[col], k = col, k, owner[col]
+    return tuple(match)
 
 
 _PERM_CACHE: dict[int, np.ndarray] = {}
@@ -276,6 +263,7 @@ _PERM_CACHE: dict[int, np.ndarray] = {}
 def _permutation_array(n: int) -> np.ndarray:
     cached = _PERM_CACHE.get(n)
     if cached is None:
+        import numpy as np
         cached = np.array(list(itertools.permutations(range(n))), dtype=np.int8)
         _PERM_CACHE[n] = cached
     return cached
@@ -295,15 +283,18 @@ def exhaustive_min(costs, p) -> float:
         raise SizeLimitError(
             f"exhaustive enumeration limited to n <= {EXHAUSTIVE_LIMIT}, got {n}"
         )
+    import numpy as np
     matrix = np.asarray(costs, dtype=float)
     perms = _permutation_array(n)
     picked = matrix[np.arange(n)[None, :], perms]
     if p == INF:
         totals = picked.max(axis=1)
         return float(totals.min())
-    with np.errstate(over="ignore"):
-        totals = (picked**p).sum(axis=1)
+    # Sum (c / c_max) ** p so that no scale of input over- or underflows.
+    finite = matrix[np.isfinite(matrix)]
+    top = float(finite.max()) if finite.size and finite.max() > 0.0 else 1.0
+    totals = ((picked / top) ** p).sum(axis=1)
     best = float(totals.min())
     if math.isinf(best):
         return INF
-    return float(best ** (1.0 / p))
+    return top * best ** (1.0 / p)

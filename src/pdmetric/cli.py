@@ -30,7 +30,7 @@ from .io import (
 from .kr_duality import kr_certificate, support_function
 from .spaces import AnagramSpace, anagram_distance, word_diagram
 from .verify import SUITES, resolve_seed, run_suite
-from .wasserstein import wasserstein
+from .wasserstein import wasserstein, wasserstein_value
 
 EXIT_OK = 0
 EXIT_FAILED = 1
@@ -97,7 +97,10 @@ def cmd_distance(args) -> int:
     space = space_from_spec(_space_spec_from_args(args))
     alpha = _load_input(args.inputs[0], space)
     beta = _load_input(args.inputs[1], space)
-    value, matching = wasserstein(alpha, beta, p)
+    if args.matching:
+        value, matching = wasserstein(alpha, beta, p)
+    else:
+        value = wasserstein_value(alpha, beta, p)
     out: dict = {
         "space": getattr(space, "space_id", "custom"),
         "p": p,

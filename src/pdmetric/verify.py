@@ -68,7 +68,6 @@ from .universality import (
 )
 from .wasserstein import (
     brute_force_wasserstein,
-    wasserstein,
     wasserstein_quotient_reduced,
     wasserstein_value,
 )

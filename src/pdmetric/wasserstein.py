@@ -15,10 +15,10 @@ from typing import NamedTuple
 
 from .assignment import (
     EXHAUSTIVE_LIMIT,
+    _threshold_adjacency,
     bottleneck_assignment,
     exhaustive_min,
-    lex_smallest_assignment,
-    lex_smallest_bottleneck,
+    lex_smallest_matching,
     min_cost_assignment,
 )
 from .diagram import Diagram
@@ -26,11 +26,6 @@ from .errors import DomainError, PreconditionError, SizeLimitError
 from .metric_core import INF, QuotientSpace, as_exponent, lp_norm
 
 BASEPOINT = "basepoint"
-
-# Entrywise p-th powers drown in rounding once p is large enough; past this
-# threshold the minimax (bottleneck) solution is returned instead, which the
-# true value approaches at rate r ** (1/p).
-LARGE_EXPONENT = 64.0
 
 
 class MatchedPair(NamedTuple):
@@ -86,14 +81,16 @@ def _space_costs(alpha: Diagram, beta: Diagram) -> list[list[float]]:
 
 
 def _power_matrix(costs, p: float) -> list[list[float]]:
-    return [[c**p for c in row] for row in costs]
+    """Entrywise (c / c_max) ** p: the argmin of c ** p, at any scale and p."""
+    top = max((c for row in costs for c in row if not math.isinf(c)), default=0.0) or 1.0
+    return [[(c / top) ** p for c in row] for row in costs]
 
 
 def _solve_value(costs, p: float) -> float:
     """Optimal lp value on a padded matrix, without building a matching."""
     if not costs:
         return 0.0
-    if p == INF or p >= LARGE_EXPONENT:
+    if p == INF:
         value, _ = bottleneck_assignment(costs)
         return value
     if p == 1.0:
@@ -106,17 +103,28 @@ def _solve_value(costs, p: float) -> float:
 
 
 def _solve_matching(costs, p: float) -> tuple[int, ...]:
-    """Optimal permutation, lexicographically smallest among optima."""
-    if p == INF or p >= LARGE_EXPONENT:
+    """Optimal permutation, lexicographically smallest among optima.
+
+    Optima are the perfect matchings of the threshold graph at the bottleneck
+    value, or (complementary slackness) of the optimal duals' equality
+    subgraph, whose tolerance over r rows sums to a 1e-9 relative slack.
+    """
+    if p == INF:
         value, perm = bottleneck_assignment(costs)
         if math.isinf(value):
             return perm
-        return lex_smallest_bottleneck(costs, value)
+        return lex_smallest_matching(_threshold_adjacency(costs, value), perm)
     work = costs if p == 1.0 else _power_matrix(costs, p)
     result = min_cost_assignment(work)
     if math.isinf(result.total):
         return result.permutation
-    return lex_smallest_assignment(work, result.total)
+    perm, u, v = result.permutation, result.u, result.v
+    tol = 1e-9 * max(1.0, abs(result.total)) / max(1, len(work))
+    tight = [
+        [j for j, (c, vj) in enumerate(zip(row, v)) if j == perm[i] or c - u[i] - vj <= tol]
+        for i, row in enumerate(work)
+    ]
+    return lex_smallest_matching(tight, perm)
 
 
 def _build_matching(alpha: Diagram, beta: Diagram, costs, perm, p: float) -> Matching:

@@ -10,11 +10,12 @@ from pdmetric.assignment import (
     exhaustive_min,
     hopcroft_karp,
     hungarian,
-    lex_smallest_assignment,
+    lex_smallest_matching,
     min_cost_assignment,
 )
 from pdmetric.errors import SizeLimitError
-from pdmetric.metric_core import INF
+from pdmetric.metric_core import INF, lp_norm
+from pdmetric.wasserstein import _solve_matching
 
 
 def brute_total(costs):
@@ -168,20 +169,78 @@ def test_exhaustive_min_guard():
         exhaustive_min(costs, 1.0)
 
 
-def test_lex_smallest_assignment_breaks_ties():
+@pytest.mark.parametrize("scale", [1e10, 1e-7])
+@pytest.mark.parametrize("p", [40.0, 60.0])
+def test_exhaustive_min_at_extreme_scales(scale, p):
+    # W_p scales linearly; c ** p itself over- or underflows at these scales.
+    rng = random.Random(5)
+    costs = random_matrix(rng, 5)
+    scaled = [[c * scale for c in row] for row in costs]
+    assert exhaustive_min(scaled, p) == pytest.approx(
+        scale * exhaustive_min(costs, p), rel=1e-12
+    )
+    assert exhaustive_min([[scale, scale], [scale, scale]], p) == pytest.approx(
+        scale * 2.0 ** (1.0 / p), rel=1e-12
+    )
+
+
+def test_lex_smallest_matching_breaks_ties():
     # Every permutation has the same total; the identity is lexicographically
     # least.
     costs = [[1.0] * 4 for _ in range(4)]
-    perm = lex_smallest_assignment(costs, 4.0)
-    assert perm == (0, 1, 2, 3)
+    assert _solve_matching(costs, 1.0) == (0, 1, 2, 3)
+    assert _solve_matching(costs, INF) == (0, 1, 2, 3)
+    complete = [list(range(4)) for _ in range(4)]
+    assert lex_smallest_matching(complete, (3, 2, 1, 0)) == (0, 1, 2, 3)
     # Two optimal permutations: (0, 1) and (1, 0); prefer (0, 1).
     costs = [[2.0, 2.0], [2.0, 2.0]]
-    assert lex_smallest_assignment(costs, 4.0) == (0, 1)
+    assert _solve_matching(costs, 1.0) == (0, 1)
+    assert lex_smallest_matching([[0, 1], [0, 1]], (1, 0)) == (0, 1)
 
 
-def test_lex_smallest_assignment_respects_optimality():
+def test_lex_smallest_matching_respects_optimality():
     costs = [
         [0.0, 5.0],
         [5.0, 0.0],
     ]
-    assert lex_smallest_assignment(costs, 0.0) == (0, 1)
+    assert _solve_matching(costs, 1.0) == (0, 1)
+    assert _solve_matching(costs, INF) == (0, 1)
+    # Only the identity is a perfect matching of this graph.
+    assert lex_smallest_matching([[0, 1], [1]], (0, 1)) == (0, 1)
+
+
+def test_lex_smallest_matching_empty():
+    assert lex_smallest_matching([], ()) == ()
+    assert _solve_matching([], 1.0) == ()
+    assert _solve_matching([], INF) == ()
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, INF])
+def test_tie_break_is_first_optimum_in_permutation_order(p):
+    rng = random.Random(20240 + (0 if p == INF else int(p)))
+    checked = 0
+    for trial in range(160):
+        n = rng.randint(1, 7)
+        kind = trial % 4
+        if kind == 0:
+            costs = random_matrix(rng, n, with_inf=0.15)
+        else:
+            # Integer ties, with forbidden entries (kind 2) or with ties
+            # broken by 1e-6, far above the tie tolerance (kind 3).
+            costs = [
+                [INF if kind == 2 and rng.random() < 0.15
+                 else rng.randint(0, 3) + (rng.choice([0.0, 1e-6]) if kind == 3 else 0.0)
+                 for _ in range(n)]
+                for _ in range(n)
+            ]
+        best = exhaustive_min(costs, p)
+        if math.isinf(best):
+            continue
+        expected = next(
+            perm for perm in itertools.permutations(range(n))
+            if math.isclose(lp_norm([costs[i][perm[i]] for i in range(n)], p),
+                            best, rel_tol=1e-9, abs_tol=0.0)
+        )
+        assert _solve_matching(costs, p) == expected
+        checked += 1
+    assert checked >= 120

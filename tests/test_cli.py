@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -209,3 +212,25 @@ def test_size_guard_exit_code(capsys, monkeypatch, halfplane_pair):
     code, _, err = run(capsys, ["distance", a, b, "--space", "halfplane"])
     assert code == 4
     assert "size guard" in err
+
+
+def test_distance_large_exponent_at_large_scale(capsys, tmp_path):
+    # (2e10) ** 40 overflows a double; the solver works on scaled costs.
+    a = write(tmp_path, "a.json", {"space": "halfplane", "atoms": [[[0.0, 2e10], 2]]})
+    b = write(tmp_path, "b.json", {"space": "halfplane", "atoms": []})
+    for extra in ([], ["--matching"]):
+        code, out, err = run(capsys, ["distance", a, b, "--space", "halfplane",
+                                      "--p", "40", *extra])
+        assert code == 0, err
+        assert json.loads(out)["value"] == pytest.approx(1e10 * 2.0 ** (1.0 / 40), rel=1e-9)
+
+
+def test_cli_import_leaves_numpy_out():
+    # numpy serves only the brute-force oracle, so the CLI must not pay for it.
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys, pdmetric.cli; print('numpy' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True, env=env)
+    assert done.stdout.strip() == "False"

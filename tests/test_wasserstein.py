@@ -9,7 +9,6 @@ from pdmetric.metric_core import INF, FiniteSpace, lp_norm
 from pdmetric.spaces import halfplane_quotient
 from pdmetric.wasserstein import (
     BASEPOINT,
-    LARGE_EXPONENT,
     bottleneck,
     brute_force_wasserstein,
     wasserstein,
@@ -144,18 +143,14 @@ def test_deterministic_matching():
     ]
 
 
-def test_large_exponent_routes_to_bottleneck():
-    alpha, beta = diagrams(
-        halfplane_quotient(INF, LARGE_EXPONENT),
-        [(0.0, 2.0), (5.0, 9.0)],
-        [(0.0, 4.0)],
-    )
-    assert wasserstein_value(alpha, beta, LARGE_EXPONENT) == wasserstein_value(
-        alpha, beta, INF
-    )
-    assert wasserstein_value(alpha, beta, 200.0) == wasserstein_value(
-        alpha, beta, INF
-    )
+def test_large_exponent_is_the_true_wp():
+    # 100 unit-persistence atoms against the empty diagram: W_p = 100^(1/p),
+    # which stays continuous in p rather than collapsing onto W_inf = 1.
+    for p in (63.0, 64.0, 200.0):
+        alpha, beta = diagrams(halfplane_quotient(INF, p), [(0.0, 2.0)] * 100, [])
+        expected = 100.0 ** (1.0 / p)
+        assert wasserstein_value(alpha, beta, p) == pytest.approx(expected, rel=1e-12)
+        assert wasserstein(alpha, beta, p)[0] == pytest.approx(expected, rel=1e-12)
 
 
 def test_requires_same_space():
