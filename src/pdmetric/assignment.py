@@ -288,13 +288,12 @@ def exhaustive_min(costs, p) -> float:
     perms = _permutation_array(n)
     picked = matrix[np.arange(n)[None, :], perms]
     if p == INF:
-        totals = picked.max(axis=1)
-        return float(totals.min())
-    # Sum (c / c_max) ** p so that no scale of input over- or underflows.
-    finite = matrix[np.isfinite(matrix)]
-    top = float(finite.max()) if finite.size and finite.max() > 0.0 else 1.0
-    totals = ((picked / top) ** p).sum(axis=1)
-    best = float(totals.min())
-    if math.isinf(best):
-        return INF
-    return top * best ** (1.0 / p)
+        return float(picked.max(axis=1).min())
+    # Each permutation's lp norm scaled by its own largest entry, as in
+    # lp_norm, so that no scale or spread of input over- or underflows.
+    top = picked.max(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = picked / top[:, None]
+        np.power(ratio, p, out=ratio)
+        norms = top * ratio.sum(axis=1) ** (1.0 / p)
+    return float(np.where((top > 0.0) & np.isfinite(top), norms, top).min())

@@ -10,11 +10,13 @@ assignment runs on the entrywise p-th powers; p = inf is the bottleneck
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
 from .assignment import (
     EXHAUSTIVE_LIMIT,
+    AssignmentResult,
     _threshold_adjacency,
     bottleneck_assignment,
     exhaustive_min,
@@ -80,10 +82,37 @@ def _space_costs(alpha: Diagram, beta: Diagram) -> list[list[float]]:
     return _padded_costs(alpha, beta, space.dist, lambda x: space.dist(x, x0))
 
 
-def _power_matrix(costs, p: float) -> list[list[float]]:
-    """Entrywise (c / c_max) ** p: the argmin of c ** p, at any scale and p."""
+# Each power that underflows loses at most the smallest normal float, so
+# below r times this the loss can outweigh the rounding of the optimum.
+_UNDERFLOW = sys.float_info.min / sys.float_info.epsilon
+
+
+def _power_assignment(costs, p: float) -> tuple[list[list[float]], AssignmentResult]:
+    """An argmin of sum c ** p, solved on scaled powers; returns (powers, result).
+
+    The powers are (c / c_max) ** p, which cannot overflow.  If the optimum
+    then falls to where underflow could decide it, the powers are taken over
+    bound = r^(1/p) b instead, b the bottleneck value, with the entries above
+    bound forbidden: no optimum uses them, since its lp value is at most
+    r^(1/p) b (the 1e-9 margin keeps rounding from forbidding more).  Every
+    kept power is then at most 1 and the optimum about 1/r or more.
+    """
+    if p == 1.0:
+        return costs, min_cost_assignment(costs)
+    r = len(costs)
     top = max((c for row in costs for c in row if not math.isinf(c)), default=0.0) or 1.0
-    return [[(c / top) ** p for c in row] for row in costs]
+    work = [[(c / top) ** p for c in row] for row in costs]
+    result = min_cost_assignment(work)
+    if not result.total < r * _UNDERFLOW:
+        return work, result
+    if not any(costs[i][j] for i, j in enumerate(result.permutation)):
+        # The optimum is 0: the optima are the perfect matchings on zeros.
+        work = [[0.0 if c == 0.0 else INF for c in row] for row in costs]
+        return work, AssignmentResult(0.0, result.permutation, (0.0,) * r, (0.0,) * r)
+    value, _ = bottleneck_assignment(costs)
+    bound = value * (r * (1.0 + 1e-9)) ** (1.0 / p)
+    work = [[INF if c > bound else (c / (bound or 1.0)) ** p for c in row] for row in costs]
+    return work, min_cost_assignment(work)
 
 
 def _solve_value(costs, p: float) -> float:
@@ -93,11 +122,9 @@ def _solve_value(costs, p: float) -> float:
     if p == INF:
         value, _ = bottleneck_assignment(costs)
         return value
-    if p == 1.0:
-        return min_cost_assignment(costs).total
-    result = min_cost_assignment(_power_matrix(costs, p))
-    if math.isinf(result.total):
-        return INF
+    _, result = _power_assignment(costs, p)
+    if p == 1.0 or math.isinf(result.total):
+        return result.total
     n = len(costs)
     return lp_norm([costs[i][result.permutation[i]] for i in range(n)], p)
 
@@ -107,19 +134,19 @@ def _solve_matching(costs, p: float) -> tuple[int, ...]:
 
     Optima are the perfect matchings of the threshold graph at the bottleneck
     value, or (complementary slackness) of the optimal duals' equality
-    subgraph, whose tolerance over r rows sums to a 1e-9 relative slack.
+    subgraph.  Its tolerance over r rows sums to 1e-9 of the optimum; the
+    duals never exceed the optimum, so rounding stays far below it.
     """
     if p == INF:
         value, perm = bottleneck_assignment(costs)
         if math.isinf(value):
             return perm
         return lex_smallest_matching(_threshold_adjacency(costs, value), perm)
-    work = costs if p == 1.0 else _power_matrix(costs, p)
-    result = min_cost_assignment(work)
+    work, result = _power_assignment(costs, p)
     if math.isinf(result.total):
         return result.permutation
     perm, u, v = result.permutation, result.u, result.v
-    tol = 1e-9 * max(1.0, abs(result.total)) / max(1, len(work))
+    tol = 1e-9 * result.total / max(1, len(work))
     tight = [
         [j for j, (c, vj) in enumerate(zip(row, v)) if j == perm[i] or c - u[i] - vj <= tol]
         for i, row in enumerate(work)

@@ -170,7 +170,7 @@ def test_exhaustive_min_guard():
 
 
 @pytest.mark.parametrize("scale", [1e10, 1e-7])
-@pytest.mark.parametrize("p", [40.0, 60.0])
+@pytest.mark.parametrize("p", [40.0, 60.0, 200.0])
 def test_exhaustive_min_at_extreme_scales(scale, p):
     # W_p scales linearly; c ** p itself over- or underflows at these scales.
     rng = random.Random(5)
@@ -181,6 +181,12 @@ def test_exhaustive_min_at_extreme_scales(scale, p):
     )
     assert exhaustive_min([[scale, scale], [scale, scale]], p) == pytest.approx(
         scale * 2.0 ** (1.0 / p), rel=1e-12
+    )
+    # Mixed scales: at p = 200 every entry of the optimum is below
+    # 2^(-1074/p) c_max, so powers taken over c_max would all be 0.
+    mixed = [[0.02, 0.01, 1.0], [0.01, 0.02, 1.0], [1.0, 1.0, 0.0]]
+    assert exhaustive_min([[c * scale for c in row] for row in mixed], p) == pytest.approx(
+        scale * lp_norm([0.01, 0.01], p), rel=1e-12
     )
 
 
@@ -215,21 +221,30 @@ def test_lex_smallest_matching_empty():
     assert _solve_matching([], INF) == ()
 
 
-@pytest.mark.parametrize("p", [1.0, 2.0, INF])
+@pytest.mark.parametrize("p", [1.0, 2.0, 3.5, INF])
 def test_tie_break_is_first_optimum_in_permutation_order(p):
     rng = random.Random(20240 + (0 if p == INF else int(p)))
     checked = 0
-    for trial in range(160):
+    for trial in range(200):
         n = rng.randint(1, 7)
-        kind = trial % 4
+        kind = trial % 5
         if kind == 0:
             costs = random_matrix(rng, n, with_inf=0.15)
-        else:
+        elif kind < 4:
             # Integer ties, with forbidden entries (kind 2) or with ties
             # broken by 1e-6, far above the tie tolerance (kind 3).
             costs = [
                 [INF if kind == 2 and rng.random() < 0.15
                  else rng.randint(0, 3) + (rng.choice([0.0, 1e-6]) if kind == 3 else 0.0)
+                 for _ in range(n)]
+                for _ in range(n)
+            ]
+        else:
+            # A small optimum, with ties, next to entries 1e5 to 1e7 times
+            # larger: the tie tolerance must follow the optimum, not c_max.
+            costs = [
+                [rng.randint(1, 3) * 1e-4 if rng.random() < 0.7
+                 else rng.randint(1, 3) * 10.0 ** rng.randint(1, 3)
                  for _ in range(n)]
                 for _ in range(n)
             ]
@@ -243,4 +258,4 @@ def test_tie_break_is_first_optimum_in_permutation_order(p):
         )
         assert _solve_matching(costs, p) == expected
         checked += 1
-    assert checked >= 120
+    assert checked >= 150

@@ -3,12 +3,15 @@ import random
 
 import pytest
 
+from pdmetric.assignment import exhaustive_min
 from pdmetric.diagram import diagram_from_list, empty_diagram
 from pdmetric.errors import DomainError, PreconditionError, SizeLimitError
 from pdmetric.metric_core import INF, FiniteSpace, lp_norm
 from pdmetric.spaces import halfplane_quotient
 from pdmetric.wasserstein import (
     BASEPOINT,
+    _solve_matching,
+    _solve_value,
     bottleneck,
     brute_force_wasserstein,
     wasserstein,
@@ -151,6 +154,45 @@ def test_large_exponent_is_the_true_wp():
         expected = 100.0 ** (1.0 / p)
         assert wasserstein_value(alpha, beta, p) == pytest.approx(expected, rel=1e-12)
         assert wasserstein(alpha, beta, p)[0] == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize("p", [64.0, 200.0])
+def test_large_exponent_mixed_scale_against_oracle(p):
+    # Entries spread over three decades: at these p most of them underflow
+    # when raised over c_max, yet the value and the matching stay exact.
+    rng = random.Random(int(p))
+    for _ in range(40):
+        n = rng.randint(2, 6)
+        costs = [[10.0 ** rng.uniform(-3.0, 0.0) for _ in range(n)] for _ in range(n)]
+        best = exhaustive_min(costs, p)
+        assert _solve_value(costs, p) == pytest.approx(best, rel=1e-9)
+        perm = _solve_matching(costs, p)
+        assert lp_norm([costs[i][perm[i]] for i in range(n)], p) == pytest.approx(best, rel=1e-9)
+    costs = [[0.02, 0.01, 1.0], [0.01, 0.02, 1.0], [1.0, 1.0, 0.0]]
+    assert _solve_value(costs, p) == pytest.approx(lp_norm([0.01, 0.01], p), rel=1e-12)
+    assert _solve_matching(costs, p) == (1, 0, 2)
+    # An optimum of 0 beside entries whose powers underflow to 0.
+    costs = [[1e-5, 0.0, 1.0], [0.0, 1e-5, 1.0], [1.0, 1.0, 0.0]]
+    assert _solve_value(costs, p) == 0.0
+    assert _solve_matching(costs, p) == (1, 0, 2)
+
+
+@pytest.mark.parametrize("p", [2.0, 3.5, 200.0])
+def test_matching_value_agrees_beside_large_atom(p):
+    # Near-identical diagrams that share one atom of persistence 2e6: the
+    # optimum is tiny next to the largest padded cost.  Births 2e-5 apart
+    # let the moves reorder the atoms, so the identity is not optimal.
+    space = halfplane_quotient(INF, p)
+    rng = random.Random(7)
+    for _ in range(10):
+        points = [(k * 2e-5, 2.0 + 0.3 * k) for k in range(3)] + [(0.0, 2e6)]
+        moved = [(b + rng.uniform(-1e-4, 1e-4), d + rng.uniform(-1e-4, 1e-4))
+                 for b, d in points]
+        alpha, beta = diagrams(space, points, moved)
+        value = wasserstein_value(alpha, beta, p)
+        assert value < 1e-3
+        assert wasserstein(alpha, beta, p)[0] == pytest.approx(value, rel=1e-9)
+        assert brute_force_wasserstein(alpha, beta, p) == pytest.approx(value, rel=1e-9)
 
 
 def test_requires_same_space():
