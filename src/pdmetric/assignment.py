@@ -1,10 +1,10 @@
 """Exact solvers for the square assignment problem.
 
-hungarian        O(n^3) min-cost perfect matching with dual potentials
-                 (u, v) satisfying u[i] + v[j] <= c[i][j] with equality on
-                 matched pairs, so sum(u) + sum(v) equals the optimum.
-hopcroft_karp    maximum bipartite matching, used for feasibility questions
-                 (forbidden edges, bottleneck thresholds).
+hungarian        O(n^3) min-cost perfect matching by shortest augmenting paths
+                 that skip forbidden (inf) entries, with dual potentials (u, v):
+                 u[i] + v[j] <= c[i][j], equality on matched pairs.
+hopcroft_karp    maximum bipartite matching, optionally grown from a given one;
+                 it completes infeasible assignments and runs threshold probes.
 bottleneck_assignment
                  minimax matching by binary search over the distinct entries.
 lex_smallest_matching
@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -31,88 +32,93 @@ if TYPE_CHECKING:
 EXHAUSTIVE_LIMIT = 9
 
 
-def hungarian(costs) -> tuple[float, list[int], list[float], list[float]]:
-    """Minimum-cost perfect matching on a square matrix of finite floats.
+def hungarian(costs) -> tuple[float, list[int] | None, list[float] | None, list[float] | None]:
+    """Minimum-cost perfect matching on a square matrix; inf entries are forbidden.
 
     Returns (total, perm, u, v) where perm[i] is the column matched to row
-    i and (u, v) are feasible dual potentials tight on matched pairs.
+    i and (u, v) are feasible dual potentials tight on matched pairs.  When
+    no perfect matching avoids the inf entries it returns (inf, None, None,
+    None).  Each row is matched by a shortest augmenting path search in the
+    reduced costs (Crouse 2016); among tied columns the search takes a free
+    one, which ends the search at once on the zero corner of padded diagrams.
     """
     n = len(costs)
-    if n == 0:
-        return 0.0, [], [], []
-    # 1-indexed potentials with a dummy 0 slot, in the usual shortest
-    # augmenting path formulation.
-    u = [0.0] * (n + 1)
-    v = [0.0] * (n + 1)
-    match = [0] * (n + 1)  # match[j] = row assigned to column j
-    way = [0] * (n + 1)
-    for i in range(1, n + 1):
-        match[0] = i
-        j0 = 0
-        minv = [INF] * (n + 1)
-        used = [False] * (n + 1)
+    u, v = [0.0] * n, [0.0] * n
+    col4row, row4col = [-1] * n, [-1] * n
+    path = [-1] * n  # path[j]: the row the shortest path reaches column j from
+    for cur in range(n):
+        dist = [INF] * n  # shortest path length from row cur to each column
+        remaining = list(range(n))
+        rows, cols = [], []
+        i, reach = cur, 0.0
         while True:
-            used[j0] = True
-            i0 = match[j0]
-            delta = INF
-            j1 = 0
-            row = costs[i0 - 1]
-            for j in range(1, n + 1):
-                if not used[j]:
-                    cur = row[j - 1] - u[i0] - v[j]
-                    if cur < minv[j]:
-                        minv[j] = cur
-                        way[j] = j0
-                    if minv[j] < delta:
-                        delta = minv[j]
-                        j1 = j
-            for j in range(n + 1):
-                if used[j]:
-                    u[match[j]] += delta
-                    v[j] -= delta
+            rows.append(i)
+            row, h = costs[i], reach - u[i]
+            reach, best = INF, -1
+            for j in remaining:
+                d = h + row[j] - v[j]
+                if d < dist[j]:
+                    dist[j] = d
+                    path[j] = i
                 else:
-                    minv[j] -= delta
-            j0 = j1
-            if match[j0] == 0:
+                    d = dist[j]
+                if d < reach or (d == reach and row4col[j] < 0):
+                    reach, best = d, j
+            if reach == INF:
+                return INF, None, None, None
+            remaining.remove(best)
+            cols.append(best)
+            if row4col[best] < 0:
                 break
-        while j0 != 0:
-            j1 = way[j0]
-            match[j0] = match[j1]
-            j0 = j1
-    perm = [0] * n
-    for j in range(1, n + 1):
-        if match[j]:
-            perm[match[j] - 1] = j - 1
-    total = math.fsum(costs[i][perm[i]] for i in range(n))
-    return total, perm, u[1:], v[1:]
+            i = row4col[best]
+        u[cur] += reach
+        for i in rows[1:]:
+            u[i] += reach - dist[col4row[i]]
+        for j in cols:
+            v[j] -= reach - dist[j]
+        j = best
+        while j != -1:  # flip the path: each row on it takes the column it reached
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+    total = math.fsum(costs[i][col4row[i]] for i in range(n))
+    return total, col4row, u, v
 
 
-def hopcroft_karp(adjacency: list[list[int]], n_right: int) -> tuple[int, list[int]]:
+def hopcroft_karp(adjacency: list[list[int]], n_right: int,
+                  start: list[int] | None = None) -> tuple[int, list[int]]:
     """Maximum matching in a bipartite graph given as left adjacency lists.
 
     Returns (size, match_left) with match_left[i] the column matched to
-    left node i, or -1.
+    left node i, or -1.  start, if given, is a matching inside the graph
+    (in the same form) to grow from.
     """
     n_left = len(adjacency)
-    match_left = [-1] * n_left
+    match_left = [-1] * n_left if start is None else list(start)
     match_right = [-1] * n_right
-    size = 0
+    for i, j in enumerate(match_left):
+        if j != -1:
+            match_right[j] = i
+    size = n_left - match_left.count(-1)
     while True:
         # BFS layers from free left nodes.
         dist = [-1] * n_left
         queue = [i for i in range(n_left) if match_left[i] == -1]
         for i in queue:
             dist[i] = 0
+        # Layers up to the first that reaches a free column are complete
+        # once one is reached, and no augmenting path needs a deeper one.
         found_free = False
         head = 0
-        while head < len(queue):
+        while head < len(queue) and not found_free:
             i = queue[head]
             head += 1
             for j in adjacency[i]:
                 k = match_right[j]
                 if k == -1:
                     found_free = True
-                elif dist[k] == -1:
+                    break
+                if dist[k] == -1:
                     dist[k] = dist[i] + 1
                     queue.append(k)
         if not found_free:
@@ -141,9 +147,11 @@ def _threshold_adjacency(costs, bound: float) -> list[list[int]]:
     return [[j for j, c in enumerate(row) if c <= bound] for row in costs]
 
 
-def has_perfect_matching(adjacency: list[list[int]], n_right: int) -> bool:
-    size, _ = hopcroft_karp(adjacency, n_right)
-    return size == len(adjacency)
+def has_perfect_matching(adjacency: list[list[int]], n_right: int,
+                         start: list[int] | None = None) -> tuple[bool, list[int]]:
+    """Whether every left node can be matched, with the maximum matching found."""
+    size, match_left = hopcroft_karp(adjacency, n_right, start)
+    return size == len(adjacency), match_left
 
 
 def _complete_greedily(n: int, match_left: list[int]) -> list[int]:
@@ -171,52 +179,44 @@ class AssignmentResult:
 def min_cost_assignment(costs) -> AssignmentResult:
     """Minimum-total assignment on a square matrix with entries in [0, inf].
 
-    inf entries mark forbidden edges.  Feasibility is established first via
-    maximum matching on the finite edges; if no perfect matching exists the
-    total is inf and no duals are produced.
+    inf entries mark forbidden edges, which the solver never follows.  If no
+    perfect matching avoids them, the total is inf, no duals are produced,
+    and the permutation extends a maximum matching on the finite edges.
     """
     n = len(costs)
-    if n == 0:
-        return AssignmentResult(0.0, (), (), ())
-    finite = [c for row in costs for c in row if not math.isinf(c)]
-    if len(finite) < n * n:
-        adjacency = _finite_adjacency(costs)
-        size, match_left = hopcroft_karp(adjacency, n)
-        if size < n:
-            perm = _complete_greedily(n, match_left)
-            return AssignmentResult(INF, tuple(perm), None, None)
-        # A finite perfect matching exists, so an optimum never pays more
-        # than the sum of all finite entries; any larger placeholder keeps
-        # forbidden edges out of the solution.
-        big = math.fsum(finite) + max(finite, default=0.0) + 1.0
-        filled = [[big if math.isinf(c) else c for c in row] for row in costs]
-        _, perm, u, v = hungarian(filled)
-        total = math.fsum(costs[i][perm[i]] for i in range(n))
-        return AssignmentResult(total, tuple(perm), tuple(u), tuple(v))
     total, perm, u, v = hungarian(costs)
+    if perm is None:
+        _, match_left = hopcroft_karp(_finite_adjacency(costs), n)
+        return AssignmentResult(INF, tuple(_complete_greedily(n, match_left)), None, None)
     return AssignmentResult(total, tuple(perm), tuple(u), tuple(v))
 
 
 def bottleneck_assignment(costs) -> tuple[float, tuple[int, ...]]:
-    """Minimize the maximum matched entry; returns (value, permutation)."""
+    """Minimize the maximum matched entry; returns (value, permutation).
+
+    Binary search over the distinct entries.  Each probe's graph keeps a
+    prefix of every row's columns sorted by cost, and grows its matching
+    from the last failed probe's, whose entries lie below every later bound.
+    """
     n = len(costs)
     if n == 0:
         return 0.0, ()
-    adjacency = _finite_adjacency(costs)
-    size, match_left = hopcroft_karp(adjacency, n)
+    size, best = hopcroft_karp(_finite_adjacency(costs), n)
     if size < n:
-        return INF, tuple(_complete_greedily(n, match_left))
-    values = sorted({c for row in costs for c in row if not math.isinf(c)})
-    lo, hi = 0, len(values) - 1
+        return INF, tuple(_complete_greedily(n, best))
+    order = [sorted(range(n), key=row.__getitem__) for row in costs]
+    ranked = [[row[j] for j in cols] for row, cols in zip(costs, order)]
+    values = sorted(set().union(*ranked) - {INF})
+    lo, hi, start = 0, len(values) - 1, None
     while lo < hi:
         mid = (lo + hi) // 2
-        if has_perfect_matching(_threshold_adjacency(costs, values[mid]), n):
-            hi = mid
+        adjacency = [cols[:bisect_right(row, values[mid])] for cols, row in zip(order, ranked)]
+        perfect, match = has_perfect_matching(adjacency, n, start)
+        if perfect:
+            hi, best = mid, match
         else:
-            lo = mid + 1
-    value = values[lo]
-    _, match_left = hopcroft_karp(_threshold_adjacency(costs, value), n)
-    return value, tuple(match_left)
+            lo, start = mid + 1, match
+    return values[lo], tuple(best)
 
 
 def lex_smallest_matching(adjacency: list[list[int]], perm) -> tuple[int, ...]:

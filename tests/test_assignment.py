@@ -6,6 +6,7 @@ import pytest
 
 from pdmetric.assignment import (
     EXHAUSTIVE_LIMIT,
+    AssignmentResult,
     bottleneck_assignment,
     exhaustive_min,
     hopcroft_karp,
@@ -114,6 +115,81 @@ def test_min_cost_assignment_matches_brute_with_sparse_inf():
             assert got == pytest.approx(expected, abs=1e-9)
 
 
+def padded_matrix(rng, kind, n, m):
+    """The (n+m)-square matrix of a diagram pair: atom costs, each left atom's
+    own basepoint cost repeated n times, the right atoms' basepoint costs and
+    the m x n zero corner.  kind "ties" draws integers, "inf" forbids some
+    atom pairs and some left atoms' basepoint pairings."""
+    def entry():
+        return float(rng.randint(0, 3)) if kind == "ties" else rng.uniform(0.0, 10.0)
+
+    rows = []
+    for _ in range(n):
+        base = INF if kind == "inf" and rng.random() < 0.2 else entry()
+        atoms = [INF if kind == "inf" and rng.random() < 0.3 else entry() for _ in range(m)]
+        rows.append(atoms + [base] * n)
+    right = [entry() for _ in range(m)]
+    return rows + [right + [0.0] * n for _ in range(m)]
+
+
+def test_hungarian_on_padded_structure_matches_oracle():
+    rng = random.Random(2016)
+    feasible = 0
+    for trial in range(300):
+        n = rng.randint(0, 5)
+        m = rng.randint(0 if n else 1, 8 - n)
+        costs = padded_matrix(rng, ("random", "ties", "inf")[trial % 3], n, m)
+        expected = exhaustive_min(costs, 1.0)
+        total, perm, u, v = hungarian(costs)
+        result = min_cost_assignment(costs)
+        if math.isinf(expected):
+            assert math.isinf(total) and (perm, u, v) == (None, None, None)
+            assert math.isinf(result.total) and result.u is None
+            continue
+        feasible += 1
+        assert total == pytest.approx(expected, abs=1e-9)
+        assert result.total == total and result.permutation == tuple(perm)
+        r = n + m
+        for i in range(r):
+            assert u[i] + v[perm[i]] == pytest.approx(costs[i][perm[i]], abs=1e-9)
+            for j in range(r):
+                assert u[i] + v[j] <= costs[i][j] + 1e-9
+    assert feasible >= 250
+
+
+def test_min_cost_assignment_infeasible_at_last_row():
+    # Rows 0-2 match at once; only row 3 finds no free finite column.  The
+    # permutation extends a maximum finite matching greedily, as before the
+    # solver detected infeasibility itself.
+    costs = [
+        [1.0, INF, 2.0, 3.0],
+        [2.0, INF, 1.0, 3.0],
+        [3.0, INF, 3.0, 1.0],
+        [1.0, INF, 1.0, 1.0],
+    ]
+    assert hungarian(costs) == (INF, None, None, None)
+    assert min_cost_assignment(costs) == AssignmentResult(INF, (0, 2, 3, 1), None, None)
+
+
+def test_duals_never_exceed_the_optimum():
+    # The equality-subgraph tolerance of the tie-break is relative to the
+    # optimum, so the rounding of c - u - v must be too.
+    rng = random.Random(11)
+    checked = 0
+    for trial in range(1200):
+        n = rng.randint(0, 9)
+        m = rng.randint(0 if n else 1, 9)
+        p = (1.0, 2.0, 3.5)[trial % 3]
+        costs = [[c ** p for c in row]
+                 for row in padded_matrix(rng, ("random", "ties", "inf")[trial // 3 % 3], n, m)]
+        result = min_cost_assignment(costs)
+        if result.u is None:
+            continue
+        assert max(map(abs, result.u + result.v)) <= result.total * (1.0 + 1e-9)
+        checked += 1
+    assert checked >= 1000
+
+
 def test_bottleneck_assignment_matches_brute():
     rng = random.Random(3)
     for _ in range(40):
@@ -143,6 +219,10 @@ def test_hopcroft_karp():
     assert size == 1
     size, match = hopcroft_karp([[], []], 2)
     assert size == 0
+    # Grown from a start that blocks row 1, through the one augmenting path.
+    size, match = hopcroft_karp([[0, 1], [0]], 2, start=[0, -1])
+    assert size == 2 and match == [1, 0]
+    assert hopcroft_karp([[0], [0]], 2, start=[-1, 0]) == (1, [-1, 0])
 
 
 def test_exhaustive_min_matches_pure_python():

@@ -225,12 +225,32 @@ def test_distance_large_exponent_at_large_scale(capsys, tmp_path):
         assert json.loads(out)["value"] == pytest.approx(1e10 * 2.0 ** (1.0 / 40), rel=1e-9)
 
 
-def test_cli_import_leaves_numpy_out():
-    # numpy serves only the brute-force oracle, so the CLI must not pay for it.
+def fresh_python(code):
+    """stdout of `code` run in a new interpreter that imports this pdmetric."""
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    code = "import sys, pdmetric.cli; print('numpy' in sys.modules)"
     done = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, check=True, env=env)
-    assert done.stdout.strip() == "False"
+    return done.stdout.strip()
+
+
+def test_cli_import_leaves_numpy_out():
+    # numpy serves only the brute-force oracle, so the CLI must not pay for it.
+    code = "import sys, pdmetric.cli; print('numpy' in sys.modules)"
+    assert fresh_python(code) == "False"
+
+
+def test_cli_import_leaves_verify_out():
+    # `pdmetric distance` needs neither the suites nor the universality checks;
+    # the package still hands out their names, and its own `wasserstein`.
+    code = (
+        "import sys, pdmetric.cli\n"
+        "print(sorted({'pdmetric.verify', 'pdmetric.universality'} & set(sys.modules)))\n"
+        "import pdmetric\n"
+        "from pdmetric import LipschitzMap, run_suite, wasserstein\n"
+        "print(run_suite is pdmetric.verify.run_suite,\n"
+        "      LipschitzMap is pdmetric.universality.LipschitzMap,\n"
+        "      wasserstein is pdmetric.wasserstein_value.__globals__['wasserstein'])\n"
+    )
+    assert fresh_python(code).splitlines() == ["[]", "True True True"]

@@ -1,0 +1,61 @@
+"""Golden outputs: wasserstein() over a fixed seeded instance set.
+
+The digest below was computed with the earlier (e-maxx Hungarian) assignment
+kernel; any change to a returned matching or its value changes it.  The
+instances mix the three kinds of padded matrix the solver meets: distinct
+float points, integer points with exact ties and repeated atoms, and
+extended half-plane points whose infinite deaths forbid entries.
+"""
+
+import hashlib
+import math
+import random
+
+from pdmetric.diagram import diagram_from_list
+from pdmetric.metric_core import INF
+from pdmetric.spaces import HalfPlaneSpace
+from pdmetric.wasserstein import wasserstein, wasserstein_value
+
+P_VALUES = (1.0, 2.0, 3.5, INF)
+KINDS = ("random", "ties", "extended")
+PER_CASE = 60
+GOLDEN_SHA256 = "e52418ab2c9c05b1246eee8199b1b7c8a80f503383b52b251c50927ba6c12142"
+
+
+def _points(rng, kind, immortal):
+    """Up to 7 finite points, plus `immortal` points that die at infinity."""
+    if kind == "ties":
+        births = [rng.randint(0, 3) for _ in range(rng.randint(0, 7))]
+        return [(float(b), float(b + rng.randint(0, 3))) for b in births]
+    births = [rng.uniform(-5.0, 5.0) for _ in range(rng.randint(0, 7))]
+    points = [(b, b + rng.uniform(0.0, 6.0)) for b in births]
+    return points + [(rng.uniform(-5.0, 5.0), INF) for _ in range(immortal)]
+
+
+def golden_instances():
+    rng = random.Random(20240)
+    for kind in KINDS:
+        for p in P_VALUES:
+            space = HalfPlaneSpace(INF, p, extended=kind == "extended")
+            for _ in range(PER_CASE):
+                # Equal counts of immortal points keep most extended
+                # instances feasible; the rest have total inf.
+                left_k = right_k = 0
+                if kind == "extended":
+                    left_k = rng.randint(0, 2)
+                    right_k = left_k if rng.random() < 0.75 else rng.randint(0, 2)
+                left = _points(rng, kind, left_k)
+                right = _points(rng, kind, right_k)
+                yield p, diagram_from_list(left, space), diagram_from_list(right, space)
+
+
+def test_wasserstein_pairs_match_golden_digest():
+    digest = hashlib.sha256()
+    count = 0
+    for p, alpha, beta in golden_instances():
+        value, matching = wasserstein(alpha, beta, p)
+        digest.update(repr((value, [tuple(pair) for pair in matching.pairs])).encode())
+        assert math.isclose(wasserstein_value(alpha, beta, p), value, rel_tol=1e-12)
+        count += 1
+    assert count == len(KINDS) * len(P_VALUES) * PER_CASE
+    assert digest.hexdigest() == GOLDEN_SHA256
