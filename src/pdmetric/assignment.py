@@ -1,8 +1,11 @@
-"""Exact solvers for the square assignment problem.
+"""Exact solvers for assignment problems.
 
-hungarian        O(n^3) min-cost perfect matching by shortest augmenting paths
-                 that skip forbidden (inf) entries, with dual potentials (u, v):
-                 u[i] + v[j] <= c[i][j], equality on matched pairs.
+hungarian        O(n^2 k) min-cost assignment of the n rows of an n x k matrix
+                 by shortest augmenting paths that skip forbidden (inf)
+                 entries, with dual potentials (u, v): u[i] + v[j] <= c[i][j],
+                 equality on matched pairs.  Its last column may be shared:
+                 any number of rows may take it, so a padded W_p problem
+                 solves as n atom rows against m atoms and one diagonal.
 hopcroft_karp    maximum bipartite matching, optionally grown from a given one;
                  it completes infeasible assignments and runs threshold probes.
 bottleneck_assignment
@@ -32,23 +35,30 @@ if TYPE_CHECKING:
 EXHAUSTIVE_LIMIT = 9
 
 
-def hungarian(costs) -> tuple[float, list[int] | None, list[float] | None, list[float] | None]:
-    """Minimum-cost perfect matching on a square matrix; inf entries are forbidden.
+def hungarian(costs, shared: bool = False
+              ) -> tuple[float, list[int] | None, list[float] | None, list[float] | None]:
+    """Minimum-cost assignment of every row of an n x k matrix, n <= k; inf is forbidden.
 
     Returns (total, perm, u, v) where perm[i] is the column matched to row
-    i and (u, v) are feasible dual potentials tight on matched pairs.  When
-    no perfect matching avoids the inf entries it returns (inf, None, None,
-    None).  Each row is matched by a shortest augmenting path search in the
-    reduced costs (Crouse 2016); among tied columns the search takes a free
-    one, which ends the search at once on the zero corner of padded diagrams.
+    i and (u, v) are feasible dual potentials tight on matched pairs; every
+    v[j] is <= 0, and 0 on a column no row takes.  When no assignment
+    avoids the inf entries it returns (inf, None, None, None).  Each row is
+    matched by a shortest augmenting path search in the reduced costs
+    (Crouse 2016); among tied columns the search takes a free one, which
+    ends the search at once on the zero corner of padded diagrams.
+
+    With shared, the last column may take any number of rows (so n may
+    exceed k): a search that reaches it stops there, it never becomes
+    owned, and its potential stays 0.
     """
     n = len(costs)
-    u, v = [0.0] * n, [0.0] * n
-    col4row, row4col = [-1] * n, [-1] * n
-    path = [-1] * n  # path[j]: the row the shortest path reaches column j from
+    k = len(costs[0]) if n else 0
+    u, v = [0.0] * n, [0.0] * k
+    col4row, row4col = [-1] * n, [-1] * k
+    path = [-1] * k  # path[j]: the row the shortest path reaches column j from
     for cur in range(n):
-        dist = [INF] * n  # shortest path length from row cur to each column
-        remaining = list(range(n))
+        dist = [INF] * k  # shortest path length from row cur to each column
+        remaining = list(range(k))
         rows, cols = [], []
         i, reach = cur, 0.0
         while True:
@@ -81,6 +91,8 @@ def hungarian(costs) -> tuple[float, list[int] | None, list[float] | None, list[
             i = path[j]
             row4col[j] = i
             col4row[i], j = j, col4row[i]
+        if shared:
+            row4col[-1] = -1
     total = math.fsum(costs[i][col4row[i]] for i in range(n))
     return total, col4row, u, v
 
@@ -123,20 +135,41 @@ def hopcroft_karp(adjacency: list[list[int]], n_right: int,
                     queue.append(k)
         if not found_free:
             return size, match_left
+        for root in range(n_left):
+            if match_left[root] == -1 and _augment(root, adjacency, dist, match_left, match_right):
+                size += 1
 
-        def dfs(i: int) -> bool:
-            for j in adjacency[i]:
-                k = match_right[j]
-                if k == -1 or (dist[k] == dist[i] + 1 and dfs(k)):
+
+def _augment(root: int, adjacency, dist, match_left, match_right) -> bool:
+    """Depth-first search along the BFS layers for an augmenting path from root.
+
+    Iterative, so a path may be as long as the graph: rows holds the path's
+    rows, cols the columns between them and scans each row's place in its
+    adjacency.  A row whose search fails leaves the layers, as in the
+    recursive form, and the search resumes in the row before it.
+    """
+    rows, cols, scans = [root], [], [iter(adjacency[root])]
+    while rows:
+        level = dist[rows[-1]] + 1
+        for j in scans[-1]:
+            k = match_right[j]
+            if k == -1:  # a free column: each row on the path takes the next column
+                cols.append(j)
+                for i, j in zip(rows, cols):
                     match_left[i] = j
                     match_right[j] = i
-                    return True
-            dist[i] = -1
-            return False
-
-        for i in range(n_left):
-            if match_left[i] == -1 and dfs(i):
-                size += 1
+                return True
+            if dist[k] == level:
+                cols.append(j)
+                rows.append(k)
+                scans.append(iter(adjacency[k]))
+                break
+        else:
+            dist[rows.pop()] = -1
+            scans.pop()
+            if cols:
+                cols.pop()
+    return False
 
 
 def _finite_adjacency(costs) -> list[list[int]]:
@@ -154,10 +187,10 @@ def has_perfect_matching(adjacency: list[list[int]], n_right: int,
     return size == len(adjacency), match_left
 
 
-def _complete_greedily(n: int, match_left: list[int]) -> list[int]:
-    """Extend a partial matching to a permutation, deterministically."""
+def _complete_greedily(k: int, match_left: list[int]) -> list[int]:
+    """Extend a partial matching to an assignment into k columns, deterministically."""
     used = {j for j in match_left if j != -1}
-    free_cols = iter(j for j in range(n) if j not in used)
+    free_cols = iter(j for j in range(k) if j not in used)
     return [j if j != -1 else next(free_cols) for j in match_left]
 
 
@@ -176,18 +209,22 @@ class AssignmentResult:
     v: tuple[float, ...] | None
 
 
-def min_cost_assignment(costs) -> AssignmentResult:
-    """Minimum-total assignment on a square matrix with entries in [0, inf].
+def min_cost_assignment(costs, shared: bool = False) -> AssignmentResult:
+    """Minimum-total assignment of the rows of an n x k matrix (see hungarian).
 
     inf entries mark forbidden edges, which the solver never follows.  If no
-    perfect matching avoids them, the total is inf, no duals are produced,
-    and the permutation extends a maximum matching on the finite edges.
+    assignment avoids them, the total is inf, no duals are produced, and the
+    permutation extends a maximum matching on the finite edges (rows it
+    leaves over take the shared column, if there is one).
     """
-    n = len(costs)
-    total, perm, u, v = hungarian(costs)
+    total, perm, u, v = hungarian(costs, shared)
     if perm is None:
-        _, match_left = hopcroft_karp(_finite_adjacency(costs), n)
-        return AssignmentResult(INF, tuple(_complete_greedily(n, match_left)), None, None)
+        k = len(costs[0])
+        _, match_left = hopcroft_karp(_finite_adjacency(costs), k)
+        if shared:
+            return AssignmentResult(INF, tuple(k - 1 if j == -1 else j for j in match_left),
+                                    None, None)
+        return AssignmentResult(INF, tuple(_complete_greedily(k, match_left)), None, None)
     return AssignmentResult(total, tuple(perm), tuple(u), tuple(v))
 
 

@@ -136,13 +136,14 @@ def diagram_from_json(data: dict, space: PointedSpace) -> Diagram:
     points = []
     try:
         for encoded, count in data["atoms"]:
-            count = int(count)
+            if isinstance(count, bool) or int(count) != count:
+                raise ValueError(f"atom count {count!r} is not an integer")
             if count < 1:
                 raise DomainError("atom counts must be positive")
-            points.extend([space.point_from_json(encoded)] * count)
+            points.extend([space.point_from_json(encoded)] * int(count))
     except DomainError:
         raise
-    except (KeyError, IndexError, TypeError, ValueError) as exc:
+    except (KeyError, IndexError, TypeError, ValueError, OverflowError) as exc:
         # Structural problems are parse errors, not domain errors.
         raise ValueError(f"malformed diagram payload: {exc}") from None
     return Diagram.from_points(points, space)

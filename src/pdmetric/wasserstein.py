@@ -2,9 +2,17 @@
 
 Both diagrams are padded with copies of the basepoint so that each side
 has r = n + m entries, and the distance is the minimum over permutations
-of the lp combination of matched ground distances.  For finite p the
-assignment runs on the entrywise p-th powers; p = inf is the bottleneck
-(minimax) problem solved by threshold search.
+of the lp combination of matched ground distances.  p = inf is the
+bottleneck (minimax) problem, solved by threshold search on that matrix.
+For finite p the assignment runs on the entrywise p-th powers.  Its m pad
+rows are copies of one row and its n pad columns copies of one column, so
+it is solved on the n left atoms against the m right atoms plus one
+diagonal column that any number of rows may take (the "diagonal as one
+extra node" of hera and gudhi), and the permutation and duals are lifted
+back to the padded matrix.  The square solve remains for infinite
+basepoint costs (immortal atoms), for the underflow re-solve, and for an
+optimum too small next to the basepoint costs to survive their
+subtraction.
 """
 
 from __future__ import annotations
@@ -85,25 +93,96 @@ def _space_costs(alpha: Diagram, beta: Diagram) -> list[list[float]]:
 # Each power that underflows loses at most the smallest normal float, so
 # below r times this the loss can outweigh the rounding of the optimum.
 _UNDERFLOW = sys.float_info.min / sys.float_info.epsilon
+# The compact solve subtracts basepoint costs from atom costs.  Below r times
+# this share of its largest entry, that cancellation could decide the optimum.
+_CANCEL = 2.0 ** -11
 
 
-def _power_assignment(costs, p: float) -> tuple[list[list[float]], AssignmentResult]:
+def _finite_max(rows) -> float:
+    top = max(map(max, rows), default=0.0)
+    if math.isinf(top):
+        top = max((c for row in rows for c in row if not math.isinf(c)), default=0.0)
+    return top
+
+
+def _padded_powers(costs, p: float, top: float, n: int) -> list[list[float]]:
+    """(c / top) ** p on a padded matrix, one power per atom pair or basepoint cost.
+
+    The m pad rows are one shared list, which no caller modifies.
+    """
+    m = len(costs) - n
+    rows = [[(c / top) ** p for c in row[:m]] + [(row[m] / top) ** p] * n for row in costs[:n]]
+    pad = [(c / top) ** p for c in costs[n][:m]] + [0.0] * n
+    return rows + [pad] * m
+
+
+def _compact_assignment(work, n: int) -> AssignmentResult | None:
+    """The padded optimum, solved on n rows and m + 1 columns, then lifted.
+
+    work is padded: n atom rows, each with one basepoint cost a_i in its n
+    pad columns, and m pad rows, each the right atoms' basepoint costs b_j
+    followed by zeros.  Rows may share one diagonal column of entries a_i;
+    atom entries are w_ij - b_j, so the padded optimum is the compact one
+    plus sum b_j.  Rows on the diagonal take the pad columns in row order,
+    pad rows the atom columns left over in ascending order, then the rest.
+    The duals (u, 0^m) and (v_j + b_j, 0^n) are feasible for work, since
+    v_j <= 0 and u_i <= a_i, and tight on that permutation, since v_j = 0
+    on the columns no atom row takes.  Returns None when the optimum is too
+    small next to the entries for their differences to decide it.
+    """
+    r = len(work)
+    m = r - n
+    b = work[n][:m]
+    compact = [[c - bj for c, bj in zip(row, b)] + [row[m]] for row in work[:n]]
+    result = min_cost_assignment(compact, shared=True)
+    perm = list(result.permutation)
+    pads = iter(range(m, r))
+    taken = [False] * m
+    for i, j in enumerate(perm):
+        if j == m:
+            perm[i] = next(pads)
+        else:
+            taken[j] = True
+    perm += [j for j in range(m) if not taken[j]]
+    perm += pads
+    total = math.fsum(work[i][j] for i, j in enumerate(perm))
+    if total < r * _CANCEL * max(_finite_max(compact), max(b)):
+        return None
+    u = result.u + (0.0,) * m
+    v = tuple(vj + bj for vj, bj in zip(result.v, b)) + (0.0,) * n
+    return AssignmentResult(total, tuple(perm), u, v)
+
+
+def _power_assignment(costs, p: float, n: int | None = None
+                      ) -> tuple[list[list[float]], AssignmentResult]:
     """An argmin of sum c ** p, solved on scaled powers; returns (powers, result).
 
-    The powers are (c / c_max) ** p, which cannot overflow.  If the optimum
-    then falls to where underflow could decide it, the powers are taken over
+    The powers are (c / c_max) ** p, which cannot overflow.  When costs is
+    padded with the left diagram's n atoms first and every basepoint cost
+    is finite, the optimum is solved on n rows and a shared diagonal column
+    (_compact_assignment); otherwise, or when that declines, on the square
+    matrix.  If the optimum then falls to where underflow could decide it,
+    the powers are taken over
     bound = r^(1/p) b instead, b the bottleneck value, with the entries above
     bound forbidden: no optimum uses them, since its lp value is at most
     r^(1/p) b (the 1e-9 margin keeps rounding from forbidding more).  Every
     kept power is then at most 1 and the optimum about 1/r or more.
     """
-    if p == 1.0:
-        return costs, min_cost_assignment(costs)
     r = len(costs)
-    top = max((c for row in costs for c in row if not math.isinf(c)), default=0.0) or 1.0
-    work = [[(c / top) ** p for c in row] for row in costs]
-    result = min_cost_assignment(work)
-    if not result.total < r * _UNDERFLOW:
+    compact = (n is not None and 0 < n < r
+               and INF not in [row[r - n] for row in costs[:n]] + costs[n][:r - n])
+    if p == 1.0:
+        work = costs
+    else:
+        top = _finite_max(costs[:n + 1] if compact else costs) or 1.0
+        if compact:
+            work = _padded_powers(costs, p, top, n)
+        else:
+            work = [[(c / top) ** p for c in row] for row in costs]
+    result = _compact_assignment(work, n) if compact else None
+    if result is None:
+        result = min_cost_assignment(work)
+    if p == 1.0 or not result.total < r * _UNDERFLOW:
         return work, result
     if not any(costs[i][j] for i, j in enumerate(result.permutation)):
         # The optimum is 0: the optima are the perfect matchings on zeros.
@@ -115,34 +194,36 @@ def _power_assignment(costs, p: float) -> tuple[list[list[float]], AssignmentRes
     return work, min_cost_assignment(work)
 
 
-def _solve_value(costs, p: float) -> float:
+def _solve_value(costs, p: float, n: int | None = None) -> float:
     """Optimal lp value on a padded matrix, without building a matching."""
     if not costs:
         return 0.0
     if p == INF:
         value, _ = bottleneck_assignment(costs)
         return value
-    _, result = _power_assignment(costs, p)
+    _, result = _power_assignment(costs, p, n)
     if p == 1.0 or math.isinf(result.total):
         return result.total
-    n = len(costs)
-    return lp_norm([costs[i][result.permutation[i]] for i in range(n)], p)
+    r = len(costs)
+    return lp_norm([costs[i][result.permutation[i]] for i in range(r)], p)
 
 
-def _solve_matching(costs, p: float) -> tuple[int, ...]:
+def _solve_matching(costs, p: float, n: int | None = None) -> tuple[int, ...]:
     """Optimal permutation, lexicographically smallest among optima.
 
     Optima are the perfect matchings of the threshold graph at the bottleneck
     value, or (complementary slackness) of the optimal duals' equality
-    subgraph.  Its tolerance over r rows sums to 1e-9 of the optimum; the
-    duals never exceed the optimum, so rounding stays far below it.
+    subgraph.  Its tolerance over r rows sums to 1e-9 of the optimum.  The
+    square solve's duals never exceed the optimum, and the compact solve
+    runs only where the optimum is at least r 2^-11 times its entries, so
+    rounding stays far below it either way.
     """
     if p == INF:
         value, perm = bottleneck_assignment(costs)
         if math.isinf(value):
             return perm
         return lex_smallest_matching(_threshold_adjacency(costs, value), perm)
-    work, result = _power_assignment(costs, p)
+    work, result = _power_assignment(costs, p, n)
     if math.isinf(result.total):
         return result.permutation
     perm, u, v = result.permutation, result.u, result.v
@@ -172,7 +253,7 @@ def wasserstein_value(alpha: Diagram, beta: Diagram, p) -> float:
     """W_p(alpha, beta) without constructing the realizing matching."""
     p = as_exponent(p)
     _require_same_space(alpha, beta)
-    return _solve_value(_space_costs(alpha, beta), p)
+    return _solve_value(_space_costs(alpha, beta), p, alpha.size)
 
 
 def wasserstein(alpha: Diagram, beta: Diagram, p) -> tuple[float, Matching]:
@@ -184,7 +265,7 @@ def wasserstein(alpha: Diagram, beta: Diagram, p) -> tuple[float, Matching]:
     p = as_exponent(p)
     _require_same_space(alpha, beta)
     costs = _space_costs(alpha, beta)
-    perm = _solve_matching(costs, p)
+    perm = _solve_matching(costs, p, alpha.size)
     matching = _build_matching(alpha, beta, costs, perm, p)
     return matching.total, matching
 
@@ -234,4 +315,4 @@ def wasserstein_quotient_reduced(alpha: Diagram, beta: Diagram, p, *,
             f"quotient exponent {space.p} does not match requested p = {p}"
         )
     costs = _padded_costs(alpha, beta, ambient_dist, subset_dist)
-    return _solve_value(costs, p)
+    return _solve_value(costs, p, alpha.size)

@@ -16,7 +16,7 @@ from pdmetric.assignment import (
 )
 from pdmetric.errors import SizeLimitError
 from pdmetric.metric_core import INF, lp_norm
-from pdmetric.wasserstein import _solve_matching
+from pdmetric.wasserstein import _compact_assignment, _solve_matching
 
 
 def brute_total(costs):
@@ -157,6 +157,104 @@ def test_hungarian_on_padded_structure_matches_oracle():
     assert feasible >= 250
 
 
+def brute_shared(costs):
+    """Minimum total over assignments in which only the last column repeats."""
+    k = len(costs[0])
+    return min(
+        (math.fsum(costs[i][j] for i, j in enumerate(cols))
+         for cols in itertools.product(range(k), repeat=len(costs))
+         if len({j for j in cols if j != k - 1}) == sum(j != k - 1 for j in cols)),
+        default=INF,
+    )
+
+
+def brute_total_rect(costs, k):
+    return min((math.fsum(row[j] for row, j in zip(costs, cols))
+                for cols in itertools.permutations(range(k), len(costs))), default=INF)
+
+
+def test_hungarian_on_rectangular_and_shared_matrices():
+    rng = random.Random(2017)
+    for trial in range(200):
+        shared = trial % 2 == 0
+        k = rng.randint(1, 5)
+        n = rng.randint(1, 5) if shared else rng.randint(1, k)
+        costs = [[INF if rng.random() < 0.15 else float(rng.randint(-3, 3)) for _ in range(k)]
+                 for _ in range(n)]
+        expected = brute_shared(costs) if shared else brute_total_rect(costs, k)
+        total, perm, u, v = hungarian(costs, shared)
+        if math.isinf(expected):
+            assert (total, perm, u, v) == (INF, None, None, None)
+            result = min_cost_assignment(costs, shared)
+            assert math.isinf(result.total) and len(result.permutation) == n
+            continue
+        assert total == expected
+        owned = [j for j in perm if not (shared and j == k - 1)]
+        assert len(owned) == len(set(owned))
+        for i in range(n):
+            assert u[i] + v[perm[i]] == costs[i][perm[i]]
+            for j in range(k):
+                assert u[i] + v[j] <= costs[i][j]
+        assert all(vj <= 0.0 for vj in v)
+        assert all(v[j] == 0.0 for j in range(k) if j not in perm)
+        if shared:
+            assert v[-1] == 0.0
+
+
+def test_min_cost_assignment_shared_infeasible():
+    # Row 1 has no finite entry, not even on the shared column, so it is
+    # the row a maximum finite matching leaves over.
+    costs = [[1.0, 2.0, 0.5], [INF, INF, INF], [0.0, 3.0, 1.0]]
+    assert min_cost_assignment(costs, shared=True) == AssignmentResult(INF, (0, 2, 1), None, None)
+
+
+def test_compact_solve_on_padded_structure_matches_oracle():
+    # Integer ties and zero basepoint costs: compact entries w_ij - b_j are
+    # exact, so the compact optimum plus sum b_j is the padded optimum.
+    rng = random.Random(2021)
+    lifted = 0
+    for trial in range(400):
+        n = rng.randint(1, 4)
+        m = rng.randint(1, 8 - n)
+        costs = padded_matrix(rng, "ties", n, m)
+        for row in costs[:n]:
+            row[m:] = [0.0 if rng.random() < 0.3 else row[m]] * n
+        b = costs[n][:m]
+        expected = exhaustive_min(costs, 1.0)
+        compact = [[c - bj for c, bj in zip(row, b)] + [row[m]] for row in costs[:n]]
+        total = min_cost_assignment(compact, shared=True).total + math.fsum(b)
+        assert total == pytest.approx(expected, rel=1e-12, abs=1e-12)
+        result = _compact_assignment(costs, n)
+        if result is None:  # declined: the optimum is 0 beside entries up to 3
+            assert expected == 0.0
+            continue
+        lifted += 1
+        perm, u, v = result.permutation, result.u, result.v
+        assert sorted(perm) == list(range(n + m))
+        assert result.total == total == math.fsum(costs[i][j] for i, j in enumerate(perm))
+        scale = 1e-12 * max(map(max, costs))
+        for i, row in enumerate(costs):
+            assert u[i] + v[perm[i]] == pytest.approx(row[perm[i]], abs=scale)
+            for j, c in enumerate(row):
+                assert u[i] + v[j] <= c + scale
+    assert lifted >= 300
+
+
+def test_bottleneck_assignment_on_a_long_augmenting_path():
+    # A warm-started probe at threshold 2 must shift the whole diagonal
+    # chain along one augmenting path 1,200 rows long.
+    n = 1200
+    costs = [[3.0] * n for _ in range(n)]
+    for i in range(n):
+        costs[i][i] = 2.0
+        if i + 1 < n:
+            costs[i][i + 1] = 1.0
+    costs[0][1] = 0.0
+    value, perm = bottleneck_assignment(costs)
+    assert value == 2.0
+    assert max(costs[i][j] for i, j in enumerate(perm)) == 2.0
+
+
 def test_min_cost_assignment_infeasible_at_last_row():
     # Rows 0-2 match at once; only row 3 finds no free finite column.  The
     # permutation extends a maximum finite matching greedily, as before the
@@ -223,6 +321,15 @@ def test_hopcroft_karp():
     size, match = hopcroft_karp([[0, 1], [0]], 2, start=[0, -1])
     assert size == 2 and match == [1, 0]
     assert hopcroft_karp([[0], [0]], 2, start=[-1, 0]) == (1, [-1, 0])
+
+
+def test_hopcroft_karp_on_a_long_augmenting_path():
+    # The start leaves row n-1 and column 0 free; the one augmenting path
+    # shifts every row down the chain.
+    n = 1500
+    chain = [[i, i + 1] for i in range(n - 1)] + [[n - 1]]
+    start = [i + 1 for i in range(n - 1)] + [-1]
+    assert hopcroft_karp(chain, n, start) == (n, list(range(n)))
 
 
 def test_exhaustive_min_matches_pure_python():

@@ -102,6 +102,17 @@ def test_distance_malformed_payload(capsys, tmp_path, halfplane_pair):
     assert "malformed" in err
 
 
+@pytest.mark.parametrize("count", [2.5, True])
+def test_distance_non_integral_multiplicity(capsys, tmp_path, halfplane_pair, count):
+    a, _ = halfplane_pair
+    bad = write(tmp_path, "bad.json", {"space": "halfplane", "atoms": [[[0, 2], count]]})
+    code, out, err = run(capsys, ["distance", a, bad, "--space", "halfplane", "--p", "1",
+                                  "--matching"])
+    assert code == 2
+    assert out == ""
+    assert "malformed" in err
+
+
 def test_distance_space_mismatch(capsys, tmp_path, halfplane_pair):
     a, _ = halfplane_pair
     other = write(tmp_path, "other.json", {"space": "anagram", "atoms": []})

@@ -128,6 +128,15 @@ def test_malformed_diagram_payload_is_value_error():
             diagram_from_json(payload, space)
 
 
+def test_non_integral_or_boolean_count_is_value_error():
+    space = halfplane_quotient(INF, 1.0)
+    for count in (2.5, True, False, "2", float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="malformed"):
+            diagram_from_json({"atoms": [[[0.0, 2.0], count]]}, space)
+    # An integral float is an integer multiplicity.
+    assert diagram_from_json({"atoms": [[[0.0, 2.0], 2.0]]}, space).size == 2
+
+
 def test_nonpositive_count_is_domain_error():
     space = halfplane_quotient(INF, 1.0)
     with pytest.raises(DomainError):

@@ -1,9 +1,10 @@
+import importlib
 import math
 import random
 
 import pytest
 
-from pdmetric.assignment import exhaustive_min
+from pdmetric.assignment import exhaustive_min, min_cost_assignment
 from pdmetric.diagram import diagram_from_list, empty_diagram
 from pdmetric.errors import DomainError, PreconditionError, SizeLimitError
 from pdmetric.metric_core import INF, FiniteSpace, lp_norm
@@ -18,6 +19,9 @@ from pdmetric.wasserstein import (
     wasserstein_quotient_reduced,
     wasserstein_value,
 )
+
+# The package re-exports the function wasserstein under the module's name.
+wasserstein_module = importlib.import_module("pdmetric.wasserstein")
 
 Q_INF_P1 = halfplane_quotient(INF, 1.0)
 Q_INF_PINF = halfplane_quotient(INF, INF)
@@ -193,6 +197,50 @@ def test_matching_value_agrees_beside_large_atom(p):
         assert value < 1e-3
         assert wasserstein(alpha, beta, p)[0] == pytest.approx(value, rel=1e-9)
         assert brute_force_wasserstein(alpha, beta, p) == pytest.approx(value, rel=1e-9)
+
+
+def test_compact_solve_guard_on_near_identical_large_atoms():
+    # Atoms of persistence 1e2 to 1e7 sharing one death, births 1e-13 to
+    # 1e-7 apart, moved by as little: the compact entries w_ij - b_j cancel
+    # to the optimum's size, so the solver must fall back to the square
+    # matrix rather than trust them.
+    rng = random.Random(2024)
+    spaces = {p: halfplane_quotient(INF, p) for p in (1.0, 2.0, 3.5)}
+    for trial in range(3000):
+        p = (1.0, 2.0, 3.5)[trial % 3]
+        eps = 10 ** rng.uniform(-13, -8)
+        death = 10 ** rng.uniform(2, 7)
+        points = [(rng.uniform(0.0, 10 * eps), death) for _ in range(rng.randint(2, 3))]
+        moved = [(b + rng.uniform(-eps, eps), d) for b, d in points]
+        if rng.random() < 0.5:
+            moved.append((0.5, 0.5 + rng.uniform(0.0, eps)))
+        alpha, beta = diagrams(spaces[p], *((points, moved) if trial % 2 else (moved, points)))
+        expected = brute_force_wasserstein(alpha, beta, p)
+        assert wasserstein_value(alpha, beta, p) == pytest.approx(expected, rel=1e-9)
+        assert wasserstein(alpha, beta, p)[0] == pytest.approx(expected, rel=1e-9)
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0])
+def test_immortal_atoms_take_the_square_solve(p, monkeypatch):
+    calls = []
+
+    def recording(costs, shared=False):
+        calls.append(shared)
+        return min_cost_assignment(costs, shared)
+
+    monkeypatch.setattr(wasserstein_module, "min_cost_assignment", recording)
+    space = halfplane_quotient(INF, p, extended=True)
+    alpha, beta = diagrams(space, [(0.0, INF), (1.0, 3.0), (2.0, 2.5)], [(0.5, INF), (1.0, 3.5)])
+    expected = brute_force_wasserstein(alpha, beta, p)
+    assert wasserstein_value(alpha, beta, p) == pytest.approx(expected, rel=1e-12)
+    assert wasserstein(alpha, beta, p)[0] == pytest.approx(expected, rel=1e-12)
+    assert calls == [False, False]
+    # Without the immortal atoms, the same diagrams solve compactly.
+    calls.clear()
+    alpha, beta = diagrams(space, [(1.0, 3.0), (2.0, 2.5)], [(1.0, 3.5)])
+    assert wasserstein_value(alpha, beta, p) == pytest.approx(
+        brute_force_wasserstein(alpha, beta, p), rel=1e-12)
+    assert calls == [True]
 
 
 def test_requires_same_space():
