@@ -13,7 +13,7 @@ import math
 from .diagram import Diagram
 from .errors import DomainError
 from .kr_duality import DualCertificate, SupportFunction
-from .metric_core import INF, FiniteSpace, PointedSpace
+from .metric_core import INF, FiniteSpace, PointedSpace, as_exponent, parse_float
 from .spaces import (
     AnagramSpace,
     HalfPlaneSpace,
@@ -25,17 +25,7 @@ from .wasserstein import Matching
 SIGNIFICANT_DIGITS = 12
 
 
-def parse_float(obj) -> float:
-    if obj == "inf":
-        return INF
-    if obj == "-inf":
-        return -INF
-    return float(obj)
-
-
 def parse_exponent_text(text: str) -> float:
-    from .metric_core import as_exponent
-
     return as_exponent(parse_float(text))
 
 

@@ -49,6 +49,15 @@ def as_exponent(p) -> float:
     return p
 
 
+def parse_float(obj) -> float:
+    """A float from JSON, where the strings "inf" and "-inf" stand for +-inf."""
+    if obj == "inf":
+        return INF
+    if obj == "-inf":
+        return -INF
+    return float(obj)
+
+
 def lp_norm(values: Iterable[float], p) -> float:
     """lp norm of a finite sequence of nonnegative extended reals.
 
@@ -194,6 +203,8 @@ class QuotientSpace(PointedSpace):
     where sd is the distance-to-subset function; sd itself gives the distance
     to the new basepoint.  sd must be compatible with d in the sense
     sd(x) <= d(x, y) + sd(y), which makes the result a pseudometric again.
+    A point at sd 0 is the basepoint class, so dist evaluates sd once per
+    point and needs no canonical form of its arguments.
     """
 
     def __init__(self, ambient: MetricSpace, subset_dist: Callable, p, *,
@@ -219,17 +230,13 @@ class QuotientSpace(PointedSpace):
         return x == self.basepoint or self.ambient.contains(x)
 
     def dist(self, x, y) -> float:
-        x, y = self.canonical(x), self.canonical(y)
-        at_base_x = x == self.basepoint
-        at_base_y = y == self.basepoint
-        if at_base_x and at_base_y:
-            return 0.0
-        if at_base_x:
-            return float(self.subset_dist(y))
-        if at_base_y:
-            return float(self.subset_dist(x))
-        through = lp_norm((self.subset_dist(x), self.subset_dist(y)), self.p)
-        return min(self.ambient.dist(x, y), through)
+        sx = 0.0 if x == self.basepoint else float(self.subset_dist(x))
+        sy = 0.0 if y == self.basepoint else float(self.subset_dist(y))
+        if sx == 0.0:
+            return sy
+        if sy == 0.0:
+            return sx
+        return min(self.ambient.dist(x, y), lp_norm((sx, sy), self.p))
 
     def sort_key(self, x):
         if x == self.basepoint:

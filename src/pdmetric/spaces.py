@@ -22,6 +22,7 @@ from .metric_core import (
     QuotientSpace,
     as_exponent,
     lp_norm,
+    parse_float,
 )
 
 
@@ -82,7 +83,7 @@ class HalfPlane(MetricSpace):
         return [x[0], x[1]]
 
     def point_from_json(self, obj):
-        point = (_json_float(obj[0]), _json_float(obj[1]))
+        point = (parse_float(obj[0]), parse_float(obj[1]))
         if not self.contains(point):
             raise DomainError(f"{obj!r} is not a half-plane point")
         return point
@@ -265,7 +266,7 @@ class IntervalSpace(PointedSpace):
 
     def point_from_json(self, obj):
         return Interval(
-            _json_float(obj[0]), _json_float(obj[1]), bool(obj[2]), bool(obj[3])
+            parse_float(obj[0]), parse_float(obj[1]), bool(obj[2]), bool(obj[3])
         )
 
 
@@ -543,11 +544,3 @@ def word_metric_via_wasserstein(group: FiniteAbelianGroup, generators, g, h,
         if best == 0.0:
             break
     return best
-
-
-def _json_float(obj) -> float:
-    if obj == "inf":
-        return INF
-    if obj == "-inf":
-        return -INF
-    return float(obj)

@@ -457,14 +457,17 @@ def oracle_suite(seed: int | None = None, *, instances: int = 500,
 # duality
 
 
-def _random_lipschitz_candidate(space, support, rng: random.Random) -> dict:
-    """A random 1-Lipschitz function on the support: a max of distance cones."""
-    anchors = rng.sample(support, rng.randint(1, len(support)))
+def _random_lipschitz_candidate(support, dists, rng: random.Random) -> dict:
+    """A random 1-Lipschitz function on the support: a max of distance cones.
+
+    dists[i][j] is the distance from support[i] to support[j]; anchors are
+    drawn as indices, which uses rng exactly as sampling the points would.
+    """
+    anchors = rng.sample(range(len(support)), rng.randint(1, len(support)))
     values = [rng.uniform(-2.0, 2.0) for _ in anchors]
     return {
-        point: max(v - space.dist(point, anchor)
-                   for anchor, v in zip(anchors, values))
-        for point in support
+        point: max(v - row[a] for a, v in zip(anchors, values))
+        for point, row in zip(support, dists)
     }
 
 
@@ -530,8 +533,9 @@ def duality_suite(seed: int | None = None, *, instances: int = 200,
         # so it is exercised on the first candidate only.
         support = sorted(set(alpha.expand()) | set(beta.expand())
                          | {space.basepoint}, key=space.sort_key)
+        dists = [[space.dist(x, y) for y in support] for x in support]
         for k in range(candidates_per_instance):
-            candidate = _random_lipschitz_candidate(space, support, rng)
+            candidate = _random_lipschitz_candidate(support, dists, rng)
             if k == 0 and index < 20:
                 margin = duality_gap(alpha, beta, candidate)
             else:

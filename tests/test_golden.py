@@ -1,4 +1,5 @@
-"""Golden outputs: wasserstein() over a fixed seeded instance set.
+"""Golden outputs: wasserstein() over a fixed seeded instance set, and the
+duality suite against the pinned verify report.
 
 The digest below was computed with the earlier (e-maxx Hungarian) assignment
 kernel; any change to a returned matching or its value changes it.  The
@@ -8,13 +9,19 @@ extended half-plane points whose infinite deaths forbid entries.
 """
 
 import hashlib
+import json
 import math
 import random
+from pathlib import Path
 
 from pdmetric.diagram import diagram_from_list
+from pdmetric.io import dump_json
 from pdmetric.metric_core import INF
 from pdmetric.spaces import HalfPlaneSpace
+from pdmetric.verify import DEFAULT_SEED, duality_suite
 from pdmetric.wasserstein import wasserstein, wasserstein_value
+
+GOLDEN_REPORT = Path(__file__).parent / "golden" / "verify-all.json"
 
 P_VALUES = (1.0, 2.0, 3.5, INF)
 KINDS = ("random", "ties", "extended")
@@ -59,3 +66,12 @@ def test_wasserstein_pairs_match_golden_digest():
         count += 1
     assert count == len(KINDS) * len(P_VALUES) * PER_CASE
     assert digest.hexdigest() == GOLDEN_SHA256
+
+
+def test_duality_suite_matches_golden_report():
+    # The same check as CI's cmp of the whole report, for the suite that
+    # reads a per-instance distance table.  The entry names witnesses only
+    # for failing checks, so test_verify pins the candidates' rng use.
+    golden = json.loads(GOLDEN_REPORT.read_text())
+    [expected] = [r for r in golden["suites"] if r["suite"] == "duality"]
+    assert json.loads(dump_json(duality_suite(DEFAULT_SEED))) == expected

@@ -21,6 +21,7 @@ from pdmetric.metric_core import (
     remetrize,
 )
 from pdmetric.spaces import HalfPlane, halfplane_diag_dist, halfplane_quotient
+from pdmetric.verify import DEFAULT_SEED, _rng, random_finite_space
 
 finite_values = st.lists(st.floats(0.0, 100.0), max_size=8)
 exponents = st.one_of(st.floats(1.0, 20.0), st.just(INF))
@@ -216,7 +217,20 @@ def test_p_strengthen_no_op_when_direct_route_shorter():
     assert p_strengthen(space, 1.0).dist("a", "b") == 0.5
 
 
-def test_quotient_metric_collapses_subset():
+def _two_pass_quotient_dist(quot, x, y):
+    """The quotient distance by definition: canonicalize, then compute."""
+    x, y = quot.canonical(x), quot.canonical(y)
+    if x == quot.basepoint and y == quot.basepoint:
+        return 0.0
+    if x == quot.basepoint:
+        return float(quot.subset_dist(y))
+    if y == quot.basepoint:
+        return float(quot.subset_dist(x))
+    through = lp_norm((quot.subset_dist(x), quot.subset_dist(y)), quot.p)
+    return min(quot.ambient.dist(x, y), through)
+
+
+def test_quotient_metric_collapses_subset(rng):
     space = HalfPlane(INF)
     quot = quotient_metric(space, lambda x: halfplane_diag_dist(x, INF), 1.0,
                            label="diagonal")
@@ -227,6 +241,29 @@ def test_quotient_metric_collapses_subset():
     assert quot.dist((0.0, 2.0), (10.0, 12.0)) == pytest.approx(2.0)
     assert halfplane_quotient(INF, INF).dist((0.0, 2.0), (10.0, 12.0)) == \
         pytest.approx(1.0)
+    # A point of the collapsed set is the basepoint on either side of dist.
+    assert quot.dist((3.0, 3.0), (0.0, 2.0)) == quot.dist(quot.basepoint, (0.0, 2.0))
+    assert quot.dist((0.0, 2.0), (3.0, 3.0)) == quot.dist((0.0, 2.0), quot.basepoint)
+    assert quot.dist((3.0, 3.0), (-1.0, -1.0)) == 0.0
+
+    # The one-pass distance equals the two-pass definition exactly, on
+    # collapsed-set points, extended points with infinite death and the
+    # finite-space quotient that the metric-axioms suite builds.
+    finite = random_finite_space(_rng(DEFAULT_SEED, "axioms/finite"), size=5)
+    fixed = [(3.0, 3.0), (-1.0, -1.0), (0.0, 2.0), (10.0, 12.0)]
+    extended = fixed + [(INF, INF), (0.0, INF), (-2.5, INF), (-INF, 1.0), (-INF, INF)]
+    for p in (1.0, 2.0, 3.5, INF):
+        cases = [(halfplane_quotient(q, p), fixed) for q in (1.0, 2.0, INF)]
+        cases += [(halfplane_quotient(q, p, extended=True), extended)
+                  for q in (1.0, 2.0, INF)]
+        cases.append((quotient_metric(finite, lambda x: finite.dist(x, "x1"), p,
+                                      label="x1-class"), list(finite.labels)))
+        for quot, points in cases:
+            points = points + [quot.basepoint] + [quot.sample_point(rng)
+                                                  for _ in range(6)]
+            for x in points:
+                for y in points:
+                    assert quot.dist(x, y) == _two_pass_quotient_dist(quot, x, y)
 
 
 def test_quotient_metric_direct_route_wins_nearby():

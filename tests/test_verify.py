@@ -1,13 +1,19 @@
+import random
+
 import pytest
 
 from pdmetric.errors import PreconditionError
+from pdmetric.metric_core import INF
+from pdmetric.spaces import halfplane_quotient
 from pdmetric.verify import (
     DEFAULT_SEED,
     SEED_ENV_VAR,
     SUITES,
+    _random_lipschitz_candidate,
     duality_suite,
     metric_axioms_suite,
     oracle_suite,
+    random_diagram,
     resolve_seed,
     run_suite,
     word_metric_suite,
@@ -92,6 +98,28 @@ def test_duality_suite_reports_certificate_checks():
     assert any("feasib" in n for n in names)
     assert any("lipschitz" in n.lower() for n in names)
     assert any("weak-duality" in n for n in names)
+
+
+def test_lipschitz_candidates_from_the_table_match_sampled_points():
+    # The duality report only names failing witnesses, so pin the candidates
+    # and the rng state they leave against drawing anchors as points.
+    space = halfplane_quotient(INF, 1.0)
+    rng = random.Random(31)
+    for _ in range(40):
+        alpha = random_diagram(space, rng, 4)
+        beta = random_diagram(space, rng, 4)
+        support = sorted(set(alpha.expand()) | set(beta.expand())
+                         | {space.basepoint}, key=space.sort_key)
+        dists = [[space.dist(x, y) for y in support] for x in support]
+        ours, ref = random.Random(rng.random()), random.Random()
+        ref.setstate(ours.getstate())
+        for _ in range(10):
+            anchors = ref.sample(support, ref.randint(1, len(support)))
+            values = [ref.uniform(-2.0, 2.0) for _ in anchors]
+            expected = {x: max(v - space.dist(x, a) for a, v in zip(anchors, values))
+                        for x in support}
+            assert _random_lipschitz_candidate(support, dists, ours) == expected
+            assert ours.getstate() == ref.getstate()
 
 
 def test_word_metric_suite_covers_small_groups():
