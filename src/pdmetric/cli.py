@@ -20,6 +20,7 @@ import sys
 from .errors import DomainError, PreconditionError, SizeLimitError
 from .io import (
     SPACE_IDS,
+    SPACE_PARAMS,
     dump_json,
     load_diagram,
     matching_to_json,
@@ -36,15 +37,6 @@ EXIT_FAILED = 1
 EXIT_PARSE = 2
 EXIT_DOMAIN = 3
 EXIT_SIZE = 4
-
-_SPACE_PARAMS = {
-    "halfplane": ["q", "p", "extended"],
-    "intervals": ["metric_kind"],
-    "anagram": ["alphabet"],
-    "stargraph": ["generators", "zero"],
-    "finite": ["labels", "matrix", "basepoint"],
-}
-
 
 def _space_spec_from_args(args) -> dict:
     if args.space_file:
@@ -135,7 +127,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_spaces(args) -> int:
-    out = {"spaces": [{"id": sid, "params": _SPACE_PARAMS[sid]} for sid in SPACE_IDS]}
+    out = {"spaces": [{"id": sid, "params": params} for sid, params in SPACE_PARAMS.items()]}
     print(dump_json(out))
     return EXIT_OK
 

@@ -56,7 +56,15 @@ def dump_json(obj, round_floats: bool = True) -> str:
 
 # -- spaces -----------------------------------------------------------------
 
-SPACE_IDS = ("halfplane", "intervals", "anagram", "stargraph", "finite")
+# Each space id with the spec parameters space_from_spec reads for it.
+SPACE_PARAMS = {
+    "halfplane": ["q", "p", "extended"],
+    "intervals": ["metric_kind"],
+    "anagram": ["alphabet"],
+    "stargraph": ["generators", "zero"],
+    "finite": ["labels", "matrix", "basepoint"],
+}
+SPACE_IDS = tuple(SPACE_PARAMS)
 
 
 def finite_space_from_json(data: dict) -> FiniteSpace:

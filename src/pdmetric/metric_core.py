@@ -165,10 +165,6 @@ class FiniteSpace(PointedSpace):
         self._index = {lab: i for i, lab in enumerate(labels)}
 
     @property
-    def basepoint_index(self) -> int:
-        return self._index[self.basepoint]
-
-    @property
     def signature(self) -> tuple:
         return ("finite", self.labels, self.basepoint, self.matrix)
 

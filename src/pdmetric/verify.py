@@ -2,7 +2,13 @@
 
 Each suite draws seeded random instances, runs a batch of checks, and
 returns a plain dict report (suitable for JSON output and for assertions
-in tests).  Suites are registered in SUITES and exposed through the CLI.
+in tests).  Suites are registered in SUITES and exposed through the CLI;
+each takes its instance count as its second argument.
+
+Most checks bound a margin, such as a triangle excess or a gap to an
+oracle, over many instances.  Such a check passes when its worst margin is
+at most its tolerance; a failing check's witness is its worst instance,
+and a NaN margin fails the check.
 
 Determinism: all randomness flows through random.Random seeded from the
 suite seed and a per-check tag, so reports are reproducible byte for byte
@@ -125,11 +131,6 @@ def random_finite_space(rng: random.Random, size: int = 4, scale: float = 3.0) -
     return FiniteSpace(labels, matrix, labels[0])
 
 
-def _finite_diagram(space: FiniteSpace, rng: random.Random, max_size: int) -> Diagram:
-    size = rng.randint(0, max_size)
-    return diagram_from_list([rng.choice(space.labels) for _ in range(size)], space)
-
-
 def _sample_spaces(seed: int, tag: str, p: float):
     """The rotation of spaces the randomized suites draw instances from."""
     rng = _rng(seed, tag + "/finite")
@@ -145,6 +146,33 @@ def _check(name: str, ok: bool, witness: dict | None = None) -> Report:
     return Report(name, PASS if ok else FAIL, None if ok else witness)
 
 
+class _Worst:
+    """The worst margin a check has seen, with the witness of that instance.
+
+    A margin is how far an instance goes past the property; a check passes
+    when its worst margin is at most its tolerance.  The start, -inf, passes
+    every tolerance (all are >= 0).  NaN always counts as a new worst, so a
+    NaN margin fails.
+    """
+
+    __slots__ = ("margin", "witness")
+
+    def __init__(self) -> None:
+        self.margin = -INF
+        self.witness: dict | None = None
+
+    def see(self, margin: float, witness: Callable[[], dict] | None = None) -> None:
+        """Record margin if it is a new worst or NaN; only then build its witness."""
+        if margin > self.margin or margin != margin:
+            self.margin = margin
+            if witness is not None:
+                self.witness = witness()
+
+    def check(self, name: str, tol: float, witness: dict | None = None) -> Report:
+        """The check's report; a failure carries witness, else the recorded one."""
+        return _check(name, self.margin <= tol, self.witness if witness is None else witness)
+
+
 def _suite_report(suite: str, seed: int, checks: Sequence[Report]) -> dict:
     return {
         "suite": suite,
@@ -158,7 +186,7 @@ def _suite_report(suite: str, seed: int, checks: Sequence[Report]) -> dict:
 # metric-axioms
 
 
-def metric_axioms_suite(seed: int | None = None, *, triples: int = 1000,
+def metric_axioms_suite(seed: int | None = None, triples: int = 1000, *,
                         axiom_triples: int = 300) -> dict:
     """Sampled metric axioms for the concrete spaces, the quotient and
     strengthened constructions, and for W_p itself on random diagram triples."""
@@ -220,30 +248,23 @@ def metric_axioms_suite(seed: int | None = None, *, triples: int = 1000,
         for q in Q_VALUES:
             space = halfplane_quotient(q, p)
             rng = _rng(seed, f"wp-axioms/p{p:g}/q{q:g}")
-            worst_sym = 0.0
-            worst_tri = -INF
-            witness = None
+            sym, tri = _Worst(), _Worst()
             for index in range(max(1, triples)):
                 a = random_diagram(space, rng, 3)
                 b = random_diagram(space, rng, 3)
                 c = random_diagram(space, rng, 3)
                 ab = wasserstein_value(a, b, p)
-                sym = abs(ab - wasserstein_value(b, a, p))
-                tri = ab - (wasserstein_value(a, c, p) + wasserstein_value(c, b, p))
-                if sym > worst_sym:
-                    worst_sym = sym
-                if tri > worst_tri:
-                    worst_tri = tri
-                    witness = {"alpha": repr(a), "beta": repr(b), "gamma": repr(c)}
+                sym.see(abs(ab - wasserstein_value(b, a, p)))
+                tri.see(ab - (wasserstein_value(a, c, p) + wasserstein_value(c, b, p)),
+                        lambda: {"alpha": repr(a), "beta": repr(b), "gamma": repr(c)})
                 if index < 50 and wasserstein_value(a, a, p) != 0.0:
-                    worst_tri = INF
-                    witness = {"alpha": repr(a), "identity": "W_p(a, a) != 0"}
+                    tri.see(INF, lambda: {"alpha": repr(a), "identity": "W_p(a, a) != 0"})
                     break
-            ok = worst_sym <= VALUE_TOL and worst_tri <= VALUE_TOL
+            ok = sym.margin <= VALUE_TOL and tri.margin <= VALUE_TOL
             checks.append(_check(
                 f"wasserstein-pseudometric[p={p:g},q={q:g}]", ok,
-                {"symmetry_gap": worst_sym, "triangle_excess": worst_tri,
-                 "witness": witness}))
+                {"symmetry_gap": sym.margin, "triangle_excess": tri.margin,
+                 "witness": tri.witness}))
     return _suite_report("metric-axioms", seed, checks)
 
 
@@ -251,7 +272,7 @@ def metric_axioms_suite(seed: int | None = None, *, triples: int = 1000,
 # padding
 
 
-def padding_suite(seed: int | None = None, *, instances: int = 300) -> dict:
+def padding_suite(seed: int | None = None, instances: int = 300) -> dict:
     """Adding basepoint atoms never changes a diagram or any W_p value."""
     seed = resolve_seed(seed)
     checks: list[Report] = []
@@ -260,12 +281,11 @@ def padding_suite(seed: int | None = None, *, instances: int = 300) -> dict:
         rng = _rng(seed, f"padding/p{p:g}")
         per_space = max(1, instances // len(spaces))
         for name, space in spaces:
-            sampler = _finite_diagram if isinstance(space, FiniteSpace) else random_diagram
             ok = True
             witness = None
             for _ in range(per_space):
-                alpha = sampler(space, rng, 3)
-                beta = sampler(space, rng, 3)
+                alpha = random_diagram(space, rng, 3)
+                beta = random_diagram(space, rng, 3)
                 pad_a = alpha + diagram_from_list(
                     [space.basepoint] * rng.randint(1, 4), space)
                 pad_b = beta + diagram_from_list(
@@ -298,7 +318,7 @@ def padding_suite(seed: int | None = None, *, instances: int = 300) -> dict:
 # subadditivity
 
 
-def subadditivity_suite(seed: int | None = None, *, quadruples: int = 500) -> dict:
+def subadditivity_suite(seed: int | None = None, quadruples: int = 500) -> dict:
     """W_p(a + b, c + d) <= ||(W_p(a, c), W_p(b, d))||_p on random quadruples."""
     seed = resolve_seed(seed)
     checks: list[Report] = []
@@ -307,25 +327,19 @@ def subadditivity_suite(seed: int | None = None, *, quadruples: int = 500) -> di
         rng = _rng(seed, f"subadd/p{p:g}")
         per_space = max(1, quadruples // len(spaces))
         for name, space in spaces:
-            sampler = _finite_diagram if isinstance(space, FiniteSpace) else random_diagram
-            worst = -INF
-            witness = None
+            excess = _Worst()
             for _ in range(per_space):
-                a = sampler(space, rng, 3)
-                b = sampler(space, rng, 3)
-                c = sampler(space, rng, 3)
-                d = sampler(space, rng, 3)
+                a = random_diagram(space, rng, 3)
+                b = random_diagram(space, rng, 3)
+                c = random_diagram(space, rng, 3)
+                d = random_diagram(space, rng, 3)
                 joint = wasserstein_value(a + b, c + d, p)
                 split = lp_norm(
                     [wasserstein_value(a, c, p), wasserstein_value(b, d, p)], p)
-                excess = joint - split
-                if excess > worst:
-                    worst = excess
-                    witness = {"a": repr(a), "b": repr(b), "c": repr(c),
-                               "d": repr(d), "joint": joint, "split": split}
-            ok = worst <= VALUE_TOL
-            checks.append(_check(f"subadditivity[{name},p={p:g}]", ok,
-                                 None if ok else witness))
+                excess.see(joint - split,
+                           lambda: {"a": repr(a), "b": repr(b), "c": repr(c),
+                                    "d": repr(d), "joint": joint, "split": split})
+            checks.append(excess.check(f"subadditivity[{name},p={p:g}]", VALUE_TOL))
     return _suite_report("subadditivity", seed, checks)
 
 
@@ -333,33 +347,28 @@ def subadditivity_suite(seed: int | None = None, *, quadruples: int = 500) -> di
 # monotonicity
 
 
-def monotonicity_suite(seed: int | None = None, *, pairs: int = 500) -> dict:
+def monotonicity_suite(seed: int | None = None, pairs: int = 500) -> dict:
     """p <= q implies W_q <= W_p, with the n-fold singleton ratio exactly n^(1/p - 1/q)."""
     seed = resolve_seed(seed)
     checks: list[Report] = []
     exponents = (1.0, 1.5, 2.0, 4.0, INF)
     space = halfplane_quotient(INF, 1.0)
     rng = _rng(seed, "monotone/pairs")
-    worst = -INF
-    witness = None
+    excess = _Worst()
     for _ in range(pairs):
         alpha = random_diagram(space, rng, 3)
         beta = random_diagram(space, rng, 3)
         values = [wasserstein_value(alpha, beta, p) for p in exponents]
         for i in range(len(exponents) - 1):
-            excess = values[i + 1] - values[i]
-            if excess > worst:
-                worst = excess
-                witness = {"alpha": repr(alpha), "beta": repr(beta),
-                           "p": exponents[i], "q": exponents[i + 1],
-                           "W_p": values[i], "W_q": values[i + 1]}
-    ok = worst <= VALUE_TOL
-    checks.append(_check("monotone-in-p", ok, None if ok else witness))
+            excess.see(values[i + 1] - values[i],
+                       lambda: {"alpha": repr(alpha), "beta": repr(beta),
+                                "p": exponents[i], "q": exponents[i + 1],
+                                "W_p": values[i], "W_q": values[i + 1]})
+    checks.append(excess.check("monotone-in-p", VALUE_TOL))
 
     # n copies of a unit-persistence point against the empty diagram: the
     # distance is n^(1/p), so W_p / W_q = n^(1/p - 1/q) up to roundoff.
-    worst_rel = 0.0
-    witness = None
+    rel = _Worst()
     for n in (1, 2, 4, 8):
         alpha = diagram_from_list([(0.0, 2.0)] * n, space)
         empty = empty_diagram(space)
@@ -369,13 +378,10 @@ def monotonicity_suite(seed: int | None = None, *, pairs: int = 500) -> dict:
                 wq = wasserstein_value(alpha, empty, q)
                 expected = n ** ((1.0 / p if p != INF else 0.0)
                                  - (1.0 / q if q != INF else 0.0))
-                rel = abs(wp / wq - expected) / expected
-                if rel > worst_rel:
-                    worst_rel = rel
-                    witness = {"n": n, "p": p, "q": q, "ratio": wp / wq,
-                               "expected": expected}
-    ok = worst_rel <= RATIO_REL_TOL
-    checks.append(_check("singleton-ratio", ok, None if ok else witness))
+                rel.see(abs(wp / wq - expected) / expected,
+                        lambda: {"n": n, "p": p, "q": q, "ratio": wp / wq,
+                                 "expected": expected})
+    checks.append(rel.check("singleton-ratio", RATIO_REL_TOL))
     return _suite_report("monotonicity", seed, checks)
 
 
@@ -383,7 +389,7 @@ def monotonicity_suite(seed: int | None = None, *, pairs: int = 500) -> dict:
 # oracle
 
 
-def oracle_suite(seed: int | None = None, *, instances: int = 500,
+def oracle_suite(seed: int | None = None, instances: int = 500, *,
                  max_size: int = 4) -> dict:
     """The assignment solver against brute-force enumeration, plus the
     closed-form anagram distance against the generic W_1 solver."""
@@ -394,28 +400,20 @@ def oracle_suite(seed: int | None = None, *, instances: int = 500,
         rng = _rng(seed, f"oracle/p{p:g}")
         per_space = max(1, instances // len(spaces))
         for name, space in spaces:
-            sampler = _finite_diagram if isinstance(space, FiniteSpace) else random_diagram
-            worst = 0.0
-            witness = None
+            gap = _Worst()
             for _ in range(per_space):
-                alpha = sampler(space, rng, max_size)
-                beta = sampler(space, rng, max_size)
+                alpha = random_diagram(space, rng, max_size)
+                beta = random_diagram(space, rng, max_size)
                 solver = wasserstein_value(alpha, beta, p)
                 brute = brute_force_wasserstein(alpha, beta, p)
-                gap = (abs(solver - brute)
-                       if solver != brute else 0.0)  # inf == inf counts as exact
-                if gap > worst or math.isnan(gap):
-                    worst = gap
-                    witness = {"alpha": repr(alpha), "beta": repr(beta),
-                               "solver": solver, "brute": brute}
-            ok = worst <= VALUE_TOL
-            checks.append(_check(f"oracle[{name},p={p:g}]", ok,
-                                 None if ok else witness))
+                gap.see(abs(solver - brute) if solver != brute else 0.0,  # inf == inf is exact
+                        lambda: {"alpha": repr(alpha), "beta": repr(beta),
+                                 "solver": solver, "brute": brute})
+            checks.append(gap.check(f"oracle[{name},p={p:g}]", VALUE_TOL))
 
     # Assignment duals: feasible and tight at the reported optimum.
     rng = _rng(seed, "oracle/duals")
-    worst = -INF
-    witness = None
+    gap = _Worst()
     for _ in range(100):
         n = rng.randint(1, 7)
         costs = [[rng.uniform(0.0, 5.0) for _ in range(n)] for _ in range(n)]
@@ -425,31 +423,24 @@ def oracle_suite(seed: int | None = None, *, instances: int = 500,
                     for i in range(n) for j in range(n))
         drift = abs(math.fsum(result.u) + math.fsum(result.v) - result.total)
         direct = exhaustive_min(costs, 1.0)
-        gap = max(slack, drift, abs(result.total - direct))
-        if gap > worst:
-            worst = gap
-            witness = {"n": n, "slack": slack, "drift": drift,
-                       "total": result.total, "exhaustive": direct}
-    ok = worst <= VALUE_TOL
-    checks.append(_check("assignment-duals", ok, None if ok else witness))
+        gap.see(max(slack, drift, abs(result.total - direct)),
+                lambda: {"n": n, "slack": slack, "drift": drift,
+                         "total": result.total, "exhaustive": direct})
+    checks.append(gap.check("assignment-duals", VALUE_TOL))
 
     # Anagram distance: closed form against the W_1 solver on random words.
     space = AnagramSpace()
     rng = _rng(seed, "oracle/anagram")
     letters = space.alphabet[1:]
-    worst = 0.0
-    witness = None
+    gap = _Worst()
     for _ in range(100):
         s = "".join(rng.choice(letters) for _ in range(rng.randint(0, 8)))
         t = "".join(rng.choice(letters) for _ in range(rng.randint(0, 8)))
         closed = anagram_distance(s, t, space)
         solved = wasserstein_value(word_diagram(s, space), word_diagram(t, space), 1.0)
-        gap = abs(closed - solved)
-        if gap > worst:
-            worst = gap
-            witness = {"s": s, "t": t, "closed": closed, "solved": solved}
-    ok = worst <= VALUE_TOL
-    checks.append(_check("anagram-closed-form", ok, None if ok else witness))
+        gap.see(abs(closed - solved),
+                lambda: {"s": s, "t": t, "closed": closed, "solved": solved})
+    checks.append(gap.check("anagram-closed-form", VALUE_TOL))
     return _suite_report("oracle", seed, checks)
 
 
@@ -471,7 +462,7 @@ def _random_lipschitz_candidate(support, dists, rng: random.Random) -> dict:
     }
 
 
-def duality_suite(seed: int | None = None, *, instances: int = 200,
+def duality_suite(seed: int | None = None, instances: int = 200, *,
                   candidates_per_instance: int = 100) -> dict:
     """Kantorovich-Rubinstein certificates: zero gap, feasibility, tightness,
     a well-defined support function, Lipschitz McShane extensions, and weak
@@ -481,52 +472,37 @@ def duality_suite(seed: int | None = None, *, instances: int = 200,
     space = halfplane_quotient(INF, 1.0)
     rng = _rng(seed, "duality/instances")
 
-    worst_gap = 0.0
-    worst_feas = -INF
-    worst_tight = -INF
-    worst_obj = 0.0
-    worst_lip = -INF
-    worst_weak = -INF
+    gap, feas, tight, obj, lip, weak = (_Worst() for _ in range(6))
     lipschitz_pairs = 0
-    witness: dict | None = None
-    weak_witness: dict | None = None
     for index in range(instances):
         alpha = random_diagram(space, rng, 4)
         beta = random_diagram(space, rng, 4)
         cert = kr_certificate(alpha, beta)
         if not cert.has_certificate:
-            witness = {"reason": "no certificate on finite instance",
-                       "alpha": repr(alpha), "beta": repr(beta)}
-            worst_gap = INF
+            gap.see(INF, lambda: {"reason": "no certificate on finite instance",
+                                  "alpha": repr(alpha), "beta": repr(beta)})
             break
-        gap = abs(cert.primal_value - cert.dual_value)
-        feas = feasibility_violation(cert)
-        tight = tightness_violation(cert)
+        gap.see(abs(cert.primal_value - cert.dual_value),
+                lambda: {"alpha": repr(alpha), "beta": repr(beta),
+                         "primal": cert.primal_value, "dual": cert.dual_value})
+        feas.see(feasibility_violation(cert))
+        tight.see(tightness_violation(cert))
         h = support_function(cert)
-        obj = abs(dual_objective(h, alpha, beta) - cert.dual_value)
+        obj.see(abs(dual_objective(h, alpha, beta) - cert.dual_value))
         # The McShane extension agrees on the support and stays 1-Lipschitz
         # against fresh sample points.  Both-empty instances have nothing
         # to extend.
-        lip = -INF
         if h.order:
-            ext_gap = max(abs(mcshane_extend(h, c) - v) for c, v in h.items())
-            obj = max(obj, ext_gap)
+            for c, v in h.items():
+                obj.see(abs(mcshane_extend(h, c) - v))
             probes = [space.sample_point(rng) for _ in range(4)] + list(h.order)
             extended = [mcshane_extend(h, x) for x in probes]
             for x, hx in zip(probes, extended):
                 for y, hy in zip(probes, extended):
                     d = space.dist(x, y)
                     if d < INF:
-                        lip = max(lip, abs(hx - hy) - d)
+                        lip.see(abs(hx - hy) - d)
                         lipschitz_pairs += 1
-        if gap > worst_gap:
-            worst_gap = gap
-            witness = {"alpha": repr(alpha), "beta": repr(beta),
-                       "primal": cert.primal_value, "dual": cert.dual_value}
-        worst_feas = max(worst_feas, feas)
-        worst_tight = max(worst_tight, tight)
-        worst_obj = max(worst_obj, obj)
-        worst_lip = max(worst_lip, lip)
 
         # Weak duality per instance: no 1-Lipschitz candidate beats the
         # primal value.  The primal is solved once; duality_gap re-solves,
@@ -540,22 +516,16 @@ def duality_suite(seed: int | None = None, *, instances: int = 200,
                 margin = duality_gap(alpha, beta, candidate)
             else:
                 margin = cert.primal_value - dual_objective(candidate, alpha, beta)
-            if -margin > worst_weak:
-                worst_weak = -margin
-                weak_witness = {"alpha": repr(alpha), "beta": repr(beta),
-                                "margin": margin}
-    checks.append(_check("zero-gap", worst_gap <= GAP_TOL,
-                         None if worst_gap <= GAP_TOL else witness))
-    checks.append(_check("dual-feasibility", worst_feas <= FEASIBILITY_TOL,
-                         {"violation": worst_feas}))
-    checks.append(_check("tightness", worst_tight <= GAP_TOL,
-                         {"violation": worst_tight}))
-    checks.append(_check("support-objective", worst_obj <= GAP_TOL,
-                         {"gap": worst_obj}))
-    checks.append(_check("mcshane-lipschitz", worst_lip <= FEASIBILITY_TOL,
-                         {"excess": worst_lip, "pairs": lipschitz_pairs}))
-    ok = worst_weak <= VALUE_TOL
-    checks.append(_check("weak-duality", ok, None if ok else weak_witness))
+            weak.see(-margin,
+                     lambda: {"alpha": repr(alpha), "beta": repr(beta), "margin": margin})
+    checks.append(gap.check("zero-gap", GAP_TOL))
+    checks.append(feas.check("dual-feasibility", FEASIBILITY_TOL,
+                             {"violation": feas.margin}))
+    checks.append(tight.check("tightness", GAP_TOL, {"violation": tight.margin}))
+    checks.append(obj.check("support-objective", GAP_TOL, {"gap": obj.margin}))
+    checks.append(lip.check("mcshane-lipschitz", FEASIBILITY_TOL,
+                            {"excess": lip.margin, "pairs": lipschitz_pairs}))
+    checks.append(weak.check("weak-duality", VALUE_TOL))
 
     # Degenerate case: two empty diagrams certify a zero distance.
     empty = empty_diagram(space)
@@ -570,7 +540,7 @@ def duality_suite(seed: int | None = None, *, instances: int = 200,
 # strengthening
 
 
-def strengthening_suite(seed: int | None = None, *, pairs: int = 500) -> dict:
+def strengthening_suite(seed: int | None = None, pairs: int = 500) -> dict:
     """The p-strengthened metric changes nothing W_p can see: same diagram
     distances, restriction to singletons, idempotence, and the two-sided
     equivalence bounds between exponents."""
@@ -583,8 +553,7 @@ def strengthening_suite(seed: int | None = None, *, pairs: int = 500) -> dict:
         strong = p_strengthen(base, p)
 
         # W_p over d equals W_p over d_p.
-        worst = 0.0
-        witness = None
+        gap = _Worst()
         for _ in range(pairs):
             labels = [rng.choice(base.labels) for _ in range(rng.randint(0, 4))]
             other = [rng.choice(base.labels) for _ in range(rng.randint(0, 4))]
@@ -592,29 +561,24 @@ def strengthening_suite(seed: int | None = None, *, pairs: int = 500) -> dict:
             b_base = diagram_from_list(other, base)
             a_strong = diagram_from_list(labels, strong)
             b_strong = diagram_from_list(other, strong)
-            gap = abs(wasserstein_value(a_base, b_base, p)
-                      - wasserstein_value(a_strong, b_strong, p))
-            if gap > worst:
-                worst = gap
-                witness = {"alpha": labels, "beta": other, "gap": gap}
-        checks.append(_check(f"wasserstein-invariant[p={p:g}]", worst <= VALUE_TOL,
-                             None if worst <= VALUE_TOL else witness))
+            diff = abs(wasserstein_value(a_base, b_base, p)
+                       - wasserstein_value(a_strong, b_strong, p))
+            gap.see(diff, lambda: {"alpha": labels, "beta": other, "gap": diff})
+        checks.append(gap.check(f"wasserstein-invariant[p={p:g}]", VALUE_TOL))
 
         # Restriction of W_p along the inclusion recovers d_p on points.
-        worst = 0.0
+        gap = _Worst()
         for x in base.labels:
             for y in base.labels:
                 restricted = wasserstein_value(include(x, base), include(y, base), p)
-                worst = max(worst, abs(restricted - strong.dist(x, y)))
-        checks.append(_check(f"restriction-is-dp[p={p:g}]", worst <= VALUE_TOL,
-                             {"gap": worst}))
+                gap.see(abs(restricted - strong.dist(x, y)))
+        checks.append(gap.check(f"restriction-is-dp[p={p:g}]", VALUE_TOL,
+                                {"gap": gap.margin}))
 
         # Idempotence and the sandwich d_p <= d <= 2^(1 - 1/p) d_p, sampled
         # over fresh random spaces so the pair count is honest.
         factor = 2.0 ** (1.0 - (1.0 / p if p != INF else 0.0))
-        worst_idem = 0.0
-        worst_low = -INF
-        worst_high = -INF
+        idem, low, high = _Worst(), _Worst(), _Worst()
         sampled = 0
         while sampled < pairs:
             fresh = random_finite_space(rng, size=5)
@@ -623,29 +587,28 @@ def strengthening_suite(seed: int | None = None, *, pairs: int = 500) -> dict:
             for x in fresh.labels:
                 for y in fresh.labels:
                     dp = fresh_strong.dist(x, y)
-                    worst_idem = max(worst_idem, abs(twice.dist(x, y) - dp))
-                    worst_low = max(worst_low, dp - fresh.dist(x, y))
-                    worst_high = max(worst_high, fresh.dist(x, y) - factor * dp)
+                    idem.see(abs(twice.dist(x, y) - dp))
+                    low.see(dp - fresh.dist(x, y))
+                    high.see(fresh.dist(x, y) - factor * dp)
             sampled += len(fresh.labels) ** 2
-        ok = (worst_idem <= FEASIBILITY_TOL and worst_low <= FEASIBILITY_TOL
-              and worst_high <= VALUE_TOL)
+        ok = (idem.margin <= FEASIBILITY_TOL and low.margin <= FEASIBILITY_TOL
+              and high.margin <= VALUE_TOL)
         checks.append(_check(f"idempotent-and-bounded[p={p:g}]", ok,
-                             {"idempotence": worst_idem, "lower": worst_low,
-                              "upper": worst_high, "pairs": sampled}))
+                             {"idempotence": idem.margin, "lower": low.margin,
+                              "upper": high.margin, "pairs": sampled}))
 
         # The basepoint distance is never strengthened away.
-        worst = max(abs(strong.dist(x, base.basepoint) - base.dist(x, base.basepoint))
-                    for x in base.labels)
-        checks.append(_check(f"basepoint-preserved[p={p:g}]", worst == 0.0,
-                             {"gap": worst}))
+        gap = _Worst()
+        for x in base.labels:
+            gap.see(abs(strong.dist(x, base.basepoint) - base.dist(x, base.basepoint)))
+        checks.append(gap.check(f"basepoint-preserved[p={p:g}]", 0.0, {"gap": gap.margin}))
 
     # Quotient metrics with exponents p <= q are uniformly equivalent:
     # quotient_q <= quotient_p <= 2^(1/p - 1/q) quotient_q.
     rng = _rng(seed, "strengthen/equivalence")
     ambient = halfplane_quotient(INF, 1.0).ambient
     subset_dist = halfplane_quotient(INF, 1.0).subset_dist
-    worst = -INF
-    witness = None
+    excess = _Worst()
     for p, q in ((1.0, 2.0), (1.0, INF), (2.0, INF), (1.5, 2.0)):
         lower = quotient_metric(ambient, subset_dist, p, label="diagonal")
         upper = quotient_metric(ambient, subset_dist, q, label="diagonal")
@@ -655,13 +618,9 @@ def strengthening_suite(seed: int | None = None, *, pairs: int = 500) -> dict:
             y = ambient.sample_point(rng)
             dq = upper.dist(x, y)
             dp = lower.dist(x, y)
-            excess = max(dq - dp, dp - factor * dq)
-            if excess > worst:
-                worst = excess
-                witness = {"p": p, "q": q, "x": x, "y": y, "d_p": dp, "d_q": dq}
-    ok = worst <= VALUE_TOL
-    checks.append(_check("quotient-exponent-equivalence", ok,
-                         None if ok else witness))
+            excess.see(max(dq - dp, dp - factor * dq),
+                       lambda: {"p": p, "q": q, "x": x, "y": y, "d_p": dp, "d_q": dq})
+    checks.append(excess.check("quotient-exponent-equivalence", VALUE_TOL))
     return _suite_report("strengthening", seed, checks)
 
 
@@ -669,7 +628,7 @@ def strengthening_suite(seed: int | None = None, *, pairs: int = 500) -> dict:
 # quotient-reduced
 
 
-def quotient_reduced_suite(seed: int | None = None, *, pairs: int = 200) -> dict:
+def quotient_reduced_suite(seed: int | None = None, pairs: int = 200) -> dict:
     """The reduced-cost formulation over the ambient metric matches W_p over
     the quotient metric."""
     seed = resolve_seed(seed)
@@ -678,21 +637,16 @@ def quotient_reduced_suite(seed: int | None = None, *, pairs: int = 200) -> dict
         for q in Q_VALUES:
             space = halfplane_quotient(q, p)
             rng = _rng(seed, f"quotient-reduced/p{p:g}/q{q:g}")
-            worst = 0.0
-            witness = None
+            gap = _Worst()
             for _ in range(pairs):
                 alpha = random_diagram(space, rng, 4)
                 beta = random_diagram(space, rng, 4)
                 direct = wasserstein_value(alpha, beta, p)
                 reduced = wasserstein_quotient_reduced(alpha, beta, p)
-                gap = abs(direct - reduced) if direct != reduced else 0.0
-                if gap > worst:
-                    worst = gap
-                    witness = {"alpha": repr(alpha), "beta": repr(beta),
-                               "direct": direct, "reduced": reduced}
-            ok = worst <= VALUE_TOL
-            checks.append(_check(f"quotient-reduced[p={p:g},q={q:g}]", ok,
-                                 None if ok else witness))
+                gap.see(abs(direct - reduced) if direct != reduced else 0.0,
+                        lambda: {"alpha": repr(alpha), "beta": repr(beta),
+                                 "direct": direct, "reduced": reduced})
+            checks.append(gap.check(f"quotient-reduced[p={p:g},q={q:g}]", VALUE_TOL))
     return _suite_report("quotient-reduced", seed, checks)
 
 
@@ -700,7 +654,7 @@ def quotient_reduced_suite(seed: int | None = None, *, pairs: int = 200) -> dict
 # universality
 
 
-def universality_suite(seed: int | None = None, *, pairs: int = 200) -> dict:
+def universality_suite(seed: int | None = None, pairs: int = 200) -> dict:
     """The extension of a Lipschitz map is Lipschitz with the same norm, the
     norm is attained on singletons, and W_p is maximal among p-subadditive
     extended pseudometrics restricting below the ground metric."""
@@ -716,19 +670,16 @@ def universality_suite(seed: int | None = None, *, pairs: int = 200) -> dict:
         return x[1] - x[0]
 
     rng = _rng(seed, "universality/persistence")
-    worst = -INF
-    witness = None
+    bound = _Worst()
     for _ in range(pairs):
         alpha = random_diagram(space, rng, 4)
         beta = random_diagram(space, rng, 4)
         total = extend_lipschitz(persistence, alpha, REAL_LINE, 1.0)
         other = extend_lipschitz(persistence, beta, REAL_LINE, 1.0)
         excess = abs(total - other) - 2.0 * wasserstein_value(alpha, beta, 1.0)
-        if excess > worst:
-            worst = excess
-            witness = {"alpha": repr(alpha), "beta": repr(beta), "excess": excess}
-    ok = worst <= VALUE_TOL
-    checks.append(_check("extension-norm-bound", ok, None if ok else witness))
+        bound.see(excess,
+                  lambda: {"alpha": repr(alpha), "beta": repr(beta), "excess": excess})
+    checks.append(bound.check("extension-norm-bound", VALUE_TOL))
 
     # The bound is attained: one unit-persistence point against nothing.
     alpha = diagram_from_list([(0.0, 2.0)], space)
@@ -740,8 +691,7 @@ def universality_suite(seed: int | None = None, *, pairs: int = 200) -> dict:
     # On a finite space the Lipschitz norm is exact, and the extension of a
     # random map attains it on singleton diagrams.
     rng = _rng(seed, "universality/finite")
-    worst = -INF
-    witness = None
+    excess = _Worst()
     for _ in range(20):
         base = random_finite_space(rng, size=4)
         values = {label: rng.uniform(-3.0, 3.0) for label in base.labels}
@@ -749,24 +699,20 @@ def universality_suite(seed: int | None = None, *, pairs: int = 200) -> dict:
         phi = values.__getitem__
         norm = lipschitz_norm(phi, base, REAL_LINE.dist)
         for _ in range(pairs // 20):
-            a = _finite_diagram(base, rng, 3)
-            b = _finite_diagram(base, rng, 3)
+            a = random_diagram(base, rng, 3)
+            b = random_diagram(base, rng, 3)
             lhs = abs(extend_lipschitz(phi, a, REAL_LINE, 1.0)
                       - extend_lipschitz(phi, b, REAL_LINE, 1.0))
-            excess = lhs - norm * wasserstein_value(a, b, 1.0)
-            if excess > worst:
-                worst = excess
-                witness = {"labels": base.labels, "values": values,
-                           "alpha": repr(a), "beta": repr(b)}
+            excess.see(lhs - norm * wasserstein_value(a, b, 1.0),
+                       lambda: {"labels": base.labels, "values": values,
+                                "alpha": repr(a), "beta": repr(b)})
         best_ratio = max(
             abs(phi(x) - phi(y)) / base.dist(x, y)
             for x in base.labels for y in base.labels if base.dist(x, y) > 0.0)
         if abs(best_ratio - norm) > VALUE_TOL:
-            worst = INF
-            witness = {"reason": "norm not attained on points", "norm": norm,
-                       "best_ratio": best_ratio}
-    ok = worst <= VALUE_TOL
-    checks.append(_check("finite-extension-norm", ok, None if ok else witness))
+            excess.see(INF, lambda: {"reason": "norm not attained on points",
+                                     "norm": norm, "best_ratio": best_ratio})
+    checks.append(excess.check("finite-extension-norm", VALUE_TOL))
 
     # Maximality: any W_q with q >= p passes, and a scaled-up candidate is
     # rejected for breaking the 1-Lipschitz precondition.
@@ -810,7 +756,7 @@ def universality_suite(seed: int | None = None, *, pairs: int = 200) -> dict:
 # converse-stability
 
 
-def converse_stability_suite(seed: int | None = None, *, pairs: int = 200) -> dict:
+def converse_stability_suite(seed: int | None = None, pairs: int = 200) -> dict:
     """Interleaving-flavored stability: the interleaving distance on interval
     modules is the infinity-strengthening of the Hausdorff picture, and any
     metric obtained by restricting a subadditive diagram metric is again
@@ -834,23 +780,17 @@ def converse_stability_suite(seed: int | None = None, *, pairs: int = 200) -> di
     pre = remetrize(module_space, hausdorff_with_half_length, label="hausdorff-half")
     strengthened = p_strengthen(pre, INF)
     rng = _rng(seed, "converse/formula")
-    worst = 0.0
-    witness = None
+    gap = _Worst()
     for _ in range(pairs):
         x = module_space.sample_point(rng)
         y = module_space.sample_point(rng)
-        gap = abs(strengthened.dist(x, y) - interval_interleaving(x, y))
-        if gap > worst:
-            worst = gap
-            witness = {"x": repr(x), "y": repr(y), "gap": gap}
-    ok = worst <= VALUE_TOL
-    checks.append(_check("interleaving-is-strengthened-hausdorff", ok,
-                         None if ok else witness))
+        diff = abs(strengthened.dist(x, y) - interval_interleaving(x, y))
+        gap.see(diff, lambda: {"x": repr(x), "y": repr(y), "gap": diff})
+    checks.append(gap.check("interleaving-is-strengthened-hausdorff", VALUE_TOL))
 
     # Interleaving never exceeds Hausdorff, so neither do the diagram metrics.
     rng = _rng(seed, "converse/stability")
-    worst = -INF
-    witness = None
+    excess = _Worst()
     for _ in range(pairs):
         points = [module_space.sample_point(rng)
                   for _ in range(rng.randint(0, 3))]
@@ -860,15 +800,11 @@ def converse_stability_suite(seed: int | None = None, *, pairs: int = 200) -> di
                                  diagram_from_list(others, module_space), INF)
         hard = wasserstein_value(diagram_from_list(points, hausdorff_space),
                                  diagram_from_list(others, hausdorff_space), INF)
-        excess = soft - hard
-        if excess > worst:
-            worst = excess
-            witness = {"points": [repr(p) for p in points],
-                       "others": [repr(p) for p in others],
-                       "interleaving": soft, "hausdorff": hard}
-    ok = worst <= VALUE_TOL
-    checks.append(_check("interleaving-below-hausdorff", ok,
-                         None if ok else witness))
+        excess.see(soft - hard,
+                   lambda: {"points": [repr(p) for p in points],
+                            "others": [repr(p) for p in others],
+                            "interleaving": soft, "hausdorff": hard})
+    checks.append(excess.check("interleaving-below-hausdorff", VALUE_TOL))
 
     # Restricting a subadditive diagram metric and rebuilding W_p can only
     # grow: rho <= W_p[i* rho].  Checked for rho = W_inf over finite spaces.
@@ -891,7 +827,7 @@ def converse_stability_suite(seed: int | None = None, *, pairs: int = 200) -> di
 # word metric
 
 
-def word_metric_suite(seed: int | None = None, *, max_order: int = 12) -> dict:
+def word_metric_suite(seed: int | None = None, max_order: int = 12) -> dict:
     """The BFS word metric against its realization as a minimum of W_1 over
     the star space, exhaustively over small cyclic groups and Z2 x Z2."""
     seed = resolve_seed(seed)
@@ -902,34 +838,26 @@ def word_metric_suite(seed: int | None = None, *, max_order: int = 12) -> dict:
         diameter = max(word_metric(group, generators, g, group.zero)
                        for g in group.elements())
         bound = max(2 * diameter, 1)
-        worst = 0.0
-        witness = None
+        gap = _Worst()
         for g in group.elements():
             for h in group.elements():
                 direct = word_metric(group, generators, g, h)
                 realized = word_metric_via_wasserstein(group, generators, g, h, bound)
-                gap = abs(direct - realized)
-                if gap > worst:
-                    worst = gap
-                    witness = {"n": n, "g": g, "h": h, "bfs": direct,
-                               "wasserstein": realized}
-        ok = worst == 0.0
-        checks.append(_check(f"cyclic[{n}]", ok, None if ok else witness))
+                gap.see(abs(direct - realized),
+                        lambda: {"n": n, "g": g, "h": h, "bfs": direct,
+                                 "wasserstein": realized})
+        checks.append(gap.check(f"cyclic[{n}]", 0.0))
 
     group = FiniteAbelianGroup((2, 2))
     generators = tuple(g for g in group.elements() if g != group.zero)
-    worst = 0.0
-    witness = None
+    gap = _Worst()
     for g in group.elements():
         for h in group.elements():
             direct = word_metric(group, generators, g, h)
             realized = word_metric_via_wasserstein(group, generators, g, h, 2)
-            gap = abs(direct - realized)
-            if gap > worst:
-                worst = gap
-                witness = {"g": g, "h": h, "bfs": direct, "wasserstein": realized}
-    ok = worst == 0.0
-    checks.append(_check("klein-four", ok, None if ok else witness))
+            gap.see(abs(direct - realized),
+                    lambda: {"g": g, "h": h, "bfs": direct, "wasserstein": realized})
+    checks.append(gap.check("klein-four", 0.0))
     return _suite_report("word-metric", seed, checks)
 
 
@@ -951,21 +879,6 @@ SUITES: dict[str, Callable[..., dict]] = {
     "word-metric": word_metric_suite,
 }
 
-# Keyword argument each suite accepts for scaling its instance count.
-_SCALE_KEYWORD = {
-    "metric-axioms": "triples",
-    "padding": "instances",
-    "subadditivity": "quadruples",
-    "monotonicity": "pairs",
-    "oracle": "instances",
-    "duality": "instances",
-    "strengthening": "pairs",
-    "quotient-reduced": "pairs",
-    "universality": "pairs",
-    "converse-stability": "pairs",
-    "word-metric": "max_order",
-}
-
 
 def run_suite(name: str, seed: int | None = None, samples: int | None = None) -> dict:
     """Run one named suite, or every suite under "all"."""
@@ -981,7 +894,6 @@ def run_suite(name: str, seed: int | None = None, samples: int | None = None) ->
     if name not in SUITES:
         known = ", ".join(sorted(SUITES) + ["all"])
         raise PreconditionError(f"unknown suite {name!r}; known suites: {known}")
-    kwargs = {}
-    if samples is not None:
-        kwargs[_SCALE_KEYWORD[name]] = int(samples)
-    return SUITES[name](seed, **kwargs)
+    if samples is None:
+        return SUITES[name](seed)
+    return SUITES[name](seed, int(samples))

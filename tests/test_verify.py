@@ -1,7 +1,9 @@
+import math
 import random
 
 import pytest
 
+from pdmetric import verify
 from pdmetric.errors import PreconditionError
 from pdmetric.metric_core import INF
 from pdmetric.spaces import halfplane_quotient
@@ -9,6 +11,7 @@ from pdmetric.verify import (
     DEFAULT_SEED,
     SEED_ENV_VAR,
     SUITES,
+    _Worst,
     _random_lipschitz_candidate,
     duality_suite,
     metric_axioms_suite,
@@ -128,3 +131,72 @@ def test_word_metric_suite_covers_small_groups():
     names = [c["property"] for c in report["checks"]]
     assert names == ["cyclic[2]", "cyclic[3]", "cyclic[4]", "cyclic[5]",
                      "cyclic[6]", "klein-four"]
+
+
+def test_worst_builds_a_witness_only_for_a_new_worst_or_nan():
+    built = []
+
+    def witness(tag):
+        def build():
+            built.append(tag)
+            return {"tag": tag}
+        return build
+
+    worst = _Worst()
+    assert worst.check("empty", 0.0).ok
+    for tag, margin in enumerate([0.5, 0.25, 0.5, 2.0, 1.0]):
+        worst.see(margin, witness(tag))
+    assert (worst.margin, worst.witness, built) == (2.0, {"tag": 3}, [0, 3])
+    failed = worst.check("too-big", 1.0)
+    assert not failed.ok and failed.witness == {"tag": 3}
+    assert worst.check("loose", 2.0).witness is None
+    assert worst.check("own-witness", 1.0, {"gap": 2.0}).witness == {"gap": 2.0}
+
+    worst.see(math.nan, witness("nan"))
+    worst.see(5.0, witness("after"))
+    assert built[-1] == "nan" and worst.witness == {"tag": "nan"}
+    assert not worst.check("nan", INF).ok
+
+
+NAN_MARGIN_SUITES = ["subadditivity", "monotonicity", "quotient-reduced",
+                     "strengthening", "oracle"]
+
+
+@pytest.mark.parametrize("name", NAN_MARGIN_SUITES)
+def test_nan_margin_fails_every_margin_check(monkeypatch, name):
+    # A solver that answers NaN must fail the suites that compare its values.
+    monkeypatch.setattr(verify, "wasserstein_value", lambda a, b, p: math.nan)
+    report = run_suite(name, seed=3, samples=8)
+    assert report["passed"] is False
+
+
+# The witness keys of each margin check: a failing check names its worst
+# instance with exactly these.
+WITNESS_KEYS = {
+    "subadditivity": {"a", "b", "c", "d", "joint", "split"},
+    "oracle": {"alpha", "beta", "solver", "brute"},
+    "assignment-duals": {"n", "slack", "drift", "total", "exhaustive"},
+    "anagram-closed-form": {"s", "t", "closed", "solved"},
+    "quotient-reduced": {"alpha", "beta", "direct", "reduced"},
+    "monotone-in-p": {"alpha", "beta", "p", "q", "W_p", "W_q"},
+    "singleton-ratio": {"n", "p", "q", "ratio", "expected"},
+}
+
+
+@pytest.mark.parametrize("name", ["subadditivity", "oracle", "quotient-reduced",
+                                  "monotonicity"])
+def test_failing_checks_keep_their_witnesses(monkeypatch, name):
+    solve = verify.wasserstein_value
+
+    def perturbed(a, b, p):
+        value = solve(a, b, p)
+        return 1.5 * value + 0.25 if len(a) > len(b) else value
+
+    monkeypatch.setattr(verify, "wasserstein_value", perturbed)
+    report = run_suite(name, seed=7, samples=12)
+    failed = [c for c in report["checks"] if c["status"] != "pass"]
+    assert failed
+    for check in failed:
+        keys = WITNESS_KEYS[check["property"].split("[")[0]]
+        assert isinstance(check["witness"], dict)
+        assert set(check["witness"]) == keys, check
