@@ -1,32 +1,22 @@
 """Persistence diagrams as free commutative monoids over pointed metric
 spaces, with exact p-Wasserstein and bottleneck distances, metric
 constructions (quotient, p-strengthening, pullback, product), the universal
-extension of Lipschitz maps, and Kantorovich-Rubinstein dual certificates."""
+extension of Lipschitz maps, and Kantorovich-Rubinstein dual certificates.
+
+The package root exports the entry points; every other name is imported
+from its own module (`pdmetric.assignment`, `pdmetric.spaces`, ...).
+"""
 
 import importlib
 
-from .assignment import (
-    EXHAUSTIVE_LIMIT,
-    AssignmentResult,
-    bottleneck_assignment,
-    exhaustive_min,
-    hopcroft_karp,
-    hungarian,
-    min_cost_assignment,
-)
 from .diagram import (
     Diagram,
-    add,
     diagram_from_list,
     empty_diagram,
-    enumerate_diagrams,
-    extend_hom,
     include,
 )
 from .errors import DomainError, PreconditionError, SizeLimitError
 from .kr_duality import (
-    DualCertificate,
-    SupportFunction,
     dual_objective,
     duality_gap,
     feasibility_violation,
@@ -36,64 +26,25 @@ from .kr_duality import (
     tightness_violation,
 )
 from .metric_core import (
-    FAIL,
     INF,
-    PASS,
-    AxiomReport,
     FiniteSpace,
-    MetricSpace,
-    PointedSpace,
-    ProductSpace,
-    QuotientSpace,
-    Report,
-    StrengthenedSpace,
-    as_exponent,
-    check_axioms_sampled,
-    check_metric_axioms,
-    check_p_strengthened,
-    check_subset_dist_compatible,
-    lp_norm,
     p_strengthen,
     product_metric,
     pullback_metric,
     quotient_metric,
-    remetrize,
 )
 from .spaces import (
-    EMPTY_INTERVAL,
     AnagramSpace,
-    FiniteAbelianGroup,
-    HalfPlane,
     HalfPlaneSpace,
-    Interval,
-    IntervalModuleSpace,
     IntervalSpace,
     StarGraphSpace,
-    anagram_distance,
-    dissimilarity,
-    halfplane_diag_dist,
-    halfplane_dist,
-    halfplane_quotient,
-    hausdorff,
-    interval_half_length,
-    interval_interleaving,
-    word_diagram,
-    word_metric,
-    word_metric_via_wasserstein,
 )
 from .io import (
-    certificate_to_json,
-    diagram_from_json,
-    diagram_to_json,
     dump_json,
-    json_ready,
     load_diagram,
-    matching_to_json,
     space_from_spec,
 )
 from .wasserstein import (
-    MatchedPair,
-    Matching,
     bottleneck,
     brute_force_wasserstein,
     wasserstein,
@@ -106,106 +57,49 @@ __version__ = "0.1.0"
 # The verification suites and the universality checks load on first use, so
 # that `pdmetric distance` does not pay for them.
 _LAZY = {
-    **dict.fromkeys(["verify", "DEFAULT_SEED", "SUITES", "resolve_seed", "run_suite"], "verify"),
-    **dict.fromkeys(["universality", "REAL_LINE", "LipschitzMap", "MetricMonoid",
-                     "check_maximality", "check_restriction_trichotomy", "converse_stability",
-                     "extend_lipschitz", "lipschitz_norm"], "universality"),
+    "run_suite": "verify",
+    **dict.fromkeys(["LipschitzMap", "check_maximality", "converse_stability",
+                     "extend_lipschitz"], "universality"),
 }
 
 
 def __getattr__(name):
     if name not in _LAZY:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    module = importlib.import_module(f".{_LAZY[name]}", __name__)
-    return module if name == _LAZY[name] else getattr(module, name)
+    return getattr(importlib.import_module(f".{_LAZY[name]}", __name__), name)
 
 
 __all__ = [
     "AnagramSpace",
-    "AssignmentResult",
-    "AxiomReport",
-    "DEFAULT_SEED",
     "Diagram",
     "DomainError",
-    "DualCertificate",
-    "EMPTY_INTERVAL",
-    "EXHAUSTIVE_LIMIT",
-    "FAIL",
-    "FiniteAbelianGroup",
     "FiniteSpace",
-    "HalfPlane",
     "HalfPlaneSpace",
     "INF",
-    "Interval",
-    "IntervalModuleSpace",
     "IntervalSpace",
     "LipschitzMap",
-    "MatchedPair",
-    "Matching",
-    "MetricMonoid",
-    "MetricSpace",
-    "PASS",
-    "PointedSpace",
     "PreconditionError",
-    "ProductSpace",
-    "QuotientSpace",
-    "REAL_LINE",
-    "Report",
-    "SUITES",
     "SizeLimitError",
     "StarGraphSpace",
-    "StrengthenedSpace",
-    "SupportFunction",
-    "add",
-    "anagram_distance",
-    "as_exponent",
     "bottleneck",
-    "bottleneck_assignment",
     "brute_force_wasserstein",
-    "certificate_to_json",
-    "check_axioms_sampled",
     "check_maximality",
-    "check_metric_axioms",
-    "check_p_strengthened",
-    "check_restriction_trichotomy",
-    "check_subset_dist_compatible",
     "converse_stability",
-    "diagram_from_json",
     "diagram_from_list",
-    "diagram_to_json",
-    "dissimilarity",
     "dual_objective",
     "duality_gap",
     "dump_json",
     "empty_diagram",
-    "enumerate_diagrams",
-    "exhaustive_min",
-    "extend_hom",
     "extend_lipschitz",
     "feasibility_violation",
-    "halfplane_diag_dist",
-    "halfplane_dist",
-    "halfplane_quotient",
-    "hausdorff",
-    "hopcroft_karp",
-    "hungarian",
     "include",
-    "interval_half_length",
-    "interval_interleaving",
-    "json_ready",
     "kr_certificate",
-    "lipschitz_norm",
     "load_diagram",
-    "lp_norm",
-    "matching_to_json",
     "mcshane_extend",
-    "min_cost_assignment",
     "p_strengthen",
     "product_metric",
     "pullback_metric",
     "quotient_metric",
-    "remetrize",
-    "resolve_seed",
     "run_suite",
     "space_from_spec",
     "support_function",
@@ -213,7 +107,4 @@ __all__ = [
     "wasserstein",
     "wasserstein_quotient_reduced",
     "wasserstein_value",
-    "word_diagram",
-    "word_metric",
-    "word_metric_via_wasserstein",
 ]

@@ -14,13 +14,14 @@ Exit codes: 0 success, 1 failed verification, 2 parse/usage error,
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
 
 from .errors import DomainError, PreconditionError, SizeLimitError
 from .io import (
     SPACE_IDS,
-    SPACE_PARAMS,
+    SPACES,
     dump_json,
     load_diagram,
     matching_to_json,
@@ -40,10 +41,10 @@ EXIT_SIZE = 4
 
 def _space_spec_from_args(args) -> dict:
     if args.space_file:
-        import json
-
         with open(args.space_file, "r", encoding="utf-8") as handle:
             spec = json.load(handle)
+        if not isinstance(spec, dict):
+            raise DomainError("the space file must hold a JSON object")
         if args.space and spec.get("id") not in (None, args.space):
             raise DomainError(
                 f"--space {args.space} conflicts with space file id {spec.get('id')!r}"
@@ -54,24 +55,9 @@ def _space_spec_from_args(args) -> dict:
         return spec
     if not args.space:
         raise DomainError("no space given: pass --space or --space-file")
-    spec: dict = {"id": args.space}
-    if args.space == "halfplane":
-        spec["q"] = args.q
-        spec["p"] = args.p
-        spec["extended"] = args.extended
-    elif args.space == "intervals":
-        spec["metric_kind"] = args.metric_kind
-    elif args.space == "anagram" and args.alphabet:
-        spec["alphabet"] = args.alphabet
-    elif args.space == "stargraph":
-        import json
-
-        if not args.generators:
-            raise DomainError("stargraph spaces need --generators")
-        spec["generators"] = json.loads(args.generators)
-        if args.zero is not None:
-            spec["zero"] = json.loads(args.zero)
-    return spec
+    flags = vars(args)
+    params = SPACES[args.space][0]
+    return {"id": args.space, **{k: flags[k] for k in params if flags.get(k) is not None}}
 
 
 def _load_input(text: str, space):
@@ -127,7 +113,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_spaces(args) -> int:
-    out = {"spaces": [{"id": sid, "params": params} for sid, params in SPACE_PARAMS.items()]}
+    out = {"spaces": [{"id": sid, "params": params} for sid, (params, _) in SPACES.items()]}
     print(dump_json(out))
     return EXIT_OK
 
@@ -154,8 +140,8 @@ def build_parser() -> argparse.ArgumentParser:
                       choices=["hausdorff", "dissimilarity"],
                       help="metric on intervals")
     dist.add_argument("--alphabet", help="anagram alphabet, first character blank")
-    dist.add_argument("--generators", help="stargraph generators as JSON")
-    dist.add_argument("--zero", help="stargraph basepoint as JSON")
+    dist.add_argument("--generators", type=json.loads, help="stargraph generators as JSON")
+    dist.add_argument("--zero", type=json.loads, help="stargraph basepoint as JSON")
     dist.add_argument("--matching", action="store_true",
                       help="include a realizing matching")
     dist.add_argument("--certificate", action="store_true",

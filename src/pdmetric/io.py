@@ -1,8 +1,9 @@
 """JSON encoding of spaces, diagrams, matchings, and certificates.
 
-JSON has no inf literal, so infinite values travel as the strings "inf"
-and "-inf" in both directions.  Result payloads round floats to 12
-significant digits; diagram atom coordinates round-trip at full precision.
+JSON has no inf or NaN literal, so these values travel as the strings
+"inf", "-inf" and "nan" in both directions.  Result payloads round floats
+to 12 significant digits; diagram atom coordinates round-trip at full
+precision.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from .errors import DomainError
 from .kr_duality import DualCertificate, SupportFunction
 from .metric_core import INF, FiniteSpace, PointedSpace, as_exponent, parse_float
 from .spaces import (
+    DEFAULT_ALPHABET,
     AnagramSpace,
     HalfPlaneSpace,
     IntervalSpace,
@@ -40,8 +42,8 @@ def json_ready(obj, round_floats: bool = True):
     if isinstance(obj, bool) or obj is None or isinstance(obj, (int, str)):
         return obj
     if isinstance(obj, float):
-        if math.isinf(obj):
-            return "inf" if obj > 0 else "-inf"
+        if not math.isfinite(obj):
+            return str(obj)  # "inf", "-inf" or "nan"
         return _round_sig(obj) if round_floats else obj
     if isinstance(obj, dict):
         return {k: json_ready(v, round_floats) for k, v in obj.items()}
@@ -55,16 +57,6 @@ def dump_json(obj, round_floats: bool = True) -> str:
 
 
 # -- spaces -----------------------------------------------------------------
-
-# Each space id with the spec parameters space_from_spec reads for it.
-SPACE_PARAMS = {
-    "halfplane": ["q", "p", "extended"],
-    "intervals": ["metric_kind"],
-    "anagram": ["alphabet"],
-    "stargraph": ["generators", "zero"],
-    "finite": ["labels", "matrix", "basepoint"],
-}
-SPACE_IDS = tuple(SPACE_PARAMS)
 
 
 def finite_space_from_json(data: dict) -> FiniteSpace:
@@ -85,32 +77,45 @@ def finite_space_to_json(space: FiniteSpace) -> dict:
     }
 
 
-def space_from_spec(spec: dict) -> PointedSpace:
-    """Build a pointed space from an id plus parameters.
+def _json_point(value):
+    """A stargraph point from JSON, where tuples travel as lists."""
+    return tuple(value) if isinstance(value, list) else value
 
-    The half-plane quotient needs the Wasserstein exponent p at
-    construction time, since its ground metric depends on it.
+
+# Each space id with the spec parameters its reader takes, and the reader.
+# The half-plane quotient needs the Wasserstein exponent p at construction
+# time, since its ground metric depends on it.
+SPACES = {
+    "halfplane": (["q", "p", "extended"], lambda spec: HalfPlaneSpace(
+        parse_float(spec.get("q", INF)),
+        parse_float(spec.get("p", 1.0)),
+        bool(spec.get("extended", False)),
+    )),
+    "intervals": (["metric_kind"], lambda spec: IntervalSpace(
+        spec.get("metric_kind", "hausdorff"),
+    )),
+    "anagram": (["alphabet"], lambda spec: AnagramSpace(spec.get("alphabet") or DEFAULT_ALPHABET)),
+    "stargraph": (["generators", "zero"], lambda spec: StarGraphSpace(
+        map(_json_point, spec["generators"]),
+        _json_point(spec.get("zero", 0)),
+    )),
+    "finite": (["labels", "matrix", "basepoint"], finite_space_from_json),
+}
+SPACE_IDS = tuple(SPACES)
+
+
+def space_from_spec(spec: dict) -> PointedSpace:
+    """Build a pointed space from an id plus the parameters SPACES lists.
+
+    A spec whose parameters have the wrong shape is a domain error.
     """
     kind = spec.get("id")
-    if kind == "halfplane":
-        return HalfPlaneSpace(
-            parse_float(spec.get("q", INF)),
-            parse_float(spec.get("p", 1.0)),
-            bool(spec.get("extended", False)),
-        )
-    if kind == "intervals":
-        return IntervalSpace(spec.get("metric_kind", "hausdorff"))
-    if kind == "anagram":
-        alphabet = spec.get("alphabet")
-        return AnagramSpace(alphabet) if alphabet else AnagramSpace()
-    if kind == "stargraph":
-        generators = [tuple(g) if isinstance(g, list) else g for g in spec["generators"]]
-        zero = spec.get("zero", 0)
-        zero = tuple(zero) if isinstance(zero, list) else zero
-        return StarGraphSpace(generators, zero)
-    if kind == "finite":
-        return finite_space_from_json(spec)
-    raise DomainError(f"unknown space id {kind!r}; known: {', '.join(SPACE_IDS)}")
+    if kind not in SPACE_IDS:  # a tuple, so an unhashable id is simply unknown
+        raise DomainError(f"unknown space id {kind!r}; known: {', '.join(SPACE_IDS)}")
+    try:
+        return SPACES[kind][1](spec)
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise DomainError(f"malformed {kind} space spec: {exc}") from None
 
 
 # -- diagrams ---------------------------------------------------------------

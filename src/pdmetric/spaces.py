@@ -242,7 +242,7 @@ class IntervalSpace(PointedSpace):
         return self._dist(x, y)
 
     def contains(self, x) -> bool:
-        return isinstance(x, Interval)
+        return isinstance(x, Interval) and not (math.isnan(x.left) or math.isnan(x.right))
 
     def canonical(self, x):
         return EMPTY_INTERVAL if x.is_empty else x

@@ -882,6 +882,8 @@ SUITES: dict[str, Callable[..., dict]] = {
 
 def run_suite(name: str, seed: int | None = None, samples: int | None = None) -> dict:
     """Run one named suite, or every suite under "all"."""
+    if samples is not None and samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
     seed = resolve_seed(seed)
     if name == "all":
         reports = [run_suite(suite, seed, samples) for suite in SUITES]

@@ -81,6 +81,8 @@ def _padded_costs(alpha: Diagram, beta: Diagram, dist, to_base) -> list[list[flo
         costs.append(row)
     for _ in range(m):
         costs.append(right_base + [0.0] * n)
+    if math.isnan(sum(map(sum, costs))):  # one C-level pass; distances are >= 0
+        raise DomainError("a ground distance is NaN")
     return costs
 
 

@@ -195,6 +195,41 @@ def test_verify_seed_from_environment(capsys, monkeypatch):
     assert json.loads(out)["seed"] == 424242
 
 
+@pytest.mark.parametrize("spec, flags", [
+    ({"id": "stargraph"}, []),
+    ([1, 2], []),
+    ({"id": "stargraph", "generators": 5}, []),
+    ({"id": "halfplane", "q": [1]}, []),
+    (None, ["--space", "stargraph", "--generators", "5"]),
+], ids=["no-generators", "not-an-object", "int-generators", "list-q", "generators-flag"])
+def test_malformed_space_spec_is_domain_error(capsys, tmp_path, halfplane_pair, spec, flags):
+    if spec is not None:
+        flags = ["--space-file", write(tmp_path, "space.json", spec)]
+    code, _, err = run(capsys, ["distance", *halfplane_pair, *flags])
+    assert code == 3
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("p", ["1", "2", "inf"])
+def test_distance_nan_interval_endpoint(capsys, tmp_path, p):
+    a = write(tmp_path, "a.json", {"space": "intervals", "atoms": [[[0, 1, True, True], 1]]})
+    b = write(tmp_path, "b.json", {"space": "intervals", "atoms": [[[0, "nan", True, True], 1]]})
+    code, out, err = run(capsys, ["distance", a, b, "--space", "intervals", "--p", p])
+    assert (code, out) == (3, "")
+    assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("samples", [0, -3])
+def test_verify_samples_below_one(capsys, samples):
+    from pdmetric.verify import run_suite
+
+    with pytest.raises(ValueError, match="samples"):
+        run_suite("all", 1, samples)
+    code, out, err = run(capsys, ["verify", "--suite", "all", "--samples", str(samples)])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ")
+
+
 def test_spaces_list(capsys):
     code, out, _ = run(capsys, ["spaces", "list"])
     assert code == 0
@@ -265,3 +300,17 @@ def test_cli_import_leaves_verify_out():
         "      wasserstein is pdmetric.wasserstein_value.__globals__['wasserstein'])\n"
     )
     assert fresh_python(code).splitlines() == ["[]", "True True True"]
+
+
+def test_root_exports_only_entry_points():
+    # Every exported name resolves, the root stays a short list of entry points,
+    # and importing it loads neither the suites, the universality checks nor numpy.
+    code = (
+        "import sys, pdmetric\n"
+        "print(sorted({'pdmetric.verify', 'pdmetric.universality', 'numpy'} & set(sys.modules)))\n"
+        "print(len(pdmetric.__all__), all(getattr(pdmetric, n) is not None for n in pdmetric.__all__))\n"
+    )
+    lines = fresh_python(code).splitlines()
+    assert lines[0] == "[]"
+    count, resolved = lines[1].split()
+    assert int(count) <= 40 and resolved == "True"

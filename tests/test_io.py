@@ -6,6 +6,7 @@ import pytest
 from pdmetric.diagram import diagram_from_list
 from pdmetric.errors import DomainError
 from pdmetric.io import (
+    SPACES,
     diagram_from_json,
     diagram_to_json,
     dump_json,
@@ -214,3 +215,22 @@ def test_anagram_word_diagram_matches_json_route():
     payload = diagram_to_json(diagram)
     assert diagram_from_json(payload, space) == diagram
     assert diagram == word_diagram("silent", space)
+
+
+def test_space_table_lists_each_id_with_its_params():
+    assert {sid: params for sid, (params, _) in SPACES.items()} == {
+        "halfplane": ["q", "p", "extended"],
+        "intervals": ["metric_kind"],
+        "anagram": ["alphabet"],
+        "stargraph": ["generators", "zero"],
+        "finite": ["labels", "matrix", "basepoint"],
+    }
+
+
+def test_dump_json_writes_nan_as_a_string():
+    def reject(name):
+        raise ValueError(f"bare {name} in the output")
+
+    text = dump_json({"x": math.nan, "y": [math.inf, -math.inf]})
+    assert json.loads(text, parse_constant=reject) == {"x": "nan", "y": ["inf", "-inf"]}
+    assert math.isnan(parse_float("nan"))

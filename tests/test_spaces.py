@@ -117,6 +117,15 @@ def test_interval_space_metric_kinds():
         IntervalSpace("unknown")
 
 
+def test_interval_space_rejects_nan_endpoints():
+    space = IntervalSpace("hausdorff")
+    for bad in (Interval(0.0, math.nan), Interval(math.nan, 1.0)):
+        assert not space.contains(bad)
+        with pytest.raises(DomainError):
+            diagram_from_list([bad], space)
+    assert space.contains(Interval(0.0, INF))
+
+
 def test_interval_point_json_round_trip():
     space = IntervalSpace("hausdorff")
     x = Interval(0.0, INF, False, True)

@@ -7,7 +7,7 @@ import pytest
 from pdmetric.assignment import exhaustive_min, min_cost_assignment
 from pdmetric.diagram import diagram_from_list, empty_diagram
 from pdmetric.errors import DomainError, PreconditionError, SizeLimitError
-from pdmetric.metric_core import INF, FiniteSpace, lp_norm
+from pdmetric.metric_core import INF, FiniteSpace, lp_norm, remetrize
 from pdmetric.spaces import halfplane_quotient
 from pdmetric.wasserstein import (
     BASEPOINT,
@@ -299,3 +299,14 @@ def test_quotient_reduced_needs_ambient_data():
         subset_dist=lambda x: space.dist(x, "o"),
     )
     assert value == 0.0
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, INF])
+def test_nan_ground_distance_is_domain_error(p):
+    labels = ["o", "x1", "x2", "x3"]
+    finite = FiniteSpace(labels, [[0.0 if i == j else 1.0 for j in labels] for i in labels], "o")
+    space = remetrize(finite, lambda x, y: 0.0 if x == y else math.nan)
+    alpha, beta = diagrams(space, ["x1", "x2"], ["x3"])
+    for solve in (wasserstein_value, wasserstein):
+        with pytest.raises(DomainError, match="NaN"):
+            solve(alpha, beta, p)
