@@ -130,6 +130,8 @@ def diagram_to_json(diagram: Diagram) -> dict:
 
 
 def diagram_from_json(data: dict, space: PointedSpace) -> Diagram:
+    if not isinstance(data, dict):
+        raise ValueError(f"malformed diagram payload: {type(data).__name__} is not an object")
     declared = data.get("space")
     space_id = getattr(space, "space_id", "custom")
     if declared is not None and declared != space_id:

@@ -149,6 +149,8 @@ class FiniteSpace(PointedSpace):
         n = len(labels)
         if len(rows) != n or any(len(r) != n for r in rows):
             raise DomainError("matrix shape must match the label count")
+        if any(math.isnan(v) for row in rows for v in row):
+            raise DomainError("matrix entries must not be NaN")
         for i in range(n):
             if rows[i][i] != 0.0:
                 raise DomainError("matrix diagonal must be zero")

@@ -265,9 +265,10 @@ class IntervalSpace(PointedSpace):
         return [x.left, x.right, x.left_closed, x.right_closed]
 
     def point_from_json(self, obj):
-        return Interval(
-            parse_float(obj[0]), parse_float(obj[1]), bool(obj[2]), bool(obj[3])
-        )
+        closed = obj[2], obj[3]
+        if not all(isinstance(c, bool) for c in closed):
+            raise ValueError(f"interval closedness {list(closed)!r} is not true/false")
+        return Interval(parse_float(obj[0]), parse_float(obj[1]), *closed)
 
 
 class IntervalModuleSpace(IntervalSpace):

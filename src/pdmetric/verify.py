@@ -1,9 +1,9 @@
 """Randomized verification suites.
 
-Each suite draws seeded random instances, runs a batch of checks, and
-returns a plain dict report (suitable for JSON output and for assertions
-in tests).  Suites are registered in SUITES and exposed through the CLI;
-each takes its instance count as its second argument.
+Each suite draws seeded random instances and yields one Report per check.
+The @_suite decorator registers it in SUITES, exposed through the CLI, and
+makes it return a plain dict report (suitable for JSON output and for
+assertions in tests); each takes its instance count as its second argument.
 
 Most checks bound a margin, such as a triangle excess or a gap to an
 oracle, over many instances.  Such a check passes when its worst margin is
@@ -17,11 +17,12 @@ for a fixed seed regardless of process or platform.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import random
 import zlib
-from typing import Callable, Sequence
+from typing import Callable, Iterator
 
 from .assignment import exhaustive_min, min_cost_assignment
 from .diagram import Diagram, diagram_from_list, empty_diagram, include
@@ -173,26 +174,40 @@ class _Worst:
         return _check(name, self.margin <= tol, self.witness if witness is None else witness)
 
 
-def _suite_report(suite: str, seed: int, checks: Sequence[Report]) -> dict:
-    return {
-        "suite": suite,
-        "seed": seed,
-        "passed": all(c.ok for c in checks),
-        "checks": [c.as_dict() for c in checks],
-    }
+SUITES: dict[str, Callable[..., dict]] = {}
+
+
+def _suite(name: str):
+    """Register a generator of check Reports as the suite name in SUITES;
+    the registered function resolves its seed and returns the report dict."""
+
+    def register(checks: Callable[..., Iterator[Report]]) -> Callable[..., dict]:
+        @functools.wraps(checks)
+        def suite(seed: int | None = None, *args, **keywords) -> dict:
+            seed = resolve_seed(seed)
+            reports = list(checks(seed, *args, **keywords))
+            return {
+                "suite": name,
+                "seed": seed,
+                "passed": all(c.ok for c in reports),
+                "checks": [c.as_dict() for c in reports],
+            }
+
+        SUITES[name] = suite
+        return suite
+
+    return register
 
 
 # ---------------------------------------------------------------------------
 # metric-axioms
 
 
-def metric_axioms_suite(seed: int | None = None, triples: int = 1000, *,
-                        axiom_triples: int = 300) -> dict:
+@_suite("metric-axioms")
+def metric_axioms_suite(seed: int, triples: int = 1000, *,
+                        axiom_triples: int = 300) -> Iterator[Report]:
     """Sampled metric axioms for the concrete spaces, the quotient and
     strengthened constructions, and for W_p itself on random diagram triples."""
-    seed = resolve_seed(seed)
-    checks: list[Report] = []
-
     named_spaces = [
         ("intervals-hausdorff", IntervalSpace("hausdorff")),
         ("intervals-dissimilarity", IntervalSpace("dissimilarity")),
@@ -217,12 +232,12 @@ def metric_axioms_suite(seed: int | None = None, triples: int = 1000, *,
 
     for name, space in named_spaces:
         report = check_axioms_sampled(space, _rng(seed, f"axioms/{name}"), axiom_triples)
-        checks.append(Report(f"axioms[{name}]", report.status, report.witness))
+        yield Report(f"axioms[{name}]", report.status, report.witness)
 
     # Finite spaces admit the exhaustive checker as well.
     exhaustive = check_metric_axioms(base)
-    checks.append(_check("axioms-exhaustive[finite]", exhaustive.is_extended_pseudometric,
-                         exhaustive.as_dict()))
+    yield _check("axioms-exhaustive[finite]", exhaustive.is_extended_pseudometric,
+                 exhaustive.as_dict())
 
     # Quotients are p-strengthened and compatible with the subset distance.
     rng = _rng(seed, "axioms/quotient-strengthened")
@@ -232,15 +247,15 @@ def metric_axioms_suite(seed: int | None = None, triples: int = 1000, *,
             sampled_pairs = [(space.sample_point(rng), space.sample_point(rng))
                              for _ in range(axiom_triples)]
             ok = check_p_strengthened(space, p, sampled_pairs)
-            checks.append(_check(f"quotient-strengthened[q={q:g},p={p:g}]", ok,
-                                 {"q": q, "p": p}))
+            yield _check(f"quotient-strengthened[q={q:g},p={p:g}]", ok,
+                         {"q": q, "p": p})
             ambient_pairs = [(space.ambient.sample_point(rng),
                               space.ambient.sample_point(rng))
                              for _ in range(axiom_triples)]
             ok = check_subset_dist_compatible(space.ambient, space.subset_dist,
                                               ambient_pairs)
-            checks.append(_check(f"subset-dist-compatible[q={q:g},p={p:g}]", ok,
-                                 {"q": q, "p": p}))
+            yield _check(f"subset-dist-compatible[q={q:g},p={p:g}]", ok,
+                         {"q": q, "p": p})
 
     # W_p is symmetric and satisfies the triangle inequality; triples counts
     # instances per (p, q) combination.
@@ -261,21 +276,19 @@ def metric_axioms_suite(seed: int | None = None, triples: int = 1000, *,
                     tri.see(INF, lambda: {"alpha": repr(a), "identity": "W_p(a, a) != 0"})
                     break
             ok = sym.margin <= VALUE_TOL and tri.margin <= VALUE_TOL
-            checks.append(_check(
+            yield _check(
                 f"wasserstein-pseudometric[p={p:g},q={q:g}]", ok,
                 {"symmetry_gap": sym.margin, "triangle_excess": tri.margin,
-                 "witness": tri.witness}))
-    return _suite_report("metric-axioms", seed, checks)
+                 "witness": tri.witness})
 
 
 # ---------------------------------------------------------------------------
 # padding
 
 
-def padding_suite(seed: int | None = None, instances: int = 300) -> dict:
+@_suite("padding")
+def padding_suite(seed: int, instances: int = 300) -> Iterator[Report]:
     """Adding basepoint atoms never changes a diagram or any W_p value."""
-    seed = resolve_seed(seed)
-    checks: list[Report] = []
     for p in P_VALUES:
         spaces = _sample_spaces(seed, f"padding/p{p:g}", p)
         rng = _rng(seed, f"padding/p{p:g}")
@@ -302,7 +315,7 @@ def padding_suite(seed: int | None = None, instances: int = 300) -> dict:
                     witness = {"alpha": repr(alpha), "beta": repr(beta),
                                "plain": plain, "padded": padded}
                     break
-            checks.append(_check(f"padding[{name},p={p:g}]", ok, witness))
+            yield _check(f"padding[{name},p={p:g}]", ok, witness)
 
     # The empty diagram is the additive identity and is at distance 0 from itself.
     space = halfplane_quotient(2.0, 1.0)
@@ -310,18 +323,16 @@ def padding_suite(seed: int | None = None, instances: int = 300) -> dict:
     ok = (wasserstein_value(empty, empty, 1.0) == 0.0
           and empty + empty == empty
           and len(empty) == 0)
-    checks.append(_check("padding[empty]", ok, None))
-    return _suite_report("padding", seed, checks)
+    yield _check("padding[empty]", ok, None)
 
 
 # ---------------------------------------------------------------------------
 # subadditivity
 
 
-def subadditivity_suite(seed: int | None = None, quadruples: int = 500) -> dict:
+@_suite("subadditivity")
+def subadditivity_suite(seed: int, quadruples: int = 500) -> Iterator[Report]:
     """W_p(a + b, c + d) <= ||(W_p(a, c), W_p(b, d))||_p on random quadruples."""
-    seed = resolve_seed(seed)
-    checks: list[Report] = []
     for p in P_VALUES:
         spaces = _sample_spaces(seed, f"subadd/p{p:g}", p)
         rng = _rng(seed, f"subadd/p{p:g}")
@@ -339,18 +350,16 @@ def subadditivity_suite(seed: int | None = None, quadruples: int = 500) -> dict:
                 excess.see(joint - split,
                            lambda: {"a": repr(a), "b": repr(b), "c": repr(c),
                                     "d": repr(d), "joint": joint, "split": split})
-            checks.append(excess.check(f"subadditivity[{name},p={p:g}]", VALUE_TOL))
-    return _suite_report("subadditivity", seed, checks)
+            yield excess.check(f"subadditivity[{name},p={p:g}]", VALUE_TOL)
 
 
 # ---------------------------------------------------------------------------
 # monotonicity
 
 
-def monotonicity_suite(seed: int | None = None, pairs: int = 500) -> dict:
+@_suite("monotonicity")
+def monotonicity_suite(seed: int, pairs: int = 500) -> Iterator[Report]:
     """p <= q implies W_q <= W_p, with the n-fold singleton ratio exactly n^(1/p - 1/q)."""
-    seed = resolve_seed(seed)
-    checks: list[Report] = []
     exponents = (1.0, 1.5, 2.0, 4.0, INF)
     space = halfplane_quotient(INF, 1.0)
     rng = _rng(seed, "monotone/pairs")
@@ -364,7 +373,7 @@ def monotonicity_suite(seed: int | None = None, pairs: int = 500) -> dict:
                        lambda: {"alpha": repr(alpha), "beta": repr(beta),
                                 "p": exponents[i], "q": exponents[i + 1],
                                 "W_p": values[i], "W_q": values[i + 1]})
-    checks.append(excess.check("monotone-in-p", VALUE_TOL))
+    yield excess.check("monotone-in-p", VALUE_TOL)
 
     # n copies of a unit-persistence point against the empty diagram: the
     # distance is n^(1/p), so W_p / W_q = n^(1/p - 1/q) up to roundoff.
@@ -381,20 +390,18 @@ def monotonicity_suite(seed: int | None = None, pairs: int = 500) -> dict:
                 rel.see(abs(wp / wq - expected) / expected,
                         lambda: {"n": n, "p": p, "q": q, "ratio": wp / wq,
                                  "expected": expected})
-    checks.append(rel.check("singleton-ratio", RATIO_REL_TOL))
-    return _suite_report("monotonicity", seed, checks)
+    yield rel.check("singleton-ratio", RATIO_REL_TOL)
 
 
 # ---------------------------------------------------------------------------
 # oracle
 
 
-def oracle_suite(seed: int | None = None, instances: int = 500, *,
-                 max_size: int = 4) -> dict:
+@_suite("oracle")
+def oracle_suite(seed: int, instances: int = 500, *,
+                 max_size: int = 4) -> Iterator[Report]:
     """The assignment solver against brute-force enumeration, plus the
     closed-form anagram distance against the generic W_1 solver."""
-    seed = resolve_seed(seed)
-    checks: list[Report] = []
     for p in P_VALUES:
         spaces = _sample_spaces(seed, f"oracle/p{p:g}", p)
         rng = _rng(seed, f"oracle/p{p:g}")
@@ -409,7 +416,7 @@ def oracle_suite(seed: int | None = None, instances: int = 500, *,
                 gap.see(abs(solver - brute) if solver != brute else 0.0,  # inf == inf is exact
                         lambda: {"alpha": repr(alpha), "beta": repr(beta),
                                  "solver": solver, "brute": brute})
-            checks.append(gap.check(f"oracle[{name},p={p:g}]", VALUE_TOL))
+            yield gap.check(f"oracle[{name},p={p:g}]", VALUE_TOL)
 
     # Assignment duals: feasible and tight at the reported optimum.
     rng = _rng(seed, "oracle/duals")
@@ -426,7 +433,7 @@ def oracle_suite(seed: int | None = None, instances: int = 500, *,
         gap.see(max(slack, drift, abs(result.total - direct)),
                 lambda: {"n": n, "slack": slack, "drift": drift,
                          "total": result.total, "exhaustive": direct})
-    checks.append(gap.check("assignment-duals", VALUE_TOL))
+    yield gap.check("assignment-duals", VALUE_TOL)
 
     # Anagram distance: closed form against the W_1 solver on random words.
     space = AnagramSpace()
@@ -440,8 +447,7 @@ def oracle_suite(seed: int | None = None, instances: int = 500, *,
         solved = wasserstein_value(word_diagram(s, space), word_diagram(t, space), 1.0)
         gap.see(abs(closed - solved),
                 lambda: {"s": s, "t": t, "closed": closed, "solved": solved})
-    checks.append(gap.check("anagram-closed-form", VALUE_TOL))
-    return _suite_report("oracle", seed, checks)
+    yield gap.check("anagram-closed-form", VALUE_TOL)
 
 
 # ---------------------------------------------------------------------------
@@ -462,13 +468,12 @@ def _random_lipschitz_candidate(support, dists, rng: random.Random) -> dict:
     }
 
 
-def duality_suite(seed: int | None = None, instances: int = 200, *,
-                  candidates_per_instance: int = 100) -> dict:
+@_suite("duality")
+def duality_suite(seed: int, instances: int = 200, *,
+                  candidates_per_instance: int = 100) -> Iterator[Report]:
     """Kantorovich-Rubinstein certificates: zero gap, feasibility, tightness,
     a well-defined support function, Lipschitz McShane extensions, and weak
     duality against random 1-Lipschitz candidates."""
-    seed = resolve_seed(seed)
-    checks: list[Report] = []
     space = halfplane_quotient(INF, 1.0)
     rng = _rng(seed, "duality/instances")
 
@@ -518,35 +523,32 @@ def duality_suite(seed: int | None = None, instances: int = 200, *,
                 margin = cert.primal_value - dual_objective(candidate, alpha, beta)
             weak.see(-margin,
                      lambda: {"alpha": repr(alpha), "beta": repr(beta), "margin": margin})
-    checks.append(gap.check("zero-gap", GAP_TOL))
-    checks.append(feas.check("dual-feasibility", FEASIBILITY_TOL,
-                             {"violation": feas.margin}))
-    checks.append(tight.check("tightness", GAP_TOL, {"violation": tight.margin}))
-    checks.append(obj.check("support-objective", GAP_TOL, {"gap": obj.margin}))
-    checks.append(lip.check("mcshane-lipschitz", FEASIBILITY_TOL,
-                            {"excess": lip.margin, "pairs": lipschitz_pairs}))
-    checks.append(weak.check("weak-duality", VALUE_TOL))
+    yield gap.check("zero-gap", GAP_TOL)
+    yield feas.check("dual-feasibility", FEASIBILITY_TOL,
+                     {"violation": feas.margin})
+    yield tight.check("tightness", GAP_TOL, {"violation": tight.margin})
+    yield obj.check("support-objective", GAP_TOL, {"gap": obj.margin})
+    yield lip.check("mcshane-lipschitz", FEASIBILITY_TOL,
+                    {"excess": lip.margin, "pairs": lipschitz_pairs})
+    yield weak.check("weak-duality", VALUE_TOL)
 
     # Degenerate case: two empty diagrams certify a zero distance.
     empty = empty_diagram(space)
     cert = kr_certificate(empty, empty)
     ok = (cert.primal_value == 0.0 and cert.dual_value == 0.0
           and cert.has_certificate and feasibility_violation(cert) <= 0.0)
-    checks.append(_check("empty-certificate", ok, None))
-    return _suite_report("duality", seed, checks)
+    yield _check("empty-certificate", ok, None)
 
 
 # ---------------------------------------------------------------------------
 # strengthening
 
 
-def strengthening_suite(seed: int | None = None, pairs: int = 500) -> dict:
+@_suite("strengthening")
+def strengthening_suite(seed: int, pairs: int = 500) -> Iterator[Report]:
     """The p-strengthened metric changes nothing W_p can see: same diagram
     distances, restriction to singletons, idempotence, and the two-sided
     equivalence bounds between exponents."""
-    seed = resolve_seed(seed)
-    checks: list[Report] = []
-
     for p in (1.0, 2.0, INF):
         rng = _rng(seed, f"strengthen/p{p:g}")
         base = random_finite_space(rng, size=5)
@@ -564,7 +566,7 @@ def strengthening_suite(seed: int | None = None, pairs: int = 500) -> dict:
             diff = abs(wasserstein_value(a_base, b_base, p)
                        - wasserstein_value(a_strong, b_strong, p))
             gap.see(diff, lambda: {"alpha": labels, "beta": other, "gap": diff})
-        checks.append(gap.check(f"wasserstein-invariant[p={p:g}]", VALUE_TOL))
+        yield gap.check(f"wasserstein-invariant[p={p:g}]", VALUE_TOL)
 
         # Restriction of W_p along the inclusion recovers d_p on points.
         gap = _Worst()
@@ -572,8 +574,8 @@ def strengthening_suite(seed: int | None = None, pairs: int = 500) -> dict:
             for y in base.labels:
                 restricted = wasserstein_value(include(x, base), include(y, base), p)
                 gap.see(abs(restricted - strong.dist(x, y)))
-        checks.append(gap.check(f"restriction-is-dp[p={p:g}]", VALUE_TOL,
-                                {"gap": gap.margin}))
+        yield gap.check(f"restriction-is-dp[p={p:g}]", VALUE_TOL,
+                        {"gap": gap.margin})
 
         # Idempotence and the sandwich d_p <= d <= 2^(1 - 1/p) d_p, sampled
         # over fresh random spaces so the pair count is honest.
@@ -593,15 +595,15 @@ def strengthening_suite(seed: int | None = None, pairs: int = 500) -> dict:
             sampled += len(fresh.labels) ** 2
         ok = (idem.margin <= FEASIBILITY_TOL and low.margin <= FEASIBILITY_TOL
               and high.margin <= VALUE_TOL)
-        checks.append(_check(f"idempotent-and-bounded[p={p:g}]", ok,
-                             {"idempotence": idem.margin, "lower": low.margin,
-                              "upper": high.margin, "pairs": sampled}))
+        yield _check(f"idempotent-and-bounded[p={p:g}]", ok,
+                     {"idempotence": idem.margin, "lower": low.margin,
+                      "upper": high.margin, "pairs": sampled})
 
         # The basepoint distance is never strengthened away.
         gap = _Worst()
         for x in base.labels:
             gap.see(abs(strong.dist(x, base.basepoint) - base.dist(x, base.basepoint)))
-        checks.append(gap.check(f"basepoint-preserved[p={p:g}]", 0.0, {"gap": gap.margin}))
+        yield gap.check(f"basepoint-preserved[p={p:g}]", 0.0, {"gap": gap.margin})
 
     # Quotient metrics with exponents p <= q are uniformly equivalent:
     # quotient_q <= quotient_p <= 2^(1/p - 1/q) quotient_q.
@@ -620,19 +622,17 @@ def strengthening_suite(seed: int | None = None, pairs: int = 500) -> dict:
             dp = lower.dist(x, y)
             excess.see(max(dq - dp, dp - factor * dq),
                        lambda: {"p": p, "q": q, "x": x, "y": y, "d_p": dp, "d_q": dq})
-    checks.append(excess.check("quotient-exponent-equivalence", VALUE_TOL))
-    return _suite_report("strengthening", seed, checks)
+    yield excess.check("quotient-exponent-equivalence", VALUE_TOL)
 
 
 # ---------------------------------------------------------------------------
 # quotient-reduced
 
 
-def quotient_reduced_suite(seed: int | None = None, pairs: int = 200) -> dict:
+@_suite("quotient-reduced")
+def quotient_reduced_suite(seed: int, pairs: int = 200) -> Iterator[Report]:
     """The reduced-cost formulation over the ambient metric matches W_p over
     the quotient metric."""
-    seed = resolve_seed(seed)
-    checks: list[Report] = []
     for p in P_VALUES:
         for q in Q_VALUES:
             space = halfplane_quotient(q, p)
@@ -646,21 +646,18 @@ def quotient_reduced_suite(seed: int | None = None, pairs: int = 200) -> dict:
                 gap.see(abs(direct - reduced) if direct != reduced else 0.0,
                         lambda: {"alpha": repr(alpha), "beta": repr(beta),
                                  "direct": direct, "reduced": reduced})
-            checks.append(gap.check(f"quotient-reduced[p={p:g},q={q:g}]", VALUE_TOL))
-    return _suite_report("quotient-reduced", seed, checks)
+            yield gap.check(f"quotient-reduced[p={p:g},q={q:g}]", VALUE_TOL)
 
 
 # ---------------------------------------------------------------------------
 # universality
 
 
-def universality_suite(seed: int | None = None, pairs: int = 200) -> dict:
+@_suite("universality")
+def universality_suite(seed: int, pairs: int = 200) -> Iterator[Report]:
     """The extension of a Lipschitz map is Lipschitz with the same norm, the
     norm is attained on singletons, and W_p is maximal among p-subadditive
     extended pseudometrics restricting below the ground metric."""
-    seed = resolve_seed(seed)
-    checks: list[Report] = []
-
     # Total persistence of a diagram is the canonical 2-Lipschitz example.
     space = halfplane_quotient(INF, 1.0)
 
@@ -679,14 +676,14 @@ def universality_suite(seed: int | None = None, pairs: int = 200) -> dict:
         excess = abs(total - other) - 2.0 * wasserstein_value(alpha, beta, 1.0)
         bound.see(excess,
                   lambda: {"alpha": repr(alpha), "beta": repr(beta), "excess": excess})
-    checks.append(bound.check("extension-norm-bound", VALUE_TOL))
+    yield bound.check("extension-norm-bound", VALUE_TOL)
 
     # The bound is attained: one unit-persistence point against nothing.
     alpha = diagram_from_list([(0.0, 2.0)], space)
     attained = abs(extend_lipschitz(persistence, alpha, REAL_LINE, 1.0))
     ok = abs(attained - 2.0 * wasserstein_value(alpha, empty_diagram(space), 1.0)) \
         <= VALUE_TOL
-    checks.append(_check("extension-norm-attained", ok, {"value": attained}))
+    yield _check("extension-norm-attained", ok, {"value": attained})
 
     # On a finite space the Lipschitz norm is exact, and the extension of a
     # random map attains it on singleton diagrams.
@@ -712,7 +709,7 @@ def universality_suite(seed: int | None = None, pairs: int = 200) -> dict:
         if abs(best_ratio - norm) > VALUE_TOL:
             excess.see(INF, lambda: {"reason": "norm not attained on points",
                                      "norm": norm, "best_ratio": best_ratio})
-    checks.append(excess.check("finite-extension-norm", VALUE_TOL))
+    yield excess.check("finite-extension-norm", VALUE_TOL)
 
     # Maximality: any W_q with q >= p passes, and a scaled-up candidate is
     # rejected for breaking the 1-Lipschitz precondition.
@@ -724,7 +721,7 @@ def universality_suite(seed: int | None = None, pairs: int = 200) -> dict:
 
         report = check_maximality(base, rho, 1.0, max_size=2,
                                   rng=_rng(seed, f"universality/max/q{q:g}"))
-        checks.append(Report(f"maximality[W_{q:g}]", report.status, report.witness))
+        yield Report(f"maximality[W_{q:g}]", report.status, report.witness)
 
     def doubled(a: Diagram, b: Diagram) -> float:
         return 2.0 * wasserstein_value(a, b, 1.0)
@@ -732,8 +729,8 @@ def universality_suite(seed: int | None = None, pairs: int = 200) -> dict:
     report = check_maximality(base, doubled, 1.0, max_size=2,
                               rng=_rng(seed, "universality/max/doubled"))
     ok = report.status == "precondition_failed"
-    checks.append(_check("maximality-rejects-oversized", ok,
-                         {"status": report.status, "witness": report.witness}))
+    yield _check("maximality-rejects-oversized", ok,
+                 {"status": report.status, "witness": report.witness})
 
     # Restriction trichotomy: being p-strengthened and being recovered by
     # restriction are the same property, on raw and strengthened spaces.
@@ -748,21 +745,19 @@ def universality_suite(seed: int | None = None, pairs: int = 200) -> dict:
                 if not report.ok:
                     agree = False
                     witness = {"p": p, "witness": report.witness}
-    checks.append(_check("restriction-trichotomy", agree, witness))
-    return _suite_report("universality", seed, checks)
+    yield _check("restriction-trichotomy", agree, witness)
 
 
 # ---------------------------------------------------------------------------
 # converse-stability
 
 
-def converse_stability_suite(seed: int | None = None, pairs: int = 200) -> dict:
+@_suite("converse-stability")
+def converse_stability_suite(seed: int, pairs: int = 200) -> Iterator[Report]:
     """Interleaving-flavored stability: the interleaving distance on interval
     modules is the infinity-strengthening of the Hausdorff picture, and any
     metric obtained by restricting a subadditive diagram metric is again
     bounded by the Wasserstein distance it induces."""
-    seed = resolve_seed(seed)
-    checks: list[Report] = []
     module_space = IntervalModuleSpace()
     hausdorff_space = IntervalSpace("hausdorff")
 
@@ -786,7 +781,7 @@ def converse_stability_suite(seed: int | None = None, pairs: int = 200) -> dict:
         y = module_space.sample_point(rng)
         diff = abs(strengthened.dist(x, y) - interval_interleaving(x, y))
         gap.see(diff, lambda: {"x": repr(x), "y": repr(y), "gap": diff})
-    checks.append(gap.check("interleaving-is-strengthened-hausdorff", VALUE_TOL))
+    yield gap.check("interleaving-is-strengthened-hausdorff", VALUE_TOL)
 
     # Interleaving never exceeds Hausdorff, so neither do the diagram metrics.
     rng = _rng(seed, "converse/stability")
@@ -804,7 +799,7 @@ def converse_stability_suite(seed: int | None = None, pairs: int = 200) -> dict:
                    lambda: {"points": [repr(p) for p in points],
                             "others": [repr(p) for p in others],
                             "interleaving": soft, "hausdorff": hard})
-    checks.append(excess.check("interleaving-below-hausdorff", VALUE_TOL))
+    yield excess.check("interleaving-below-hausdorff", VALUE_TOL)
 
     # Restricting a subadditive diagram metric and rebuilding W_p can only
     # grow: rho <= W_p[i* rho].  Checked for rho = W_inf over finite spaces.
@@ -818,20 +813,18 @@ def converse_stability_suite(seed: int | None = None, pairs: int = 200) -> dict:
         report = converse_stability(base, rho, p,
                                     rng=_rng(seed, f"converse/rt/p{p:g}"),
                                     sample_diagrams=max(10, pairs // 10))
-        checks.append(Report(f"converse-stability[p={p:g}]", report.status,
-                             report.witness))
-    return _suite_report("converse-stability", seed, checks)
+        yield Report(f"converse-stability[p={p:g}]", report.status,
+                     report.witness)
 
 
 # ---------------------------------------------------------------------------
 # word metric
 
 
-def word_metric_suite(seed: int | None = None, max_order: int = 12) -> dict:
+@_suite("word-metric")
+def word_metric_suite(seed: int, max_order: int = 12) -> Iterator[Report]:
     """The BFS word metric against its realization as a minimum of W_1 over
     the star space, exhaustively over small cyclic groups and Z2 x Z2."""
-    seed = resolve_seed(seed)
-    checks: list[Report] = []
     for n in range(2, max_order + 1):
         group = FiniteAbelianGroup((n,))
         generators = tuple(dict.fromkeys(((1 % n,), ((-1) % n,))))
@@ -846,7 +839,7 @@ def word_metric_suite(seed: int | None = None, max_order: int = 12) -> dict:
                 gap.see(abs(direct - realized),
                         lambda: {"n": n, "g": g, "h": h, "bfs": direct,
                                  "wasserstein": realized})
-        checks.append(gap.check(f"cyclic[{n}]", 0.0))
+        yield gap.check(f"cyclic[{n}]", 0.0)
 
     group = FiniteAbelianGroup((2, 2))
     generators = tuple(g for g in group.elements() if g != group.zero)
@@ -857,27 +850,11 @@ def word_metric_suite(seed: int | None = None, max_order: int = 12) -> dict:
             realized = word_metric_via_wasserstein(group, generators, g, h, 2)
             gap.see(abs(direct - realized),
                     lambda: {"g": g, "h": h, "bfs": direct, "wasserstein": realized})
-    checks.append(gap.check("klein-four", 0.0))
-    return _suite_report("word-metric", seed, checks)
+    yield gap.check("klein-four", 0.0)
 
 
 # ---------------------------------------------------------------------------
 # registry
-
-
-SUITES: dict[str, Callable[..., dict]] = {
-    "metric-axioms": metric_axioms_suite,
-    "padding": padding_suite,
-    "subadditivity": subadditivity_suite,
-    "monotonicity": monotonicity_suite,
-    "oracle": oracle_suite,
-    "duality": duality_suite,
-    "strengthening": strengthening_suite,
-    "quotient-reduced": quotient_reduced_suite,
-    "universality": universality_suite,
-    "converse-stability": converse_stability_suite,
-    "word-metric": word_metric_suite,
-}
 
 
 def run_suite(name: str, seed: int | None = None, samples: int | None = None) -> dict:

@@ -10,9 +10,9 @@ it is solved on the n left atoms against the m right atoms plus one
 diagonal column that any number of rows may take (the "diagonal as one
 extra node" of hera and gudhi), and the permutation and duals are lifted
 back to the padded matrix.  The square solve remains for infinite
-basepoint costs (immortal atoms), for the underflow re-solve, and for an
-optimum too small next to the basepoint costs to survive their
-subtraction.
+basepoint costs (immortal atoms).  An optimum too small next to the
+basepoint costs to survive their subtraction, or small enough to underflow,
+is re-solved on the square matrix scaled by a bound on the optimum.
 """
 
 from __future__ import annotations
@@ -162,13 +162,15 @@ def _power_assignment(costs, p: float, n: int | None = None
     The powers are (c / c_max) ** p, which cannot overflow.  When costs is
     padded with the left diagram's n atoms first and every basepoint cost
     is finite, the optimum is solved on n rows and a shared diagonal column
-    (_compact_assignment); otherwise, or when that declines, on the square
-    matrix.  If the optimum then falls to where underflow could decide it,
-    the powers are taken over
+    (_compact_assignment); otherwise on the square matrix.  When the compact
+    solve declines, or an optimum at p > 1 falls to where underflow
+    could decide it, the square matrix is re-solved on powers taken over
     bound = r^(1/p) b instead, b the bottleneck value, with the entries above
     bound forbidden: no optimum uses them, since its lp value is at most
     r^(1/p) b (the 1e-9 margin keeps rounding from forbidding more).  Every
-    kept power is then at most 1 and the optimum about 1/r or more.
+    kept power is then at most 1 and the optimum about 1/r or more; at
+    bound 0 the kept entries are the zeros.  The re-solve's total is in
+    units of bound ** p, so callers read values off costs.
     """
     r = len(costs)
     compact = (n is not None and 0 < n < r
@@ -181,15 +183,9 @@ def _power_assignment(costs, p: float, n: int | None = None
             work = _padded_powers(costs, p, top, n)
         else:
             work = [[(c / top) ** p for c in row] for row in costs]
-    result = _compact_assignment(work, n) if compact else None
-    if result is None:
-        result = min_cost_assignment(work)
-    if p == 1.0 or not result.total < r * _UNDERFLOW:
+    result = _compact_assignment(work, n) if compact else min_cost_assignment(work)
+    if result is not None and (p == 1.0 or not result.total < r * _UNDERFLOW):
         return work, result
-    if not any(costs[i][j] for i, j in enumerate(result.permutation)):
-        # The optimum is 0: the optima are the perfect matchings on zeros.
-        work = [[0.0 if c == 0.0 else INF for c in row] for row in costs]
-        return work, AssignmentResult(0.0, result.permutation, (0.0,) * r, (0.0,) * r)
     value, _ = bottleneck_assignment(costs)
     bound = value * (r * (1.0 + 1e-9)) ** (1.0 / p)
     work = [[INF if c > bound else (c / (bound or 1.0)) ** p for c in row] for row in costs]
@@ -204,7 +200,7 @@ def _solve_value(costs, p: float, n: int | None = None) -> float:
         value, _ = bottleneck_assignment(costs)
         return value
     _, result = _power_assignment(costs, p, n)
-    if p == 1.0 or math.isinf(result.total):
+    if math.isinf(result.total):
         return result.total
     r = len(costs)
     return lp_norm([costs[i][result.permutation[i]] for i in range(r)], p)

@@ -219,6 +219,40 @@ def test_distance_nan_interval_endpoint(capsys, tmp_path, p):
     assert err.startswith("error: ")
 
 
+@pytest.mark.parametrize("payload", [[1, 2], "str", 5])
+def test_distance_payload_not_an_object(capsys, tmp_path, halfplane_pair, payload):
+    a, _ = halfplane_pair
+    bad = write(tmp_path, "bad.json", payload)
+    code, out, err = run(capsys, ["distance", a, bad, "--space", "halfplane"])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("closed", ["no", 1, None])
+@pytest.mark.parametrize("side", [2, 3])
+def test_distance_interval_closedness_must_be_boolean(capsys, tmp_path, closed, side):
+    atom = [0, 1, True, False]
+    atom[side] = closed
+    a = write(tmp_path, "a.json", {"space": "intervals", "atoms": [[[0, 1, True, True], 1]]})
+    b = write(tmp_path, "b.json", {"space": "intervals", "atoms": [[atom, 1]]})
+    code, out, err = run(capsys, ["distance", a, b, "--space", "intervals"])
+    assert (code, out) == (2, "")
+    assert "malformed" in err
+
+
+@pytest.mark.parametrize("p", ["1", "2", "inf"])
+def test_finite_space_nan_entry_is_named(capsys, tmp_path, p):
+    spec = write(tmp_path, "space.json", {
+        "id": "finite", "labels": ["o", "a", "b"], "basepoint": "o",
+        "matrix": [[0, "nan", 1], ["nan", 0, 1], [1, 1, 0]],
+    })
+    a = write(tmp_path, "a.json", {"space": "finite", "atoms": [["a", 1]]})
+    b = write(tmp_path, "b.json", {"space": "finite", "atoms": [["b", 1]]})
+    code, out, err = run(capsys, ["distance", a, b, "--space-file", spec, "--p", p])
+    assert (code, out) == (3, "")
+    assert "NaN" in err
+
+
 @pytest.mark.parametrize("samples", [0, -3])
 def test_verify_samples_below_one(capsys, samples):
     from pdmetric.verify import run_suite

@@ -1,10 +1,13 @@
+import json
 import math
 import random
+from pathlib import Path
 
 import pytest
 
 from pdmetric import verify
 from pdmetric.errors import PreconditionError
+from pdmetric.io import dump_json
 from pdmetric.metric_core import INF
 from pdmetric.spaces import halfplane_quotient
 from pdmetric.verify import (
@@ -39,6 +42,12 @@ SMALL = {
 }
 
 
+# The reports of test_each_suite_passes, one per suite in SUITES order.  A
+# passing check carries only its name and status, so the file pins which
+# checks each suite runs and in what order.
+GOLDEN_SMALL = Path(__file__).parent / "golden" / "verify-small.json"
+
+
 @pytest.mark.parametrize("name", sorted(SUITES))
 def test_each_suite_passes(name):
     report = run_suite(name, seed=4, samples=SMALL[name])
@@ -46,6 +55,8 @@ def test_each_suite_passes(name):
     assert report["passed"], [c for c in report["checks"] if c["status"] != "pass"]
     assert report["seed"] == 4
     assert report["checks"]
+    [expected] = [r for r in json.loads(GOLDEN_SMALL.read_text()) if r["suite"] == name]
+    assert json.loads(dump_json(report)) == expected
 
 
 def test_resolve_seed_precedence(monkeypatch):
