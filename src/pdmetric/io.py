@@ -89,7 +89,7 @@ SPACES = {
     "halfplane": (["q", "p", "extended"], lambda spec: HalfPlaneSpace(
         parse_float(spec.get("q", INF)),
         parse_float(spec.get("p", 1.0)),
-        bool(spec.get("extended", False)),
+        spec.get("extended", False),
     )),
     "intervals": (["metric_kind"], lambda spec: IntervalSpace(
         spec.get("metric_kind", "hausdorff"),

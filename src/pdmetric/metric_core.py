@@ -120,6 +120,14 @@ class PointedSpace(MetricSpace):
 
     basepoint: object
 
+    def pairwise(self, xs: Sequence, ys: Sequence) -> tuple:
+        """(rows, xs_base, ys_base): rows[i][j] = dist(xs[i], ys[j]) and each
+        point's dist to the basepoint, as floats in fresh lists."""
+        dist = self.dist
+        x0 = self.basepoint
+        rows = [[float(dist(x, y)) for y in ys] for x in xs]
+        return rows, [float(dist(x, x0)) for x in xs], [float(dist(y, x0)) for y in ys]
+
 
 @dataclass(frozen=True)
 class CollapsedClass:
@@ -202,7 +210,7 @@ class QuotientSpace(PointedSpace):
     to the new basepoint.  sd must be compatible with d in the sense
     sd(x) <= d(x, y) + sd(y), which makes the result a pseudometric again.
     A point at sd 0 is the basepoint class, so dist evaluates sd once per
-    point and needs no canonical form of its arguments.
+    point (pairwise once per listed point) and needs no canonical form.
     """
 
     def __init__(self, ambient: MetricSpace, subset_dist: Callable, p, *,
@@ -227,14 +235,27 @@ class QuotientSpace(PointedSpace):
     def contains(self, x) -> bool:
         return x == self.basepoint or self.ambient.contains(x)
 
-    def dist(self, x, y) -> float:
-        sx = 0.0 if x == self.basepoint else float(self.subset_dist(x))
-        sy = 0.0 if y == self.basepoint else float(self.subset_dist(y))
+    def _sd(self, x) -> float:
+        return 0.0 if x == self.basepoint else float(self.subset_dist(x))
+
+    def _joined(self, x, y, sx: float, sy: float) -> float:
+        """dist(x, y) given sx = sd(x) and sy = sd(y)."""
         if sx == 0.0:
             return sy
         if sy == 0.0:
             return sx
-        return min(self.ambient.dist(x, y), lp_norm((sx, sy), self.p))
+        return min(float(self.ambient.dist(x, y)), lp_norm((sx, sy), self.p))
+
+    def dist(self, x, y) -> float:
+        return self._joined(x, y, self._sd(x), self._sd(y))
+
+    def pairwise(self, xs, ys):
+        xs_base = [self._sd(x) for x in xs]
+        ys_base = [self._sd(y) for y in ys]
+        joined = self._joined
+        rows = [[joined(x, y, sx, sy) for y, sy in zip(ys, ys_base)]
+                for x, sx in zip(xs, xs_base)]
+        return rows, xs_base, ys_base
 
     def sort_key(self, x):
         if x == self.basepoint:

@@ -44,8 +44,10 @@ class HalfPlane(MetricSpace):
     """Points (b, d) with b <= d under the lq metric; no basepoint yet."""
 
     def __init__(self, q, extended: bool = False):
+        if not isinstance(extended, bool):
+            raise TypeError(f"extended must be true or false, got {extended!r}")
         self.q = as_exponent(q)
-        self.extended = bool(extended)
+        self.extended = extended
 
     @property
     def signature(self) -> tuple:

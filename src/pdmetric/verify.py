@@ -514,7 +514,7 @@ def duality_suite(seed: int, instances: int = 200, *,
         # so it is exercised on the first candidate only.
         support = sorted(set(alpha.expand()) | set(beta.expand())
                          | {space.basepoint}, key=space.sort_key)
-        dists = [[space.dist(x, y) for y in support] for x in support]
+        dists = space.pairwise(support, support)[0]
         for k in range(candidates_per_instance):
             candidate = _random_lipschitz_candidate(support, dists, rng)
             if k == 0 and index < 20:

@@ -2,8 +2,11 @@
 
 Both diagrams are padded with copies of the basepoint so that each side
 has r = n + m entries, and the distance is the minimum over permutations
-of the lp combination of matched ground distances.  p = inf is the
-bottleneck (minimax) problem, solved by threshold search on that matrix.
+of the lp combination of matched ground distances.  The ground distances
+come from the space's pairwise hook, so a quotient space reads each atom's
+distance to the collapsed subset once per matrix; a NaN or negative one
+is a DomainError.  p = inf is the bottleneck (minimax) problem, solved by
+threshold search on that matrix.
 For finite p the assignment runs on the entrywise p-th powers.  Its m pad
 rows are copies of one row and its n pad columns copies of one column, so
 it is solved on the n left atoms against the m right atoms plus one
@@ -66,30 +69,27 @@ def _require_same_space(alpha: Diagram, beta: Diagram) -> None:
         raise DomainError("diagrams live over different spaces")
 
 
-def _padded_costs(alpha: Diagram, beta: Diagram, dist, to_base) -> list[list[float]]:
-    """(n+m) x (n+m) matrix: atoms of alpha + pads vs atoms of beta + pads."""
-    left = alpha.expand()
-    right = beta.expand()
-    n, m = len(left), len(right)
-    left_base = [float(to_base(x)) for x in left]
-    right_base = [float(to_base(y)) for y in right]
-    costs: list[list[float]] = []
-    for i in range(n):
-        x = left[i]
-        row = [float(dist(x, y)) for y in right]
-        row.extend([left_base[i]] * n)
-        costs.append(row)
-    for _ in range(m):
-        costs.append(right_base + [0.0] * n)
-    if math.isnan(sum(map(sum, costs))):  # one C-level pass; distances are >= 0
+def _padded_costs(rows, left_base, right_base) -> list[list[float]]:
+    """(n+m) x (n+m) matrix: atoms of alpha + pads vs atoms of beta + pads.
+
+    rows is the n x m matrix of atom-to-atom ground distances, which this
+    extends in place; left_base and right_base are the atoms' distances to
+    the basepoint.  A NaN or negative ground distance is a DomainError.
+    """
+    n = len(rows)
+    for row, a in zip(rows, left_base):
+        row.extend([a] * n)
+    rows.extend(right_base + [0.0] * n for _ in right_base)
+    # One C-level pass each.  NaN compares false, so min cannot report it.
+    if rows and min(map(min, rows)) < 0.0:
+        raise DomainError("a ground distance is negative")
+    if math.isnan(sum(map(sum, rows))):
         raise DomainError("a ground distance is NaN")
-    return costs
+    return rows
 
 
 def _space_costs(alpha: Diagram, beta: Diagram) -> list[list[float]]:
-    space = alpha.space
-    x0 = space.basepoint
-    return _padded_costs(alpha, beta, space.dist, lambda x: space.dist(x, x0))
+    return _padded_costs(*alpha.space.pairwise(alpha.expand(), beta.expand()))
 
 
 # Each power that underflows loses at most the smallest normal float, so
@@ -312,5 +312,8 @@ def wasserstein_quotient_reduced(alpha: Diagram, beta: Diagram, p, *,
         raise PreconditionError(
             f"quotient exponent {space.p} does not match requested p = {p}"
         )
-    costs = _padded_costs(alpha, beta, ambient_dist, subset_dist)
+    left, right = alpha.expand(), beta.expand()
+    rows = [[float(ambient_dist(x, y)) for y in right] for x in left]
+    costs = _padded_costs(rows, [float(subset_dist(x)) for x in left],
+                          [float(subset_dist(y)) for y in right])
     return _solve_value(costs, p, alpha.size)

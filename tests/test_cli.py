@@ -210,6 +210,17 @@ def test_malformed_space_spec_is_domain_error(capsys, tmp_path, halfplane_pair, 
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("extended", ["false", "true", 0, 1, None])
+def test_halfplane_extended_must_be_boolean(capsys, tmp_path, extended):
+    spec = write(tmp_path, "space.json", {"id": "halfplane", "q": 2, "p": 1,
+                                          "extended": extended})
+    a = write(tmp_path, "a.json", {"space": "halfplane", "atoms": [[[0, "inf"], 1]]})
+    b = write(tmp_path, "b.json", {"space": "halfplane", "atoms": [[[0, 1], 1]]})
+    code, out, err = run(capsys, ["distance", a, b, "--space-file", spec, "--p", "1"])
+    assert (code, out) == (3, "")
+    assert "malformed halfplane space spec" in err
+
+
 @pytest.mark.parametrize("p", ["1", "2", "inf"])
 def test_distance_nan_interval_endpoint(capsys, tmp_path, p):
     a = write(tmp_path, "a.json", {"space": "intervals", "atoms": [[[0, 1, True, True], 1]]})

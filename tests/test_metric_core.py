@@ -20,8 +20,22 @@ from pdmetric.metric_core import (
     quotient_metric,
     remetrize,
 )
-from pdmetric.spaces import HalfPlane, halfplane_diag_dist, halfplane_quotient
+from pdmetric.diagram import diagram_from_list
+from pdmetric.spaces import (
+    DISSIMILARITY,
+    EMPTY_INTERVAL,
+    HAUSDORFF,
+    AnagramSpace,
+    HalfPlane,
+    Interval,
+    IntervalModuleSpace,
+    IntervalSpace,
+    StarGraphSpace,
+    halfplane_diag_dist,
+    halfplane_quotient,
+)
 from pdmetric.verify import DEFAULT_SEED, _rng, random_finite_space
+from pdmetric.wasserstein import _space_costs
 
 finite_values = st.lists(st.floats(0.0, 100.0), max_size=8)
 exponents = st.one_of(st.floats(1.0, 20.0), st.just(INF))
@@ -217,6 +231,12 @@ def test_p_strengthen_no_op_when_direct_route_shorter():
     assert p_strengthen(space, 1.0).dist("a", "b") == 0.5
 
 
+# Half-plane points on and off the diagonal, then extended ones.
+HALFPLANE_POINTS = [(3.0, 3.0), (-1.0, -1.0), (0.0, 2.0), (10.0, 12.0), (2.0, 2.0), (0.5, 4.0)]
+EXTENDED_POINTS = HALFPLANE_POINTS + [(INF, INF), (0.0, INF), (-2.5, INF), (-INF, 1.0),
+                                      (-INF, INF)]
+
+
 def _two_pass_quotient_dist(quot, x, y):
     """The quotient distance by definition: canonicalize, then compute."""
     x, y = quot.canonical(x), quot.canonical(y)
@@ -250,11 +270,9 @@ def test_quotient_metric_collapses_subset(rng):
     # collapsed-set points, extended points with infinite death and the
     # finite-space quotient that the metric-axioms suite builds.
     finite = random_finite_space(_rng(DEFAULT_SEED, "axioms/finite"), size=5)
-    fixed = [(3.0, 3.0), (-1.0, -1.0), (0.0, 2.0), (10.0, 12.0)]
-    extended = fixed + [(INF, INF), (0.0, INF), (-2.5, INF), (-INF, 1.0), (-INF, INF)]
     for p in (1.0, 2.0, 3.5, INF):
-        cases = [(halfplane_quotient(q, p), fixed) for q in (1.0, 2.0, INF)]
-        cases += [(halfplane_quotient(q, p, extended=True), extended)
+        cases = [(halfplane_quotient(q, p), HALFPLANE_POINTS) for q in (1.0, 2.0, INF)]
+        cases += [(halfplane_quotient(q, p, extended=True), EXTENDED_POINTS)
                   for q in (1.0, 2.0, INF)]
         cases.append((quotient_metric(finite, lambda x: finite.dist(x, "x1"), p,
                                       label="x1-class"), list(finite.labels)))
@@ -264,6 +282,49 @@ def test_quotient_metric_collapses_subset(rng):
             for x in points:
                 for y in points:
                     assert quot.dist(x, y) == _two_pass_quotient_dist(quot, x, y)
+
+
+def _pairwise_cases():
+    finite = random_finite_space(_rng(DEFAULT_SEED, "axioms/finite"), size=5)
+    labels = list(finite.labels)
+    intervals = [Interval(0.0, 1.0), Interval(-1.0, 2.5, False, True), Interval(0.0, INF),
+                 Interval(1.0, 1.0, True, False), Interval(-INF, 3.0), EMPTY_INTERVAL]
+    cases = [(finite, labels)]
+    for p in (1.0, 2.0, 3.5, INF):
+        for q in (1.0, 2.0, INF):
+            cases.append((halfplane_quotient(q, p), HALFPLANE_POINTS))
+            cases.append((halfplane_quotient(q, p, extended=True), EXTENDED_POINTS))
+        cases.append((quotient_metric(finite, lambda x: finite.dist(x, "x1"), p,
+                                      label="x1-class"), labels))
+        cases.append((p_strengthen(finite, p), labels))
+    cases.append((remetrize(finite, lambda x, y: abs(finite.sort_key(x) - finite.sort_key(y))),
+                  labels))
+    cases += [(IntervalSpace(HAUSDORFF), intervals), (IntervalSpace(DISSIMILARITY), intervals),
+              (IntervalModuleSpace(), intervals)]
+    cases.append((AnagramSpace(), ["a", "b", " ", "a", "Z"]))
+    cases.append((StarGraphSpace([1, 2, 3], 0), [0, 1, 2, 3, 2]))
+    return cases
+
+
+def test_pairwise_matches_dist(rng):
+    """pairwise is dist on every pair and against the basepoint, exactly;
+    _space_costs is the padded matrix of the per-pair definition."""
+    for space, points in _pairwise_cases():
+        x0 = space.basepoint
+        xs = points + [x0] + [space.sample_point(rng) for _ in range(4)]
+        ys = xs[::-1]
+        rows, xs_base, ys_base = space.pairwise(xs, ys)
+        assert rows == [[space.dist(x, y) for y in ys] for x in xs]
+        assert xs_base == [space.dist(x, x0) for x in xs]
+        assert ys_base == [space.dist(y, x0) for y in ys]
+
+        alpha = diagram_from_list(xs[:6], space)
+        beta = diagram_from_list(ys[:5], space)
+        left, right = alpha.expand(), beta.expand()
+        n = len(left)
+        expected = [[space.dist(x, y) for y in right] + [space.dist(x, x0)] * n for x in left]
+        expected += [[space.dist(y, x0) for y in right] + [0.0] * n for _ in right]
+        assert _space_costs(alpha, beta) == expected
 
 
 def test_quotient_metric_direct_route_wins_nearby():

@@ -310,3 +310,14 @@ def test_nan_ground_distance_is_domain_error(p):
     for solve in (wasserstein_value, wasserstein):
         with pytest.raises(DomainError, match="NaN"):
             solve(alpha, beta, p)
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, INF])
+def test_negative_ground_distance_is_domain_error(p):
+    labels = ["o", "x1", "x2", "x3"]
+    finite = FiniteSpace(labels, [[0.0 if i == j else 1.0 for j in labels] for i in labels], "o")
+    space = remetrize(finite, lambda x, y: 0.0 if x == y else -1.0)
+    alpha, beta = diagrams(space, ["x1", "x2"], ["x3"])
+    for solve in (wasserstein_value, wasserstein, brute_force_wasserstein):
+        with pytest.raises(DomainError, match="negative"):
+            solve(alpha, beta, p)
