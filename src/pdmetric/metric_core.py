@@ -50,7 +50,9 @@ def as_exponent(p) -> float:
 
 
 def parse_float(obj) -> float:
-    """A float from JSON, where the strings "inf" and "-inf" stand for +-inf."""
+    """A float from JSON, where "inf" and "-inf" stand for +-inf; a bool is no number."""
+    if isinstance(obj, bool):
+        raise TypeError(f"{obj!r} is not a number")
     if obj == "inf":
         return INF
     if obj == "-inf":
@@ -105,7 +107,7 @@ class MetricSpace(ABC):
     def sample_point(self, rng): ...
 
     def canonical(self, x):
-        """Normal form of a point; identity except in quotient spaces."""
+        """Normal form of a point; the identity unless the space identifies points."""
         return x
 
     def point_to_json(self, x):
@@ -272,26 +274,12 @@ class QuotientSpace(PointedSpace):
         return self.canonical(self.ambient.point_from_json(obj))
 
 
-class StrengthenedSpace(PointedSpace):
-    """Same points as the base space, distance capped by the lp route
-    through the basepoint: min(d(x, y), ||(d(x, x0), d(x0, y))||_p)."""
+class SamePointSpace(PointedSpace):
+    """The points and basepoint of a base space; subclasses give dist and signature."""
 
-    def __init__(self, base: PointedSpace, p):
+    def __init__(self, base: PointedSpace):
         self.base = base
-        self.p = as_exponent(p)
         self.basepoint = base.basepoint
-
-    @property
-    def signature(self) -> tuple:
-        return ("strengthened", self.base.signature, self.p)
-
-    def dist(self, x, y) -> float:
-        d = self.base.dist(x, y)
-        through = lp_norm(
-            (self.base.dist(x, self.basepoint), self.base.dist(self.basepoint, y)),
-            self.p,
-        )
-        return min(d, through)
 
     def contains(self, x) -> bool:
         return self.base.contains(x)
@@ -312,10 +300,30 @@ class StrengthenedSpace(PointedSpace):
         return self.base.point_from_json(obj)
 
 
-class ProductSpace(MetricSpace):
+class StrengthenedSpace(SamePointSpace):
+    """The base space's points under min(d(x, y), ||(d(x, x0), d(x0, y))||_p)."""
+
+    def __init__(self, base: PointedSpace, p):
+        super().__init__(base)
+        self.p = as_exponent(p)
+
+    @property
+    def signature(self) -> tuple:
+        return ("strengthened", self.base.signature, self.p)
+
+    def dist(self, x, y) -> float:
+        d = self.base.dist(x, y)
+        through = lp_norm(
+            (self.base.dist(x, self.basepoint), self.base.dist(self.basepoint, y)),
+            self.p,
+        )
+        return min(d, through)
+
+
+class ProductSpace(PointedSpace):
     """Pairs (x, y) with D_p((x, y), (x', y')) = ||(d_X(x, x'), d_Y(y, y'))||_p.
 
-    Pointed at (x0, y0) when both factors are pointed.
+    Pointed at (x0, y0) when both factors are pointed; canonical coordinatewise.
     """
 
     def __init__(self, left: MetricSpace, right: MetricSpace, p):
@@ -342,6 +350,9 @@ class ProductSpace(MetricSpace):
             and self.right.contains(x[1])
         )
 
+    def canonical(self, x):
+        return (self.left.canonical(x[0]), self.right.canonical(x[1]))
+
     def sort_key(self, x):
         return (self.left.sort_key(x[0]), self.right.sort_key(x[1]))
 
@@ -349,18 +360,13 @@ class ProductSpace(MetricSpace):
         return (self.left.sample_point(rng), self.right.sample_point(rng))
 
 
-class RemetrizedSpace(PointedSpace):
-    """A pointed space with its distance function swapped out.
-
-    Used to study alternative metrics (pullbacks, raw ambient metrics) on an
-    existing point set without re-describing the points.
-    """
+class RemetrizedSpace(SamePointSpace):
+    """The base space's points under another distance (a pullback, a raw ambient metric)."""
 
     def __init__(self, base: PointedSpace, dist_fn: Callable, label: str = "remetrized"):
-        self.base = base
+        super().__init__(base)
         self._dist = dist_fn
         self.label = label
-        self.basepoint = base.basepoint
 
     @property
     def signature(self) -> tuple:
@@ -368,24 +374,6 @@ class RemetrizedSpace(PointedSpace):
 
     def dist(self, x, y) -> float:
         return float(self._dist(x, y))
-
-    def contains(self, x) -> bool:
-        return self.base.contains(x)
-
-    def canonical(self, x):
-        return self.base.canonical(x)
-
-    def sort_key(self, x):
-        return self.base.sort_key(x)
-
-    def sample_point(self, rng):
-        return self.base.sample_point(rng)
-
-    def point_to_json(self, x):
-        return self.base.point_to_json(x)
-
-    def point_from_json(self, obj):
-        return self.base.point_from_json(obj)
 
 
 def quotient_metric(space: MetricSpace, subset_dist: Callable, p, *,

@@ -85,6 +85,8 @@ class HalfPlane(MetricSpace):
         return [x[0], x[1]]
 
     def point_from_json(self, obj):
+        if not (isinstance(obj, list) and len(obj) == 2):
+            raise ValueError(f"half-plane point {obj!r} is not a [birth, death] array")
         point = (parse_float(obj[0]), parse_float(obj[1]))
         if not self.contains(point):
             raise DomainError(f"{obj!r} is not a half-plane point")
@@ -267,6 +269,8 @@ class IntervalSpace(PointedSpace):
         return [x.left, x.right, x.left_closed, x.right_closed]
 
     def point_from_json(self, obj):
+        if not (isinstance(obj, list) and len(obj) == 4):
+            raise ValueError(f"interval {obj!r} is not a [left, right, closed, closed] array")
         closed = obj[2], obj[3]
         if not all(isinstance(c, bool) for c in closed):
             raise ValueError(f"interval closedness {list(closed)!r} is not true/false")

@@ -251,6 +251,30 @@ def test_distance_interval_closedness_must_be_boolean(capsys, tmp_path, closed, 
     assert "malformed" in err
 
 
+@pytest.mark.parametrize("space, atom, spec, expected", [
+    ("halfplane", [[True, 2.0], 1], None, 2),
+    ("halfplane", ["12", 1], None, 2),
+    ("halfplane", [[1.0, 2.0, 99], 1], None, 2),
+    ("intervals", [[False, 2.0, True, True], 1], None, 2),
+    ("intervals", [[0.0, 2.0, True, True, "x"], 1], None, 2),
+    ("halfplane", [[1.0, 2.0], 1], {"id": "halfplane", "q": True, "p": True}, 3),
+    ("finite", ["a", 1], {"id": "finite", "labels": ["o", "a"], "basepoint": "o",
+                          "matrix": [[0, True], [True, 0]]}, 3),
+], ids=["bool-birth", "string-point", "three-coordinates", "bool-endpoint",
+        "five-fields", "bool-exponents", "bool-matrix"])
+def test_json_booleans_and_point_shapes_are_malformed(capsys, tmp_path, space, atom, spec,
+                                                       expected):
+    """A JSON boolean is not a number, and a point has its exact array shape."""
+    good = {"halfplane": [[1.0, 2.0], 1], "intervals": [[0.0, 2.0, True, True], 1],
+            "finite": ["a", 1]}[space]
+    a = write(tmp_path, "a.json", {"space": space, "atoms": [atom]})
+    b = write(tmp_path, "b.json", {"space": space, "atoms": [good]})
+    flags = ["--space-file", write(tmp_path, "space.json", spec)] if spec else ["--space", space]
+    code, out, err = run(capsys, ["distance", a, b, *flags, "--p", "1"])
+    assert (code, out) == (expected, "")
+    assert "malformed" in err and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("p", ["1", "2", "inf"])
 def test_finite_space_nan_entry_is_named(capsys, tmp_path, p):
     spec = write(tmp_path, "space.json", {

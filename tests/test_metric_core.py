@@ -20,7 +20,8 @@ from pdmetric.metric_core import (
     quotient_metric,
     remetrize,
 )
-from pdmetric.diagram import diagram_from_list
+from pdmetric.diagram import diagram_from_list, empty_diagram
+from pdmetric.kr_duality import feasibility_violation, kr_certificate
 from pdmetric.spaces import (
     DISSIMILARITY,
     EMPTY_INTERVAL,
@@ -35,7 +36,12 @@ from pdmetric.spaces import (
     halfplane_quotient,
 )
 from pdmetric.verify import DEFAULT_SEED, _rng, random_finite_space
-from pdmetric.wasserstein import _space_costs
+from pdmetric.wasserstein import (
+    _space_costs,
+    brute_force_wasserstein,
+    wasserstein,
+    wasserstein_value,
+)
 
 finite_values = st.lists(st.floats(0.0, 100.0), max_size=8)
 exponents = st.one_of(st.floats(1.0, 20.0), st.just(INF))
@@ -367,6 +373,57 @@ def test_product_metric():
     assert prod.dist(("a", "a"), ("b", "b")) == pytest.approx(math.sqrt(13.0))
     assert prod.dist(("a", "a"), ("a", "b")) == 3.0
     assert prod.basepoint == ("o", "o")
+
+
+def _composed_spaces():
+    """Pointed spaces built from pointed spaces: products, a strengthened
+    product and a remetrized strengthening."""
+    finite = FiniteSpace(["o", "a", "b"], [[0, 1, 2], [1, 0, 1.5], [2, 1.5, 0]], "o")
+    prod = product_metric(halfplane_quotient(INF, 1.0), finite, 2.0)
+    strong = p_strengthen(prod, INF)
+    return {
+        "halfplane-x-finite": prod,
+        "halfplane-x-halfplane": product_metric(
+            halfplane_quotient(INF, 1.0), halfplane_quotient(2.0, 2.0), 1.0),
+        "strengthened-product": strong,
+        "remetrized-strengthening": remetrize(
+            strong, lambda x, y: 0.5 * strong.dist(x, y), "half"),
+    }
+
+
+@pytest.mark.parametrize("name", list(_composed_spaces()))
+def test_composed_pointed_spaces_solve(rng, name):
+    """pairwise is dist, the solver meets the oracle and the W_1 certificate
+    closes on products, strengthenings and remetrizations of them."""
+    space = _composed_spaces()[name]
+    x0 = space.basepoint
+    for _ in range(6):
+        xs = [space.sample_point(rng) for _ in range(rng.randint(0, 4))]
+        ys = [space.sample_point(rng) for _ in range(rng.randint(0, 4))]
+        rows, xs_base, ys_base = space.pairwise(xs + [x0], ys)
+        assert rows == [[space.dist(x, y) for y in ys] for x in xs + [x0]]
+        assert xs_base == [space.dist(x, x0) for x in xs + [x0]]
+        assert ys_base == [space.dist(y, x0) for y in ys]
+
+        alpha, beta = diagram_from_list(xs, space), diagram_from_list(ys, space)
+        for p in (1.0, 2.0, INF):
+            expected = brute_force_wasserstein(alpha, beta, p)
+            assert wasserstein_value(alpha, beta, p) == pytest.approx(expected, rel=1e-9)
+            assert wasserstein(alpha, beta, p)[0] == pytest.approx(expected, rel=1e-9)
+        cert = kr_certificate(alpha, beta)
+        assert abs(cert.primal_value - cert.dual_value) <= 1e-8
+        assert feasibility_violation(cert) <= 1e-12
+
+
+def test_product_basepoint_class_leaves_the_diagram():
+    """A pair of basepoint-class coordinates is the basepoint of a product."""
+    prod = _composed_spaces()["halfplane-x-finite"]
+    assert prod.canonical(((1.0, 1.0), "o")) == prod.basepoint
+    assert diagram_from_list([((1.0, 1.0), "o")], prod) == empty_diagram(prod)
+    alpha = diagram_from_list([((0.0, 2.0), "a"), ((3.0, 3.0), "o")], prod)
+    beta = diagram_from_list([((1.0, 2.0), "b")], prod)
+    assert alpha.size == 1
+    assert wasserstein_value(alpha, beta, 1.0) == 1.8027756377319948
 
 
 def test_spaces_compare_by_signature():
