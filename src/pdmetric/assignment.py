@@ -9,7 +9,7 @@ hungarian        O(n^2 k) min-cost assignment of the n rows of an n x k matrix
 hopcroft_karp    maximum bipartite matching, optionally grown from a given one;
                  it completes infeasible assignments and runs threshold probes.
 bottleneck_assignment
-                 minimax matching by binary search over the distinct entries.
+                 minimax value by binary search on a padded matrix's atom block.
 lex_smallest_matching
                  the deterministic tie-break: lexicographically smallest perfect
                  matching of the optimal duals' equality subgraph (or of the
@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -228,32 +228,54 @@ def min_cost_assignment(costs, shared: bool = False) -> AssignmentResult:
     return AssignmentResult(total, tuple(perm), tuple(u), tuple(v))
 
 
-def bottleneck_assignment(costs) -> tuple[float, tuple[int, ...]]:
-    """Minimize the maximum matched entry; returns (value, permutation).
+def _ranked(rows, k: int) -> tuple[list[list[int]], list[list[float]]]:
+    """Each row's first k columns sorted by cost, and their costs in that order."""
+    order = [sorted(range(k), key=row.__getitem__) for row in rows]
+    return order, [[row[j] for j in cols] for row, cols in zip(rows, order)]
 
-    Binary search over the distinct entries.  Each probe's graph keeps a
-    prefix of every row's columns sorted by cost, and grows its matching
-    from the last failed probe's, whose entries lie below every later bound.
+
+def bottleneck_assignment(costs, n: int | None = None) -> float:
+    """The least t at which some permutation's entries are all <= t (inf if none).
+
+    When n is given, costs is padded: n atom rows with basepoint costs
+    a_i = costs[i][m], then pad rows of the m right atoms' b_j and zeros.
+    t is feasible iff the atom block at t has a matching covering each row
+    with a_i > t and each column with b_j > t (other atoms take pads, pads
+    take each other at 0).  By Mendelsohn-Dulmage each set may be covered
+    on its own, so a probe runs Hopcroft-Karp on the required rows over
+    their cost-sorted prefixes, then on the required columns, each grown
+    from the last failed probe's matching.  Without n every row is
+    required, which in a square matrix covers every column too.
     """
-    n = len(costs)
-    if n == 0:
-        return 0.0, ()
-    size, best = hopcroft_karp(_finite_adjacency(costs), n)
-    if size < n:
-        return INF, tuple(_complete_greedily(n, best))
-    order = [sorted(range(n), key=row.__getitem__) for row in costs]
-    ranked = [[row[j] for j in cols] for row, cols in zip(costs, order)]
-    values = sorted(set().union(*ranked) - {INF})
-    lo, hi, start = 0, len(values) - 1, None
-    while lo < hi:
-        mid = (lo + hi) // 2
-        adjacency = [cols[:bisect_right(row, values[mid])] for cols, row in zip(order, ranked)]
-        perfect, match = has_perfect_matching(adjacency, n, start)
-        if perfect:
-            hi, best = mid, match
-        else:
-            lo, start = mid + 1, match
-    return values[lo], tuple(best)
+    r = len(costs)
+    if n is None:
+        n, m, a, b = r, r, [INF] * r, []
+    else:
+        m = r - n
+        a = [row[m] for row in costs[:n]]
+        b = costs[n][:m] if m else []
+    rows, cols = costs[:n], [[row[j] for row in costs[:n]] for j in range(len(b))]
+    sides = [(a, *_ranked(rows, m), m, [-1] * n), (b, *_ranked(cols, n), n, [-1] * m)]
+
+    def feasible(t: float) -> bool:
+        runs = []
+        for need, order, ranked, k, start in sides:
+            required = [i for i, x in enumerate(need) if x > t]
+            adjacency = [order[i][:bisect_right(ranked[i], t)] for i in required]
+            perfect, match = has_perfect_matching(adjacency, k, [start[i] for i in required])
+            runs.append((start, required, match))
+            if not perfect:  # later probes are above t, so these matchings stay valid
+                for start, required, match in runs:
+                    for i, j in zip(required, match):
+                        start[i] = j
+                return False
+        return True
+
+    # Binary search over the distinct finite entries (and the pads' 0).
+    values = sorted(set().union(a, b, [0.0], *sides[0][2]) - {INF})
+    if not feasible(values[-1]):
+        return INF
+    return values[bisect_left(values, True, hi=len(values) - 1, key=feasible)]
 
 
 def lex_smallest_matching(adjacency: list[list[int]], perm) -> tuple[int, ...]:

@@ -115,7 +115,8 @@ class SupportFunction:
     """The potentials read as a function on the atoms plus basepoint.
 
     Well defined because feasibility plus tightness force equal potentials
-    on coincident points; construction asserts that.
+    on coincident points; construction asserts that, up to
+    COINCIDENCE_TOLERANCE times the certificate's scale.
     """
 
     space: object
@@ -140,6 +141,8 @@ def support_function(cert: DualCertificate) -> SupportFunction:
     if not cert.has_certificate:
         raise PreconditionError("certificate has no potentials")
     r = cert.r
+    # Potentials round in proportion to the certificate's scale.
+    tol = COINCIDENCE_TOLERANCE * max(1.0, cert.primal_value, *map(abs, cert.y))
     values: dict = {}
     order: list = []
     pairs = list(zip(cert.left_points, cert.y[:r])) + list(
@@ -148,7 +151,7 @@ def support_function(cert: DualCertificate) -> SupportFunction:
     for point, val in pairs:
         key = cert.space.canonical(point)
         if key in values:
-            if abs(values[key] - val) > COINCIDENCE_TOLERANCE:
+            if abs(values[key] - val) > tol:
                 raise AssertionError(
                     f"potentials disagree on coincident point {point!r}: "
                     f"{values[key]} vs {val}"

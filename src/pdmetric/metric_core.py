@@ -323,15 +323,21 @@ class StrengthenedSpace(SamePointSpace):
 class ProductSpace(PointedSpace):
     """Pairs (x, y) with D_p((x, y), (x', y')) = ||(d_X(x, x'), d_Y(y, y'))||_p.
 
-    Pointed at (x0, y0) when both factors are pointed; canonical coordinatewise.
+    Pointed at (x0, y0) when both factors are pointed, else reading the
+    basepoint is a DomainError; canonical coordinatewise.
     """
 
     def __init__(self, left: MetricSpace, right: MetricSpace, p):
         self.left = left
         self.right = right
         self.p = as_exponent(p)
-        if isinstance(left, PointedSpace) and isinstance(right, PointedSpace):
-            self.basepoint = (left.basepoint, right.basepoint)
+
+    @property
+    def basepoint(self):
+        for factor in (self.left, self.right):
+            if not isinstance(factor, PointedSpace):
+                raise DomainError(f"product factor {factor.signature!r} is not pointed")
+        return (self.left.basepoint, self.right.basepoint)
 
     @property
     def signature(self) -> tuple:

@@ -6,7 +6,8 @@ of the lp combination of matched ground distances.  The ground distances
 come from the space's pairwise hook, so a quotient space reads each atom's
 distance to the collapsed subset once per matrix; a NaN or negative one
 is a DomainError.  p = inf is the bottleneck (minimax) problem, solved by
-threshold search on that matrix.
+threshold search on its atom block: a threshold is feasible when the atoms
+farther than it from the basepoint can be matched to atoms within it.
 For finite p the assignment runs on the entrywise p-th powers.  Its m pad
 rows are copies of one row and its n pad columns copies of one column, so
 it is solved on the n left atoms against the m right atoms plus one
@@ -28,9 +29,12 @@ from typing import NamedTuple
 from .assignment import (
     EXHAUSTIVE_LIMIT,
     AssignmentResult,
+    _complete_greedily,
+    _finite_adjacency,
     _threshold_adjacency,
     bottleneck_assignment,
     exhaustive_min,
+    hopcroft_karp,
     lex_smallest_matching,
     min_cost_assignment,
 )
@@ -186,8 +190,7 @@ def _power_assignment(costs, p: float, n: int | None = None
     result = _compact_assignment(work, n) if compact else min_cost_assignment(work)
     if result is not None and (p == 1.0 or not result.total < r * _UNDERFLOW):
         return work, result
-    value, _ = bottleneck_assignment(costs)
-    bound = value * (r * (1.0 + 1e-9)) ** (1.0 / p)
+    bound = bottleneck_assignment(costs, n) * (r * (1.0 + 1e-9)) ** (1.0 / p)
     work = [[INF if c > bound else (c / (bound or 1.0)) ** p for c in row] for row in costs]
     return work, min_cost_assignment(work)
 
@@ -197,8 +200,7 @@ def _solve_value(costs, p: float, n: int | None = None) -> float:
     if not costs:
         return 0.0
     if p == INF:
-        value, _ = bottleneck_assignment(costs)
-        return value
+        return bottleneck_assignment(costs, n)
     _, result = _power_assignment(costs, p, n)
     if math.isinf(result.total):
         return result.total
@@ -217,10 +219,12 @@ def _solve_matching(costs, p: float, n: int | None = None) -> tuple[int, ...]:
     rounding stays far below it either way.
     """
     if p == INF:
-        value, perm = bottleneck_assignment(costs)
+        r = len(costs)
+        value = bottleneck_assignment(costs, n)
         if math.isinf(value):
-            return perm
-        return lex_smallest_matching(_threshold_adjacency(costs, value), perm)
+            return tuple(_complete_greedily(r, hopcroft_karp(_finite_adjacency(costs), r)[1]))
+        adjacency = _threshold_adjacency(costs, value)
+        return lex_smallest_matching(adjacency, hopcroft_karp(adjacency, r)[1])
     work, result = _power_assignment(costs, p, n)
     if math.isinf(result.total):
         return result.permutation

@@ -4,9 +4,11 @@ import random
 
 import pytest
 
+from pdmetric import assignment
 from pdmetric.assignment import (
     EXHAUSTIVE_LIMIT,
     AssignmentResult,
+    _threshold_adjacency,
     bottleneck_assignment,
     exhaustive_min,
     hopcroft_karp,
@@ -14,9 +16,11 @@ from pdmetric.assignment import (
     lex_smallest_matching,
     min_cost_assignment,
 )
+from pdmetric.diagram import diagram_from_list
 from pdmetric.errors import SizeLimitError
 from pdmetric.metric_core import INF, lp_norm
-from pdmetric.wasserstein import _compact_assignment, _solve_matching
+from pdmetric.spaces import HalfPlaneSpace
+from pdmetric.wasserstein import _compact_assignment, _solve_matching, _space_costs
 
 
 def brute_total(costs):
@@ -250,8 +254,10 @@ def test_bottleneck_assignment_on_a_long_augmenting_path():
         if i + 1 < n:
             costs[i][i + 1] = 1.0
     costs[0][1] = 0.0
-    value, perm = bottleneck_assignment(costs)
+    value = bottleneck_assignment(costs)
     assert value == 2.0
+    size, perm = hopcroft_karp(_threshold_adjacency(costs, value), n)
+    assert size == n
     assert max(costs[i][j] for i, j in enumerate(perm)) == 2.0
 
 
@@ -293,18 +299,91 @@ def test_bottleneck_assignment_matches_brute():
     for _ in range(40):
         n = rng.randint(1, 7)
         costs = random_matrix(rng, n, with_inf=0.1)
-        value, perm = bottleneck_assignment(costs)
+        value = bottleneck_assignment(costs)
+        perm = _solve_matching(costs, INF)
+        assert sorted(perm) == list(range(n))
         expected = brute_minimax(costs)
         if math.isinf(expected):
             assert math.isinf(value)
         else:
             assert value == pytest.approx(expected, abs=0.0)
-            # The reported value is attained by the reported permutation.
+            # The value is attained by the matching built at it.
             assert max(costs[i][perm[i]] for i in range(n)) == value
 
 
 def test_bottleneck_empty():
-    assert bottleneck_assignment([]) == (0.0, ())
+    assert bottleneck_assignment([]) == 0.0
+    assert bottleneck_assignment([], 0) == 0.0
+
+
+def bottleneck_instances(rng, count):
+    """Tie-heavy (costs, n) pairs, n + m <= 9.  Padded matrices of integer-grid
+    half-plane diagrams, some with immortal points (infinite basepoint and
+    cross costs) and some with an empty side; and unpadded square integer
+    matrices with forbidden entries, for which n is None."""
+    space = HalfPlaneSpace(INF, INF, extended=True)
+    for trial in range(count):
+        kind = trial % 4
+        if kind == 3:
+            r = rng.randint(1, 7)
+            yield [[INF if rng.random() < 0.15 else float(rng.randint(0, 3)) for _ in range(r)]
+                   for _ in range(r)], None
+            continue
+        r = 9 if trial % 160 in (1, 2) else 8 if trial % 40 in (5, 6) else rng.randint(0, 7)
+        n = rng.choice((0, r)) if kind == 0 else rng.randint(0, r)
+        sides = []
+        for k in (n, r - n):
+            births = [rng.randint(0, 3) for _ in range(k)]
+            sides.append(diagram_from_list(
+                [(float(b), INF if kind == 2 and rng.random() < 0.25 else float(b + rng.randint(1, 3)))
+                 for b in births], space))
+        yield _space_costs(*sides), n
+
+
+def test_bottleneck_value_matches_exhaustive_oracle():
+    rng = random.Random(1107)
+    seen = {"padded": 0, "infeasible": 0, "empty side": 0, "unpadded": 0, "r = 9": 0}
+    for costs, n in bottleneck_instances(rng, 2700):
+        value = bottleneck_assignment(costs, n)
+        assert value == exhaustive_min(costs, INF)
+        seen["padded"] += n is not None
+        seen["infeasible"] += math.isinf(value)
+        seen["empty side"] += n in (0, len(costs))
+        seen["unpadded"] += n is None
+        seen["r = 9"] += len(costs) == 9
+    assert seen["padded"] >= 2000
+    assert min(seen.values()) >= 30, seen
+
+
+def test_bottleneck_warm_started_probes_match_a_cold_solve(monkeypatch):
+    # Below 5 every atom must be matched, and 50 columns cannot all be
+    # covered by 40 rows; right atom 0 must be matched below 1e6, and every
+    # left atom is about 1e3 from it.  So the row runs saturate while the
+    # column run keeps failing, and each failed probe hands both matchings
+    # to the next.
+    rng = random.Random(5)
+    n, m = 40, 50
+    rows = [[1e3 + rng.random() if j == 0 else rng.random() for j in range(m)] for _ in range(n)]
+    costs = [row + [5.0 + rng.random()] * n for row in rows]
+    costs += [[1e6] + [5.0 + rng.random() for _ in range(m - 1)] + [0.0] * n] * m
+    probes = []
+    cold = assignment.has_perfect_matching
+
+    def recording(adjacency, n_right, start=None):
+        probes.append((n_right, sum(j != -1 for j in start)))
+        return cold(adjacency, n_right, start)
+
+    monkeypatch.setattr(assignment, "has_perfect_matching", recording)
+    value = bottleneck_assignment(costs, n)
+    assert len(probes) >= 12
+    assert sum(k == m and warm > 0 for k, warm in probes) >= 5  # row runs
+    assert sum(k == n and warm > 0 for k, warm in probes) >= 5  # column runs
+    assert value == min(row[0] for row in rows)
+    # Cold: the square threshold graph is perfect at the value, not below it.
+    r = n + m
+    below = max(c for row in costs for c in row if c < value)
+    assert hopcroft_karp(_threshold_adjacency(costs, value), r)[0] == r
+    assert hopcroft_karp(_threshold_adjacency(costs, below), r)[0] < r
 
 
 def test_hopcroft_karp():

@@ -68,6 +68,21 @@ def test_distance_identical_files_is_zero(capsys, halfplane_pair):
     assert json.loads(out)["value"] == 0.0
 
 
+def test_certificate_at_large_scale_with_repeated_atoms(capsys, tmp_path):
+    a = write(tmp_path, "a.json", {"space": "halfplane", "atoms": [
+        [[1968036246193.694, 3949521902274.6357], 1],
+        [[3184864608495.7383, 5951556766155.352], 1]]})
+    b = write(tmp_path, "b.json", {"space": "halfplane", "atoms": [
+        [[3142242509910.704, 7991462364095.767], 3],
+        [[4039718667238.3516, 8840968972836.002], 1],
+        [[4906105290740.795, 6316983889511.643], 1]]})
+    code, out, err = run(capsys, [
+        "distance", a, b, "--space", "halfplane", "--q", "2", "--p", "1", "--certificate"])
+    assert code == 0, err
+    payload = json.loads(out)
+    assert payload["certificate"]["primal"] == payload["value"]
+
+
 def test_certificate_requires_p_one(capsys, halfplane_pair):
     a, b = halfplane_pair
     code, _, err = run(capsys, [

@@ -14,6 +14,7 @@ import math
 import random
 from pathlib import Path
 
+from pdmetric import cli
 from pdmetric.diagram import diagram_from_list
 from pdmetric.io import dump_json
 from pdmetric.metric_core import INF
@@ -21,7 +22,8 @@ from pdmetric.spaces import HalfPlaneSpace
 from pdmetric.verify import DEFAULT_SEED, duality_suite
 from pdmetric.wasserstein import wasserstein, wasserstein_value
 
-GOLDEN_REPORT = Path(__file__).parent / "golden" / "verify-all.json"
+GOLDEN = Path(__file__).parent / "golden"
+GOLDEN_REPORT = GOLDEN / "verify-all.json"
 
 P_VALUES = (1.0, 2.0, 3.5, INF)
 KINDS = ("random", "ties", "extended")
@@ -75,3 +77,14 @@ def test_duality_suite_matches_golden_report():
     golden = json.loads(GOLDEN_REPORT.read_text())
     [expected] = [r for r in golden["suites"] if r["suite"] == "duality"]
     assert json.loads(dump_json(duality_suite(DEFAULT_SEED))) == expected
+
+
+def test_bottleneck_matching_at_size_matches_golden_output(capsys):
+    # Two diagrams of 40 distinct integer-grid atoms (73 and 69 with
+    # multiplicity), so the threshold graph is full of ties; CI runs the
+    # same command and diffs it against the same file.
+    code = cli.main(["distance", str(GOLDEN / "grid40-left.json"),
+                     str(GOLDEN / "grid40-right.json"), "--space", "halfplane",
+                     "--q", "inf", "--p", "inf", "--matching"])
+    assert code == 0
+    assert capsys.readouterr().out == (GOLDEN / "grid40-bottleneck-matching.json").read_text()

@@ -63,6 +63,28 @@ def test_support_function_handles_coincident_points():
     assert cert.primal_value == 0.0
 
 
+@pytest.mark.parametrize("scale", [1e8, 1e12, 1e16])
+def test_support_function_at_large_scales_with_repeated_atoms(scale):
+    # Potentials round in proportion to the scale, so an absolute tolerance
+    # on coincident points rejected some of these valid certificates.
+    space = halfplane_quotient(2.0, 1.0)
+    rng = random.Random(int(scale) % 1000 + 7)
+
+    def points():
+        out = []
+        for _ in range(rng.randint(0, 4)):
+            b = rng.uniform(0.0, 1.0) * scale
+            out += [(b, b + rng.uniform(0.0, 1.0) * scale)] * rng.randint(1, 3)
+        return out
+
+    for _ in range(60):
+        alpha = diagram_from_list(points(), space)
+        beta = diagram_from_list(points(), space)
+        cert = kr_certificate(alpha, beta)
+        h = support_function(cert)
+        assert dual_objective(h, alpha, beta) == pytest.approx(cert.primal_value, rel=1e-12)
+
+
 def test_mcshane_extension_agrees_and_is_lipschitz():
     rng = random.Random(23)
     alpha = make([(0.0, 2.0), (1.0, 5.0), (4.0, 9.0)])

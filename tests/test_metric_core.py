@@ -375,6 +375,14 @@ def test_product_metric():
     assert prod.basepoint == ("o", "o")
 
 
+def test_product_with_a_non_pointed_factor_has_no_basepoint():
+    finite = FiniteSpace(["o", "a"], [[0, 1], [1, 0]], "o")
+    prod = product_metric(HalfPlane(2.0), finite, 1.0)
+    assert prod.dist(((0.0, 1.0), "a"), ((0.0, 1.0), "o")) == 1.0
+    with pytest.raises(DomainError, match="halfplane-ambient"):
+        diagram_from_list([((0.0, 1.0), "a")], prod)
+
+
 def _composed_spaces():
     """Pointed spaces built from pointed spaces: products, a strengthened
     product and a remetrized strengthening."""
