@@ -209,21 +209,17 @@ class AssignmentResult:
     v: tuple[float, ...] | None
 
 
-def min_cost_assignment(costs, shared: bool = False) -> AssignmentResult:
+def min_cost_assignment(costs) -> AssignmentResult:
     """Minimum-total assignment of the rows of an n x k matrix (see hungarian).
 
     inf entries mark forbidden edges, which the solver never follows.  If no
     assignment avoids them, the total is inf, no duals are produced, and the
-    permutation extends a maximum matching on the finite edges (rows it
-    leaves over take the shared column, if there is one).
+    permutation greedily extends a maximum matching on the finite edges.
     """
-    total, perm, u, v = hungarian(costs, shared)
+    total, perm, u, v = hungarian(costs)
     if perm is None:
         k = len(costs[0])
         _, match_left = hopcroft_karp(_finite_adjacency(costs), k)
-        if shared:
-            return AssignmentResult(INF, tuple(k - 1 if j == -1 else j for j in match_left),
-                                    None, None)
         return AssignmentResult(INF, tuple(_complete_greedily(k, match_left)), None, None)
     return AssignmentResult(total, tuple(perm), tuple(u), tuple(v))
 

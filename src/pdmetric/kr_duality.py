@@ -115,8 +115,8 @@ class SupportFunction:
     """The potentials read as a function on the atoms plus basepoint.
 
     Well defined because feasibility plus tightness force equal potentials
-    on coincident points; construction asserts that, up to
-    COINCIDENCE_TOLERANCE times the certificate's scale.
+    on coincident points of a metric space; construction checks that, up
+    to COINCIDENCE_TOLERANCE times the certificate's scale.
     """
 
     space: object
@@ -152,10 +152,9 @@ def support_function(cert: DualCertificate) -> SupportFunction:
         key = cert.space.canonical(point)
         if key in values:
             if abs(values[key] - val) > tol:
-                raise AssertionError(
-                    f"potentials disagree on coincident point {point!r}: "
-                    f"{values[key]} vs {val}"
-                )
+                raise DomainError(f"potentials disagree on coincident point {point!r}: "
+                                  f"{values[key]} vs {val}; the ground distance may "
+                                  "break the triangle inequality")
             continue
         values[key] = val
         order.append(key)

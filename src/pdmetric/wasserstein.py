@@ -13,10 +13,11 @@ rows are copies of one row and its n pad columns copies of one column, so
 it is solved on the n left atoms against the m right atoms plus one
 diagonal column that any number of rows may take (the "diagonal as one
 extra node" of hera and gudhi), and the permutation and duals are lifted
-back to the padded matrix.  The square solve remains for infinite
-basepoint costs (immortal atoms).  An optimum too small next to the
-basepoint costs to survive their subtraction, or small enough to underflow,
-is re-solved on the square matrix scaled by a bound on the optimum.
+back to the padded matrix.  Everything else is solved on the square matrix
+scaled by a bound on the optimum: infinite basepoint costs (immortal
+atoms), a matrix without the padded structure, and an optimum too small
+next to the basepoint costs to survive their subtraction, or small enough
+to underflow.
 """
 
 from __future__ import annotations
@@ -29,12 +30,11 @@ from typing import NamedTuple
 from .assignment import (
     EXHAUSTIVE_LIMIT,
     AssignmentResult,
-    _complete_greedily,
-    _finite_adjacency,
     _threshold_adjacency,
     bottleneck_assignment,
     exhaustive_min,
     hopcroft_karp,
+    hungarian,
     lex_smallest_matching,
     min_cost_assignment,
 )
@@ -118,7 +118,7 @@ def _padded_powers(costs, p: float, top: float, n: int) -> list[list[float]]:
     """
     m = len(costs) - n
     rows = [[(c / top) ** p for c in row[:m]] + [(row[m] / top) ** p] * n for row in costs[:n]]
-    pad = [(c / top) ** p for c in costs[n][:m]] + [0.0] * n
+    pad = [(c / top) ** p for c in costs[-1][:m]] + [0.0] * n
     return rows + [pad] * m
 
 
@@ -133,15 +133,15 @@ def _compact_assignment(work, n: int) -> AssignmentResult | None:
     pad rows the atom columns left over in ascending order, then the rest.
     The duals (u, 0^m) and (v_j + b_j, 0^n) are feasible for work, since
     v_j <= 0 and u_i <= a_i, and tight on that permutation, since v_j = 0
-    on the columns no atom row takes.  Returns None when the optimum is too
-    small next to the entries for their differences to decide it.
+    on the columns no atom row takes.  Either side may be empty: with no
+    atom rows v_j is 0, so the lifted v is b.  Returns None when the optimum
+    is too small next to the entries for their differences to decide it.
     """
     r = len(work)
     m = r - n
-    b = work[n][:m]
+    b = work[-1][:m]
     compact = [[c - bj for c, bj in zip(row, b)] + [row[m]] for row in work[:n]]
-    result = min_cost_assignment(compact, shared=True)
-    perm = list(result.permutation)
+    _, perm, u, v = hungarian(compact, shared=True)
     pads = iter(range(m, r))
     taken = [False] * m
     for i, j in enumerate(perm):
@@ -152,10 +152,10 @@ def _compact_assignment(work, n: int) -> AssignmentResult | None:
     perm += [j for j in range(m) if not taken[j]]
     perm += pads
     total = math.fsum(work[i][j] for i, j in enumerate(perm))
-    if total < r * _CANCEL * max(_finite_max(compact), max(b)):
+    if total < r * _CANCEL * max(_finite_max(compact), max(b, default=0.0)):
         return None
-    u = result.u + (0.0,) * m
-    v = tuple(vj + bj for vj, bj in zip(result.v, b)) + (0.0,) * n
+    u = tuple(u) + (0.0,) * m
+    v = tuple(vj + bj for vj, bj in zip(v or [0.0] * m, b)) + (0.0,) * n
     return AssignmentResult(total, tuple(perm), u, v)
 
 
@@ -163,34 +163,31 @@ def _power_assignment(costs, p: float, n: int | None = None
                       ) -> tuple[list[list[float]], AssignmentResult]:
     """An argmin of sum c ** p, solved on scaled powers; returns (powers, result).
 
-    The powers are (c / c_max) ** p, which cannot overflow.  When costs is
-    padded with the left diagram's n atoms first and every basepoint cost
-    is finite, the optimum is solved on n rows and a shared diagonal column
-    (_compact_assignment); otherwise on the square matrix.  When the compact
-    solve declines, or an optimum at p > 1 falls to where underflow
-    could decide it, the square matrix is re-solved on powers taken over
-    bound = r^(1/p) b instead, b the bottleneck value, with the entries above
-    bound forbidden: no optimum uses them, since its lp value is at most
-    r^(1/p) b (the 1e-9 margin keeps rounding from forbidding more).  Every
-    kept power is then at most 1 and the optimum about 1/r or more; at
-    bound 0 the kept entries are the zeros.  The re-solve's total is in
-    units of bound ** p, so callers read values off costs.
+    When costs is padded with the left diagram's n atoms first and every
+    basepoint cost is finite, the optimum is solved on n rows and a shared
+    diagonal column (_compact_assignment), on powers (c / c_max) ** p, which
+    cannot overflow.  Otherwise, or when the compact solve declines, or an
+    optimum at p > 1 falls to where underflow could decide it, the square
+    matrix is solved on powers taken over bound = r^(1/p) b instead, b the
+    bottleneck value, with the entries above bound forbidden: no optimum
+    uses them, since its lp value is at most r^(1/p) b (the 1e-9 margin
+    keeps rounding from forbidding more).  Every kept power is then at most
+    1 and the optimum about 1/r or more; at bound 0 the kept entries are the
+    zeros.  Its total is in units of bound ** p, so callers read values off
+    costs.  When b is inf, no assignment is finite, and costs is solved as is.
     """
     r = len(costs)
-    compact = (n is not None and 0 < n < r
-               and INF not in [row[r - n] for row in costs[:n]] + costs[n][:r - n])
-    if p == 1.0:
-        work = costs
-    else:
-        top = _finite_max(costs[:n + 1] if compact else costs) or 1.0
-        if compact:
-            work = _padded_powers(costs, p, top, n)
+    if n is not None and r and INF not in [row[r - n] for row in costs[:n]] + costs[-1][:r - n]:
+        if p == 1.0:
+            work = costs
         else:
-            work = [[(c / top) ** p for c in row] for row in costs]
-    result = _compact_assignment(work, n) if compact else min_cost_assignment(work)
-    if result is not None and (p == 1.0 or not result.total < r * _UNDERFLOW):
-        return work, result
+            work = _padded_powers(costs, p, _finite_max(costs[:n + 1]) or 1.0, n)
+        result = _compact_assignment(work, n)
+        if result is not None and (p == 1.0 or not result.total < r * _UNDERFLOW):
+            return work, result
     bound = bottleneck_assignment(costs, n) * (r * (1.0 + 1e-9)) ** (1.0 / p)
+    if math.isinf(bound):
+        return costs, min_cost_assignment(costs)
     work = [[INF if c > bound else (c / (bound or 1.0)) ** p for c in row] for row in costs]
     return work, min_cost_assignment(work)
 
@@ -202,10 +199,7 @@ def _solve_value(costs, p: float, n: int | None = None) -> float:
     if p == INF:
         return bottleneck_assignment(costs, n)
     _, result = _power_assignment(costs, p, n)
-    if math.isinf(result.total):
-        return result.total
-    r = len(costs)
-    return lp_norm([costs[i][result.permutation[i]] for i in range(r)], p)
+    return lp_norm([costs[i][j] for i, j in enumerate(result.permutation)], p)
 
 
 def _solve_matching(costs, p: float, n: int | None = None) -> tuple[int, ...]:
@@ -219,12 +213,11 @@ def _solve_matching(costs, p: float, n: int | None = None) -> tuple[int, ...]:
     rounding stays far below it either way.
     """
     if p == INF:
-        r = len(costs)
         value = bottleneck_assignment(costs, n)
         if math.isinf(value):
-            return tuple(_complete_greedily(r, hopcroft_karp(_finite_adjacency(costs), r)[1]))
+            return min_cost_assignment(costs).permutation
         adjacency = _threshold_adjacency(costs, value)
-        return lex_smallest_matching(adjacency, hopcroft_karp(adjacency, r)[1])
+        return lex_smallest_matching(adjacency, hopcroft_karp(adjacency, len(costs))[1])
     work, result = _power_assignment(costs, p, n)
     if math.isinf(result.total):
         return result.permutation

@@ -189,8 +189,9 @@ def test_hungarian_on_rectangular_and_shared_matrices():
         total, perm, u, v = hungarian(costs, shared)
         if math.isinf(expected):
             assert (total, perm, u, v) == (INF, None, None, None)
-            result = min_cost_assignment(costs, shared)
-            assert math.isinf(result.total) and len(result.permutation) == n
+            if not shared:
+                result = min_cost_assignment(costs)
+                assert math.isinf(result.total) and len(result.permutation) == n
             continue
         assert total == expected
         owned = [j for j in perm if not (shared and j == k - 1)]
@@ -203,13 +204,6 @@ def test_hungarian_on_rectangular_and_shared_matrices():
         assert all(v[j] == 0.0 for j in range(k) if j not in perm)
         if shared:
             assert v[-1] == 0.0
-
-
-def test_min_cost_assignment_shared_infeasible():
-    # Row 1 has no finite entry, not even on the shared column, so it is
-    # the row a maximum finite matching leaves over.
-    costs = [[1.0, 2.0, 0.5], [INF, INF, INF], [0.0, 3.0, 1.0]]
-    assert min_cost_assignment(costs, shared=True) == AssignmentResult(INF, (0, 2, 1), None, None)
 
 
 def test_compact_solve_on_padded_structure_matches_oracle():
@@ -226,7 +220,7 @@ def test_compact_solve_on_padded_structure_matches_oracle():
         b = costs[n][:m]
         expected = exhaustive_min(costs, 1.0)
         compact = [[c - bj for c, bj in zip(row, b)] + [row[m]] for row in costs[:n]]
-        total = min_cost_assignment(compact, shared=True).total + math.fsum(b)
+        total = hungarian(compact, shared=True)[0] + math.fsum(b)
         assert total == pytest.approx(expected, rel=1e-12, abs=1e-12)
         result = _compact_assignment(costs, n)
         if result is None:  # declined: the optimum is 0 beside entries up to 3
@@ -242,6 +236,26 @@ def test_compact_solve_on_padded_structure_matches_oracle():
             for j, c in enumerate(row):
                 assert u[i] + v[j] <= c + scale
     assert lifted >= 300
+
+
+@pytest.mark.parametrize("n, m", [(0, 1), (0, 4), (1, 0), (4, 0)])
+def test_compact_solve_with_an_empty_side(n, m):
+    # One diagram empty: every atom takes a pad, so the lifted permutation
+    # is the identity, and the lifted duals are feasible and tight.  With no
+    # atom rows the lifted v is the right atoms' basepoint costs.
+    costs = padded_matrix(random.Random(2025 + 10 * n + m), "random", n, m)
+    result = _compact_assignment(costs, n)
+    r = n + m
+    assert result.permutation == tuple(range(r))
+    assert result.total == math.fsum(costs[i][i] for i in range(r))
+    if n == 0:
+        assert result.u == (0.0,) * m and result.v == tuple(costs[-1])
+    else:
+        assert result.v == (0.0,) * n
+    for i, row in enumerate(costs):
+        assert result.u[i] + result.v[i] == pytest.approx(row[i], abs=1e-12)
+        for j, c in enumerate(row):
+            assert result.u[i] + result.v[j] <= c + 1e-12
 
 
 def test_bottleneck_assignment_on_a_long_augmenting_path():

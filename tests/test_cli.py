@@ -92,6 +92,21 @@ def test_certificate_requires_p_one(capsys, halfplane_pair):
     assert "p = 1" in err
 
 
+def test_certificate_over_a_non_metric_finite_space_is_domain_error(capsys, tmp_path):
+    # d(a, b) = 0 but d(o, a) = 2 > d(o, b) + d(b, a) = 1: the potentials
+    # disagree on the coincident atom b.
+    spec = write(tmp_path, "space.json", {
+        "id": "finite", "labels": ["o", "a", "b"],
+        "matrix": [[0, 2, 1], [2, 0, 0], [1, 0, 0]], "basepoint": "o"})
+    a = write(tmp_path, "a.json", {"space": "finite", "atoms": [["a", 3], ["b", 1]]})
+    b = write(tmp_path, "b.json", {"space": "finite", "atoms": [["b", 1]]})
+    code, out, err = run(capsys, [
+        "distance", a, b, "--space-file", spec, "--p", "1", "--certificate"])
+    assert code == 3 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "'b'" in err and "triangle inequality" in err
+
+
 def test_distance_missing_file(capsys, tmp_path, halfplane_pair):
     a, _ = halfplane_pair
     code, _, err = run(capsys, [

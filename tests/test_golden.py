@@ -14,6 +14,8 @@ import math
 import random
 from pathlib import Path
 
+import pytest
+
 from pdmetric import cli
 from pdmetric.diagram import diagram_from_list
 from pdmetric.io import dump_json
@@ -88,3 +90,25 @@ def test_bottleneck_matching_at_size_matches_golden_output(capsys):
                      "--q", "inf", "--p", "inf", "--matching"])
     assert code == 0
     assert capsys.readouterr().out == (GOLDEN / "grid40-bottleneck-matching.json").read_text()
+
+
+# Extended half-plane diagrams of 40 and 37 integer-grid atoms with
+# multiplicity (20 and 22 distinct), 4 of them immortal on each side, and
+# the empty diagram: (left, right, p, pinned stdout).  CI diffs the same
+# commands against the same files.
+IMMORTAL_PINS = [
+    ("immortal-left.json", "immortal-right.json", "1", "immortal-p1-matching.json"),
+    ("immortal-left.json", "immortal-right.json", "2", "immortal-p2-matching.json"),
+    ("immortal-left.json", "immortal-right.json", "3.5", "immortal-p3.5-matching.json"),
+    ("immortal-left.json", "empty.json", "2", "immortal-left-empty-p2-matching.json"),
+    ("empty.json", "immortal-right.json", "1", "empty-immortal-right-p1-matching.json"),
+]
+
+
+@pytest.mark.parametrize("left, right, p, pinned", IMMORTAL_PINS,
+                         ids=[pin[-1].removesuffix("-matching.json") for pin in IMMORTAL_PINS])
+def test_immortal_matching_at_size_matches_golden_output(capsys, left, right, p, pinned):
+    code = cli.main(["distance", str(GOLDEN / left), str(GOLDEN / right), "--space",
+                     "halfplane", "--q", "2", "--extended", "--matching", "--p", p])
+    assert code == 0
+    assert capsys.readouterr().out == (GOLDEN / pinned).read_text()

@@ -14,7 +14,7 @@ from pdmetric.kr_duality import (
     support_function,
     tightness_violation,
 )
-from pdmetric.metric_core import INF
+from pdmetric.metric_core import INF, FiniteSpace
 from pdmetric.spaces import halfplane_quotient
 from pdmetric.wasserstein import wasserstein_value
 
@@ -61,6 +61,16 @@ def test_support_function_handles_coincident_points():
     h = support_function(cert)
     assert h.value((0.0, 2.0)) == pytest.approx(h.value((0.0, 2.0)))
     assert cert.primal_value == 0.0
+
+
+def test_support_function_rejects_disagreeing_potentials():
+    # A ground distance breaking the triangle inequality (d(o, a) = 2 >
+    # d(o, b) + d(b, a) = 1) leaves the two copies of b different potentials.
+    space = FiniteSpace(["o", "a", "b"], [[0, 2, 1], [2, 0, 0], [1, 0, 0]], "o")
+    cert = kr_certificate(diagram_from_list(["a"] * 3 + ["b"], space),
+                          diagram_from_list(["b"], space))
+    with pytest.raises(DomainError, match="coincident point 'b'.*triangle inequality"):
+        support_function(cert)
 
 
 @pytest.mark.parametrize("scale", [1e8, 1e12, 1e16])

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from pdmetric.assignment import exhaustive_min, min_cost_assignment
+from pdmetric.assignment import exhaustive_min
 from pdmetric.diagram import diagram_from_list, empty_diagram
 from pdmetric.errors import DomainError, PreconditionError, SizeLimitError
 from pdmetric.metric_core import INF, FiniteSpace, lp_norm, remetrize
@@ -222,25 +222,40 @@ def test_compact_solve_guard_on_near_identical_large_atoms():
 
 @pytest.mark.parametrize("p", [1.0, 2.0])
 def test_immortal_atoms_take_the_square_solve(p, monkeypatch):
+    # Immortal atoms (infinite basepoint cost) take the square solve on
+    # powers bounded by the bottleneck value; every padded problem with
+    # finite basepoint costs takes the compact one, an empty side included.
     calls = []
 
-    def recording(costs, shared=False):
-        calls.append(shared)
-        return min_cost_assignment(costs, shared)
+    def recorder(name, solve):
+        def recording(*args, **kwargs):
+            calls.append(name)
+            return solve(*args, **kwargs)
+        return recording
 
-    monkeypatch.setattr(wasserstein_module, "min_cost_assignment", recording)
+    for attr, name in [("bottleneck_assignment", "bound"), ("min_cost_assignment", "square"),
+                       ("hungarian", "compact")]:
+        monkeypatch.setattr(wasserstein_module, attr,
+                            recorder(name, getattr(wasserstein_module, attr)))
     space = halfplane_quotient(INF, p, extended=True)
     alpha, beta = diagrams(space, [(0.0, INF), (1.0, 3.0), (2.0, 2.5)], [(0.5, INF), (1.0, 3.5)])
     expected = brute_force_wasserstein(alpha, beta, p)
     assert wasserstein_value(alpha, beta, p) == pytest.approx(expected, rel=1e-12)
     assert wasserstein(alpha, beta, p)[0] == pytest.approx(expected, rel=1e-12)
-    assert calls == [False, False]
-    # Without the immortal atoms, the same diagrams solve compactly.
+    assert calls == ["bound", "square"] * 2
+    # With no finite assignment the bound is inf, and the square solve says so.
     calls.clear()
-    alpha, beta = diagrams(space, [(1.0, 3.0), (2.0, 2.5)], [(1.0, 3.5)])
-    assert wasserstein_value(alpha, beta, p) == pytest.approx(
-        brute_force_wasserstein(alpha, beta, p), rel=1e-12)
-    assert calls == [True]
+    alpha, beta = diagrams(space, [(0.0, INF), (1.0, 3.0)], [])
+    assert wasserstein_value(alpha, beta, p) == INF
+    assert calls == ["bound", "square"]
+    # Without the immortal atoms the same diagrams solve compactly, also
+    # against an empty diagram on either side.
+    for points in ([(1.0, 3.0), (2.0, 2.5)], [(1.0, 3.5)]), ([(1.0, 3.0)], []), ([], [(1.0, 3.5)]):
+        calls.clear()
+        alpha, beta = diagrams(space, *points)
+        assert wasserstein_value(alpha, beta, p) == pytest.approx(
+            brute_force_wasserstein(alpha, beta, p), rel=1e-12)
+        assert calls == ["compact"]
 
 
 def test_requires_same_space():
