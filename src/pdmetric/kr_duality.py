@@ -4,9 +4,12 @@ The padded assignment problem is a linear program over doubly stochastic
 matrices whose vertices are permutations, so the optimal matching comes
 with dual potentials y in R^(2r): y[i] - y[r+j] <= d(a_i, b_j) everywhere,
 with equality along the optimal matching, and equal objective values.  The
-potentials assemble into a 1-Lipschitz function h on the atoms, and the
-McShane formula extends h to the whole space without increasing the
-Lipschitz constant.
+certificate is the W_1 solve that wasserstein runs, read with its duals:
+on finite diagrams the compact solve, whose potentials price the basepoint
+at 0 on both sides (the normalization h(x0) = 0), and otherwise the square
+solve of the padded costs.  The potentials assemble into a 1-Lipschitz
+function h on the atoms, and the McShane formula extends h to the whole
+space without increasing the Lipschitz constant.
 """
 
 from __future__ import annotations
@@ -15,11 +18,10 @@ import math
 from dataclasses import dataclass
 from typing import Mapping
 
-from .assignment import min_cost_assignment
 from .diagram import Diagram
 from .errors import DomainError, PreconditionError
 from .metric_core import INF
-from .wasserstein import _require_same_space, _space_costs
+from .wasserstein import _power_assignment, _require_same_space, _space_costs
 
 FEASIBILITY_TOLERANCE = 1e-12
 COINCIDENCE_TOLERANCE = 1e-9
@@ -32,8 +34,10 @@ class DualCertificate:
     left_points / right_points are the padded supports (atoms then
     basepoint copies), each of length r = n + m.  y has length 2r: row
     potentials first, then column potentials negated so that feasibility
-    reads y[i] - y[r+j] <= d(a_i, b_j).  When the primal is infinite no
-    potentials exist and y is None.
+    reads y[i] - y[r+j] <= d(a_i, b_j).  They are the duals of the W_1
+    solve; when it is the compact one, every pad potential (y[n:r] and
+    y[r+m:]) is 0.  When the primal is infinite no potentials exist and y
+    is None.
     """
 
     space: object
@@ -58,17 +62,20 @@ class DualCertificate:
 def kr_certificate(alpha: Diagram, beta: Diagram) -> DualCertificate:
     """Solve W_1 and return matching plus dual potentials.
 
-    An infinite primal value (possible only over spaces with infinite
-    ground distances) is reported without potentials.
+    The permutation, value and potentials come from the same p = 1 solve
+    as wasserstein's: the compact solve, lifted to the padded matrix, when
+    every basepoint cost is finite and it is accepted, else the square
+    solve of the padded costs.  An infinite primal value (possible only
+    over spaces with infinite ground distances) is reported without
+    potentials.
     """
     _require_same_space(alpha, beta)
     space = alpha.space
     costs = _space_costs(alpha, beta)
     n, m = alpha.size, beta.size
-    r = n + m
     left = tuple(alpha.expand()) + (space.basepoint,) * m
     right = tuple(beta.expand()) + (space.basepoint,) * n
-    result = min_cost_assignment(costs)
+    _, result = _power_assignment(costs, 1.0, n)
     if result.u is None:
         return DualCertificate(
             space, INF, None, None, result.permutation, left, right, n, m

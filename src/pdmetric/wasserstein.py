@@ -13,11 +13,13 @@ rows are copies of one row and its n pad columns copies of one column, so
 it is solved on the n left atoms against the m right atoms plus one
 diagonal column that any number of rows may take (the "diagonal as one
 extra node" of hera and gudhi), and the permutation and duals are lifted
-back to the padded matrix.  Everything else is solved on the square matrix
-scaled by a bound on the optimum: infinite basepoint costs (immortal
-atoms), a matrix without the padded structure, and an optimum too small
-next to the basepoint costs to survive their subtraction, or small enough
-to underflow.
+back to the padded matrix.  Everything else is solved on the square matrix:
+infinite basepoint costs (immortal atoms), a matrix without the padded
+structure, and an optimum too small next to the basepoint costs to survive
+their subtraction, or small enough to underflow.  For p > 1 that matrix is
+scaled by a bound on the optimum; p = 1 has no powers to keep in range, so
+its square solve runs on the costs unscaled, and its duals are the
+Kantorovich-Rubinstein certificate of kr_duality either way.
 """
 
 from __future__ import annotations
@@ -168,13 +170,15 @@ def _power_assignment(costs, p: float, n: int | None = None
     diagonal column (_compact_assignment), on powers (c / c_max) ** p, which
     cannot overflow.  Otherwise, or when the compact solve declines, or an
     optimum at p > 1 falls to where underflow could decide it, the square
-    matrix is solved on powers taken over bound = r^(1/p) b instead, b the
-    bottleneck value, with the entries above bound forbidden: no optimum
-    uses them, since its lp value is at most r^(1/p) b (the 1e-9 margin
-    keeps rounding from forbidding more).  Every kept power is then at most
-    1 and the optimum about 1/r or more; at bound 0 the kept entries are the
-    zeros.  Its total is in units of bound ** p, so callers read values off
-    costs.  When b is inf, no assignment is finite, and costs is solved as is.
+    matrix is solved instead.  At p = 1 that is costs as they are, with no
+    powers to keep in range.  At p > 1 it is the powers taken over
+    bound = r^(1/p) b, b the bottleneck value, with the entries above bound
+    forbidden: no optimum uses them, since its lp value is at most
+    r^(1/p) b (the 1e-9 margin keeps rounding from forbidding more).  Every
+    kept power is then at most 1 and the optimum about 1/r or more; at
+    bound 0 the kept entries are the zeros.  Its total is in units of
+    bound ** p, so callers read values off costs.  When b is inf, no
+    assignment is finite, and costs is solved as is.
     """
     r = len(costs)
     if n is not None and r and INF not in [row[r - n] for row in costs[:n]] + costs[-1][:r - n]:
@@ -185,7 +189,7 @@ def _power_assignment(costs, p: float, n: int | None = None
         result = _compact_assignment(work, n)
         if result is not None and (p == 1.0 or not result.total < r * _UNDERFLOW):
             return work, result
-    bound = bottleneck_assignment(costs, n) * (r * (1.0 + 1e-9)) ** (1.0 / p)
+    bound = INF if p == 1.0 else bottleneck_assignment(costs, n) * (r * (1.0 + 1e-9)) ** (1.0 / p)
     if math.isinf(bound):
         return costs, min_cost_assignment(costs)
     work = [[INF if c > bound else (c / (bound or 1.0)) ** p for c in row] for row in costs]

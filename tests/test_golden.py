@@ -112,3 +112,22 @@ def test_immortal_matching_at_size_matches_golden_output(capsys, left, right, p,
                      "halfplane", "--q", "2", "--extended", "--matching", "--p", p])
     assert code == 0
     assert capsys.readouterr().out == (GOLDEN / pinned).read_text()
+
+
+# W_1 matchings with their Kantorovich-Rubinstein certificates: the immortal
+# pair takes the square solve, the grid40 pair the compact one, whose pad
+# potentials are 0.  CI diffs the same commands against the same files.
+CERTIFICATE_PINS = [
+    ("immortal-left.json", "immortal-right.json", ["--q", "2", "--extended"],
+     "immortal-p1-certificate.json"),
+    ("grid40-left.json", "grid40-right.json", ["--q", "inf"], "grid40-p1-certificate.json"),
+]
+
+
+@pytest.mark.parametrize("left, right, flags, pinned", CERTIFICATE_PINS,
+                         ids=[pin[-1].removesuffix(".json") for pin in CERTIFICATE_PINS])
+def test_certificate_matches_golden_output(capsys, left, right, flags, pinned):
+    code = cli.main(["distance", str(GOLDEN / left), str(GOLDEN / right), "--space",
+                     "halfplane", *flags, "--p", "1", "--matching", "--certificate"])
+    assert code == 0
+    assert capsys.readouterr().out == (GOLDEN / pinned).read_text()

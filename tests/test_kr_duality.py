@@ -1,10 +1,12 @@
 import math
 import random
+from pathlib import Path
 
 import pytest
 
 from pdmetric.diagram import diagram_from_list, empty_diagram
 from pdmetric.errors import DomainError, PreconditionError
+from pdmetric.io import load_diagram
 from pdmetric.kr_duality import (
     dual_objective,
     duality_gap,
@@ -19,6 +21,7 @@ from pdmetric.spaces import halfplane_quotient
 from pdmetric.wasserstein import wasserstein_value
 
 SPACE = halfplane_quotient(INF, 1.0)
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def make(points):
@@ -59,8 +62,37 @@ def test_support_function_handles_coincident_points():
     beta = make([(0.0, 2.0)])
     cert = kr_certificate(alpha, beta)
     h = support_function(cert)
-    assert h.value((0.0, 2.0)) == pytest.approx(h.value((0.0, 2.0)))
+    # Left potential of the point (row 0) against its right potential (column 0).
+    assert cert.y[0] == pytest.approx(cert.y[cert.r])
+    assert h.value((0.0, 2.0)) == cert.y[0]
     assert cert.primal_value == 0.0
+
+
+def test_certificate_is_the_compact_solves_duals():
+    # The certificate is the W_1 solve's duals: on finite diagrams the
+    # compact solve prices the basepoint at 0 on both sides, the paper's
+    # h(x0) = 0, so every pad potential is 0.
+    rng = random.Random(1414)
+    space = halfplane_quotient(2.0, 1.0)
+
+    def points(k):
+        births = [rng.uniform(-5.0, 5.0) for _ in range(k)]
+        return [(b, b + rng.uniform(0.1, 6.0)) for b in births]
+
+    grid = tuple(load_diagram(str(GOLDEN / name), SPACE)
+                 for name in ("grid40-left.json", "grid40-right.json"))
+    pairs = [(diagram_from_list(points(rng.randint(1, 8)), space),
+              diagram_from_list(points(rng.randint(1, 8)), space)) for _ in range(20)]
+    pairs += [(diagram_from_list(points(5), space), empty_diagram(space)), grid]
+    for alpha, beta in pairs:
+        cert = kr_certificate(alpha, beta)
+        n, m, r = cert.n, cert.m, cert.r
+        h = support_function(cert)
+        assert h.value(alpha.space.basepoint) == 0.0
+        assert all(y == 0.0 for y in cert.y[n:r] + cert.y[r + m:])
+        assert feasibility_violation(cert) <= 1e-12
+        assert tightness_violation(cert) <= 1e-8
+        assert dual_objective(h, alpha, beta) == pytest.approx(cert.primal_value, rel=1e-12)
 
 
 def test_support_function_rejects_disagreeing_potentials():

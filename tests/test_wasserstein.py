@@ -7,6 +7,7 @@ import pytest
 from pdmetric.assignment import exhaustive_min
 from pdmetric.diagram import diagram_from_list, empty_diagram
 from pdmetric.errors import DomainError, PreconditionError, SizeLimitError
+from pdmetric.kr_duality import kr_certificate
 from pdmetric.metric_core import INF, FiniteSpace, lp_norm, remetrize
 from pdmetric.spaces import halfplane_quotient
 from pdmetric.wasserstein import (
@@ -220,11 +221,10 @@ def test_compact_solve_guard_on_near_identical_large_atoms():
         assert wasserstein(alpha, beta, p)[0] == pytest.approx(expected, rel=1e-9)
 
 
-@pytest.mark.parametrize("p", [1.0, 2.0])
-def test_immortal_atoms_take_the_square_solve(p, monkeypatch):
-    # Immortal atoms (infinite basepoint cost) take the square solve on
-    # powers bounded by the bottleneck value; every padded problem with
-    # finite basepoint costs takes the compact one, an empty side included.
+@pytest.fixture
+def solve_calls(monkeypatch):
+    """The solves wasserstein makes, in order: "bound" for bottleneck_assignment,
+    "square" for min_cost_assignment and "compact" for a direct hungarian call."""
     calls = []
 
     def recorder(name, solve):
@@ -237,17 +237,29 @@ def test_immortal_atoms_take_the_square_solve(p, monkeypatch):
                        ("hungarian", "compact")]:
         monkeypatch.setattr(wasserstein_module, attr,
                             recorder(name, getattr(wasserstein_module, attr)))
+    return calls
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0])
+def test_immortal_atoms_take_the_square_solve(p, solve_calls):
+    # Immortal atoms (infinite basepoint cost) take the square solve, at
+    # p > 1 on powers bounded by the bottleneck value and at p = 1 on the
+    # costs as they are; every padded problem with finite basepoint costs
+    # takes the compact one, an empty side included.
+    calls = solve_calls
     space = halfplane_quotient(INF, p, extended=True)
     alpha, beta = diagrams(space, [(0.0, INF), (1.0, 3.0), (2.0, 2.5)], [(0.5, INF), (1.0, 3.5)])
     expected = brute_force_wasserstein(alpha, beta, p)
     assert wasserstein_value(alpha, beta, p) == pytest.approx(expected, rel=1e-12)
     assert wasserstein(alpha, beta, p)[0] == pytest.approx(expected, rel=1e-12)
-    assert calls == ["bound", "square"] * 2
-    # With no finite assignment the bound is inf, and the square solve says so.
+    square = ["square"] if p == 1.0 else ["bound", "square"]
+    assert calls == square * 2
+    # With no finite assignment the square solve says so (at p > 1 the
+    # bound is inf first).
     calls.clear()
     alpha, beta = diagrams(space, [(0.0, INF), (1.0, 3.0)], [])
     assert wasserstein_value(alpha, beta, p) == INF
-    assert calls == ["bound", "square"]
+    assert calls == square
     # Without the immortal atoms the same diagrams solve compactly, also
     # against an empty diagram on either side.
     for points in ([(1.0, 3.0), (2.0, 2.5)], [(1.0, 3.5)]), ([(1.0, 3.0)], []), ([], [(1.0, 3.5)]):
@@ -256,6 +268,22 @@ def test_immortal_atoms_take_the_square_solve(p, monkeypatch):
         assert wasserstein_value(alpha, beta, p) == pytest.approx(
             brute_force_wasserstein(alpha, beta, p), rel=1e-12)
         assert calls == ["compact"]
+
+
+def test_certificate_reads_the_w1_solve(solve_calls):
+    # kr_certificate's potentials are the duals of the one W_1 solve: the
+    # compact one on finite diagrams, the unbounded square one on immortal.
+    space = halfplane_quotient(INF, 1.0, extended=True)
+    for points in ([(1.0, 3.0), (2.0, 2.5)], [(1.0, 3.5)]), ([(1.0, 3.0)], []), ([], [(1.0, 3.5)]):
+        solve_calls.clear()
+        cert = kr_certificate(*diagrams(space, *points))
+        assert cert.has_certificate
+        assert solve_calls == ["compact"]
+    for points in ([(0.0, INF), (1.0, 3.0)], [(0.5, INF)]), ([(0.0, INF)], []):
+        solve_calls.clear()
+        cert = kr_certificate(*diagrams(space, *points))
+        assert cert.has_certificate == bool(points[1])
+        assert solve_calls == ["square"]
 
 
 def test_requires_same_space():
