@@ -131,3 +131,76 @@ def test_certificate_matches_golden_output(capsys, left, right, flags, pinned):
                      "halfplane", *flags, "--p", "1", "--matching", "--certificate"])
     assert code == 0
     assert capsys.readouterr().out == (GOLDEN / pinned).read_text()
+
+
+# W_p matchings at large p: the grid40 pair stays on the compact solve, the
+# immortal pair takes the bottleneck bound and the square solve.  CI diffs
+# the same commands against the same files.
+LARGE_P_CLI_PINS = [
+    ("grid40-left.json", "grid40-right.json", ["--q", "inf"], p, f"grid40-p{p}-matching.json")
+    for p in ("7", "64")
+] + [
+    ("immortal-left.json", "immortal-right.json", ["--q", "2", "--extended"], p,
+     f"immortal-p{p}-matching.json")
+    for p in ("7", "64")
+]
+
+
+@pytest.mark.parametrize("left, right, flags, p, pinned", LARGE_P_CLI_PINS,
+                         ids=[pin[-1].removesuffix("-matching.json") for pin in LARGE_P_CLI_PINS])
+def test_large_p_matching_matches_golden_output(capsys, left, right, flags, p, pinned):
+    code = cli.main(["distance", str(GOLDEN / left), str(GOLDEN / right), "--space",
+                     "halfplane", *flags, "--matching", "--p", p])
+    assert code == 0
+    assert capsys.readouterr().out == (GOLDEN / pinned).read_text()
+
+LARGE_P_VALUES = (5.0, 7.0, 10.0, 16.0, 64.0)
+LARGE_P_KINDS = ("float", "grid", "immortal")
+LARGE_P_PER_CASE = 4
+LARGE_P_PIN = GOLDEN / "large-p-matchings.json"
+
+
+def large_p_instances():
+    """Seeded half-plane pairs of 10 to 30 atoms a side at large p.
+
+    Float points mostly solve compactly, integer-grid points have exact ties
+    that make the compact solve decline at larger p, and the immortal pairs
+    (grid points plus 1 to 3 immortal atoms a side, equal counts) take the
+    square solve.
+    """
+    rng = random.Random(4096)
+    for kind in LARGE_P_KINDS:
+        for p in LARGE_P_VALUES:
+            space = HalfPlaneSpace(2.0, p, extended=kind == "immortal")
+            for _ in range(LARGE_P_PER_CASE):
+                immortal = rng.randint(1, 3) if kind == "immortal" else 0
+                sides = []
+                for _ in range(2):
+                    size = rng.randint(10, 30) - immortal
+                    if kind == "float":
+                        births = [rng.uniform(-5.0, 5.0) for _ in range(size)]
+                        points = [(b, b + rng.uniform(0.0, 6.0)) for b in births]
+                    else:
+                        births = [rng.randint(0, 4) for _ in range(size)]
+                        points = [(float(b), float(b + rng.randint(1, 4))) for b in births]
+                    points += [(float(rng.randint(0, 4)), INF) for _ in range(immortal)]
+                    sides.append(diagram_from_list(points, space))
+                yield kind, p, *sides
+
+
+def large_p_entries() -> list[dict]:
+    """For each large-p pair: repr of wasserstein_value, repr of the
+    wasserstein() value and its pairs, as the pin stores them."""
+    entries = []
+    for kind, p, alpha, beta in large_p_instances():
+        value, matching = wasserstein(alpha, beta, p)
+        entries.append({"kind": kind, "p": p, "value": repr(wasserstein_value(alpha, beta, p)),
+                        "wasserstein": repr(value),
+                        "pairs": [list(pair) for pair in matching.pairs]})
+    return entries
+
+
+def test_large_p_matchings_match_golden_pin():
+    # The golden digest stops at p = 3.5; this pin holds the values and
+    # matchings of all three finite-p routes at p up to 64.
+    assert large_p_entries() == json.loads(LARGE_P_PIN.read_text())
