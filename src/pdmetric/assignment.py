@@ -230,26 +230,21 @@ def _ranked(rows, k: int) -> tuple[list[list[int]], list[list[float]]]:
     return order, [[row[j] for j in cols] for row, cols in zip(rows, order)]
 
 
-def bottleneck_assignment(costs, n: int | None = None) -> float:
+def bottleneck_assignment(costs, n: int) -> float:
     """The least t at which some permutation's entries are all <= t (inf if none).
 
-    When n is given, costs is padded: n atom rows with basepoint costs
-    a_i = costs[i][m], then pad rows of the m right atoms' b_j and zeros.
-    t is feasible iff the atom block at t has a matching covering each row
-    with a_i > t and each column with b_j > t (other atoms take pads, pads
-    take each other at 0).  By Mendelsohn-Dulmage each set may be covered
-    on its own, so a probe runs Hopcroft-Karp on the required rows over
-    their cost-sorted prefixes, then on the required columns, each grown
-    from the last failed probe's matching.  Without n every row is
-    required, which in a square matrix covers every column too.
+    costs is padded: n atom rows with basepoint costs a_i = costs[i][m],
+    then pad rows of the m right atoms' b_j and zeros.  t is feasible iff
+    the atom block at t has a matching covering each row with a_i > t and
+    each column with b_j > t (other atoms take pads, pads take each other
+    at 0).  By Mendelsohn-Dulmage each set may be covered on its own, so a
+    probe runs Hopcroft-Karp on the required rows over their cost-sorted
+    prefixes, then on the required columns, each grown from the last failed
+    probe's matching.
     """
-    r = len(costs)
-    if n is None:
-        n, m, a, b = r, r, [INF] * r, []
-    else:
-        m = r - n
-        a = [row[m] for row in costs[:n]]
-        b = costs[n][:m] if m else []
+    m = len(costs) - n
+    a = [row[m] for row in costs[:n]]
+    b = costs[n][:m] if m else []
     rows, cols = costs[:n], [[row[j] for row in costs[:n]] for j in range(len(b))]
     sides = [(a, *_ranked(rows, m), m, [-1] * n), (b, *_ranked(cols, n), n, [-1] * m)]
 

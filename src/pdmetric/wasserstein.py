@@ -13,10 +13,9 @@ rows are copies of one row and its n pad columns copies of one column, so
 it is solved on the n left atoms against the m right atoms plus one
 diagonal column that any number of rows may take (the "diagonal as one
 extra node" of hera and gudhi), and the permutation and duals are lifted
-back to the padded matrix.  Everything else is solved on the square matrix:
-infinite basepoint costs (immortal atoms), a matrix without the padded
-structure, and an optimum too small next to the basepoint costs to survive
-their subtraction, or small enough to underflow.  For p > 1 that matrix is
+back to the padded matrix.  Two cases are solved on the square matrix:
+infinite basepoint costs (immortal atoms), and an optimum too small next to
+the basepoint costs to survive their subtraction.  For p > 1 that matrix is
 scaled by a bound on the optimum; p = 1 has no powers to keep in range, so
 its square solve runs on the costs unscaled, and its duals are the
 Kantorovich-Rubinstein certificate of kr_duality either way.
@@ -25,7 +24,6 @@ Kantorovich-Rubinstein certificate of kr_duality either way.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -98,9 +96,6 @@ def _space_costs(alpha: Diagram, beta: Diagram) -> list[list[float]]:
     return _padded_costs(*alpha.space.pairwise(alpha.expand(), beta.expand()))
 
 
-# Each power that underflows loses at most the smallest normal float, so
-# below r times this the loss can outweigh the rounding of the optimum.
-_UNDERFLOW = sys.float_info.min / sys.float_info.epsilon
 # The compact solve subtracts basepoint costs from atom costs.  Below r times
 # this share of its largest entry, that cancellation could decide the optimum.
 _CANCEL = 2.0 ** -11
@@ -113,15 +108,18 @@ def _finite_max(rows) -> float:
     return top
 
 
-def _padded_powers(costs, p: float, top: float, n: int) -> list[list[float]]:
-    """(c / top) ** p on a padded matrix, one power per atom pair or basepoint cost.
+def _padded_powers(costs, p: float, bound: float, n: int) -> list[list[float]]:
+    """(c / bound) ** p on a padded matrix, one power per atom pair or basepoint cost.
 
-    The m pad rows are one shared list, which no caller modifies.
+    Entries above bound are inf (forbidden), and bound 0 scales by 1.  The
+    m pad rows are one shared list, which no caller modifies.
     """
     m = len(costs) - n
-    rows = [[(c / top) ** p for c in row[:m]] + [(row[m] / top) ** p] * n for row in costs[:n]]
-    pad = [(c / top) ** p for c in costs[-1][:m]] + [0.0] * n
-    return rows + [pad] * m
+    scale = bound or 1.0
+    rows = [[INF if c > bound else (c / scale) ** p for c in row[:m]]
+            + [INF if row[m] > bound else (row[m] / scale) ** p] * n for row in costs[:n]]
+    return rows + [[INF if c > bound else (c / scale) ** p for c in row[:m]] + [0.0] * n
+                   for row in costs[n:n + 1]] * m
 
 
 def _compact_assignment(work, n: int) -> AssignmentResult | None:
@@ -161,52 +159,49 @@ def _compact_assignment(work, n: int) -> AssignmentResult | None:
     return AssignmentResult(total, tuple(perm), u, v)
 
 
-def _power_assignment(costs, p: float, n: int | None = None
-                      ) -> tuple[list[list[float]], AssignmentResult]:
+def _power_assignment(costs, p: float, n: int) -> tuple[list[list[float]], AssignmentResult]:
     """An argmin of sum c ** p, solved on scaled powers; returns (powers, result).
 
-    When costs is padded with the left diagram's n atoms first and every
+    costs is padded with the left diagram's n atoms first.  When every
     basepoint cost is finite, the optimum is solved on n rows and a shared
     diagonal column (_compact_assignment), on powers (c / c_max) ** p, which
-    cannot overflow.  Otherwise, or when the compact solve declines, or an
-    optimum at p > 1 falls to where underflow could decide it, the square
-    matrix is solved instead.  At p = 1 that is costs as they are, with no
-    powers to keep in range.  At p > 1 it is the powers taken over
-    bound = r^(1/p) b, b the bottleneck value, with the entries above bound
-    forbidden: no optimum uses them, since its lp value is at most
-    r^(1/p) b (the 1e-9 margin keeps rounding from forbidding more).  Every
-    kept power is then at most 1 and the optimum about 1/r or more; at
-    bound 0 the kept entries are the zeros.  Its total is in units of
-    bound ** p, so callers read values off costs.  When b is inf, no
-    assignment is finite, and costs is solved as is.
+    cannot overflow; at p > 1 one of them is 1, so an optimum the compact
+    solve accepts is far above where underflow could decide it.  Otherwise,
+    or when the compact solve declines, the square matrix is solved instead.
+    At p = 1 that is costs as they are, with no powers to keep in range.
+    At p > 1 it is the powers taken over bound = r^(1/p) b, b the bottleneck
+    value, with the entries above bound forbidden: no optimum uses them,
+    since its lp value is at most r^(1/p) b (the 1e-9 margin keeps rounding
+    from forbidding more).  Every kept power is then at most 1 and the
+    optimum about 1/r or more; at bound 0 the kept entries are the zeros.
+    Its total is in units of bound ** p, so callers read values off costs.
+    When b is inf, no assignment is finite, and costs is solved as is.
     """
     r = len(costs)
-    if n is not None and r and INF not in [row[r - n] for row in costs[:n]] + costs[-1][:r - n]:
+    if r and INF not in [row[r - n] for row in costs[:n]] + costs[-1][:r - n]:
         if p == 1.0:
             work = costs
         else:
-            work = _padded_powers(costs, p, _finite_max(costs[:n + 1]) or 1.0, n)
+            work = _padded_powers(costs, p, _finite_max(costs[:n + 1]), n)
         result = _compact_assignment(work, n)
-        if result is not None and (p == 1.0 or not result.total < r * _UNDERFLOW):
+        if result is not None:
             return work, result
     bound = INF if p == 1.0 else bottleneck_assignment(costs, n) * (r * (1.0 + 1e-9)) ** (1.0 / p)
     if math.isinf(bound):
         return costs, min_cost_assignment(costs)
-    work = [[INF if c > bound else (c / (bound or 1.0)) ** p for c in row] for row in costs]
+    work = _padded_powers(costs, p, bound, n)
     return work, min_cost_assignment(work)
 
 
-def _solve_value(costs, p: float, n: int | None = None) -> float:
+def _solve_value(costs, p: float, n: int) -> float:
     """Optimal lp value on a padded matrix, without building a matching."""
-    if not costs:
-        return 0.0
     if p == INF:
         return bottleneck_assignment(costs, n)
     _, result = _power_assignment(costs, p, n)
     return lp_norm([costs[i][j] for i, j in enumerate(result.permutation)], p)
 
 
-def _solve_matching(costs, p: float, n: int | None = None) -> tuple[int, ...]:
+def _solve_matching(costs, p: float, n: int) -> tuple[int, ...]:
     """Optimal permutation, lexicographically smallest among optima.
 
     Optima are the perfect matchings of the threshold graph at the bottleneck

@@ -20,7 +20,12 @@ from pdmetric.diagram import diagram_from_list
 from pdmetric.errors import SizeLimitError
 from pdmetric.metric_core import INF, lp_norm
 from pdmetric.spaces import HalfPlaneSpace
-from pdmetric.wasserstein import _compact_assignment, _solve_matching, _space_costs
+from pdmetric.wasserstein import (
+    _compact_assignment,
+    _padded_powers,
+    _solve_matching,
+    _space_costs,
+)
 
 
 def brute_total(costs):
@@ -136,6 +141,15 @@ def padded_matrix(rng, kind, n, m):
     return rows + [right + [0.0] * n for _ in range(m)]
 
 
+def padded_square(costs):
+    """A k x k matrix as a padded problem with n = m = k: every basepoint
+    cost inf and the pad block 0.  Its optima are the matrix's optima with
+    pads matched to pads, so its lexicographically smallest optimum starts
+    with the matrix's and its lp value and bottleneck value are the matrix's."""
+    k = len(costs)
+    return [list(row) + [INF] * k for row in costs] + [[INF] * k + [0.0] * k for _ in costs]
+
+
 def test_hungarian_on_padded_structure_matches_oracle():
     rng = random.Random(2016)
     feasible = 0
@@ -238,6 +252,45 @@ def test_compact_solve_on_padded_structure_matches_oracle():
     assert lifted >= 300
 
 
+def test_accepted_compact_optimum_is_far_above_underflow():
+    # At p > 1 the compact solve runs on powers over the largest finite cost
+    # `top`, so one of them is 1: an a_i, a b_j, or a c_ij with c_ij - b_j or
+    # b_j at least 1/2.  So the cancellation guard declines every total below
+    # r 2^-12, far above where underflow could decide the optimum; only
+    # top == 0 is accepted lower, at a total of 0.
+    rng = random.Random(1292)
+    seen = {"accepted": 0, "declined": 0, "top 0": 0}
+    for trial in range(2000):
+        p = (1.5, 2.0, 7.0, 64.0, 1e4)[trial % 5]
+        n = rng.randint(0, 5)
+        m = rng.randint(0 if n else 1, 5)
+        scale = 0.0 if trial % 10 == 9 else 10.0 ** rng.uniform(-300.0, 300.0)
+
+        def entry():
+            roll = rng.random()
+            if roll < 0.2:
+                return 0.0
+            if roll < 0.3 and scale:
+                return 5e-324 * rng.randint(1, 2 ** 20)  # subnormal
+            return scale * rng.random()
+
+        costs = [[INF if rng.random() < 0.15 else entry() for _ in range(m)] + [entry()] * n
+                 for _ in range(n)]
+        right = [entry() for _ in range(m)]
+        costs += [right + [0.0] * n for _ in range(m)]
+        top = max((c for row in costs for c in row if c < INF), default=0.0)
+        result = _compact_assignment(_padded_powers(costs, p, top, n), n)
+        if result is None:
+            seen["declined"] += 1
+        elif top == 0.0:
+            assert result.total == 0.0
+            seen["top 0"] += 1
+        else:
+            assert result.total >= (n + m) * 2.0 ** -12
+            seen["accepted"] += 1
+    assert min(seen.values()) >= 150, seen
+
+
 @pytest.mark.parametrize("n, m", [(0, 1), (0, 4), (1, 0), (4, 0)])
 def test_compact_solve_with_an_empty_side(n, m):
     # One diagram empty: every atom takes a pad, so the lifted permutation
@@ -268,7 +321,7 @@ def test_bottleneck_assignment_on_a_long_augmenting_path():
         if i + 1 < n:
             costs[i][i + 1] = 1.0
     costs[0][1] = 0.0
-    value = bottleneck_assignment(costs)
+    value = bottleneck_assignment(padded_square(costs), n)
     assert value == 2.0
     size, perm = hopcroft_karp(_threshold_adjacency(costs, value), n)
     assert size == n
@@ -313,8 +366,8 @@ def test_bottleneck_assignment_matches_brute():
     for _ in range(40):
         n = rng.randint(1, 7)
         costs = random_matrix(rng, n, with_inf=0.1)
-        value = bottleneck_assignment(costs)
-        perm = _solve_matching(costs, INF)
+        value = bottleneck_assignment(padded_square(costs), n)
+        perm = _solve_matching(padded_square(costs), INF, n)[:n]
         assert sorted(perm) == list(range(n))
         expected = brute_minimax(costs)
         if math.isinf(expected):
@@ -326,22 +379,24 @@ def test_bottleneck_assignment_matches_brute():
 
 
 def test_bottleneck_empty():
-    assert bottleneck_assignment([]) == 0.0
+    assert bottleneck_assignment(padded_square([]), 0) == 0.0
     assert bottleneck_assignment([], 0) == 0.0
 
 
 def bottleneck_instances(rng, count):
-    """Tie-heavy (costs, n) pairs, n + m <= 9.  Padded matrices of integer-grid
-    half-plane diagrams, some with immortal points (infinite basepoint and
-    cross costs) and some with an empty side; and unpadded square integer
-    matrices with forbidden entries, for which n is None."""
+    """Tie-heavy (costs, n, oracle) triples.  Padded matrices of integer-grid
+    half-plane diagrams, n + m <= 9, some with immortal points (infinite
+    basepoint and cross costs) and some with an empty side, are their own
+    oracle; square integer matrices with forbidden entries, k <= 7, are the
+    oracle of their padded_square embedding, for which n is k."""
     space = HalfPlaneSpace(INF, INF, extended=True)
     for trial in range(count):
         kind = trial % 4
         if kind == 3:
             r = rng.randint(1, 7)
-            yield [[INF if rng.random() < 0.15 else float(rng.randint(0, 3)) for _ in range(r)]
-                   for _ in range(r)], None
+            square = [[INF if rng.random() < 0.15 else float(rng.randint(0, 3)) for _ in range(r)]
+                      for _ in range(r)]
+            yield padded_square(square), r, square
             continue
         r = 9 if trial % 160 in (1, 2) else 8 if trial % 40 in (5, 6) else rng.randint(0, 7)
         n = rng.choice((0, r)) if kind == 0 else rng.randint(0, r)
@@ -351,19 +406,20 @@ def bottleneck_instances(rng, count):
             sides.append(diagram_from_list(
                 [(float(b), INF if kind == 2 and rng.random() < 0.25 else float(b + rng.randint(1, 3)))
                  for b in births], space))
-        yield _space_costs(*sides), n
+        costs = _space_costs(*sides)
+        yield costs, n, costs
 
 
 def test_bottleneck_value_matches_exhaustive_oracle():
     rng = random.Random(1107)
-    seen = {"padded": 0, "infeasible": 0, "empty side": 0, "unpadded": 0, "r = 9": 0}
-    for costs, n in bottleneck_instances(rng, 2700):
+    seen = {"padded": 0, "infeasible": 0, "empty side": 0, "square": 0, "r = 9": 0}
+    for costs, n, oracle in bottleneck_instances(rng, 2700):
         value = bottleneck_assignment(costs, n)
-        assert value == exhaustive_min(costs, INF)
-        seen["padded"] += n is not None
+        assert value == exhaustive_min(oracle, INF)
+        seen["padded"] += oracle is costs
         seen["infeasible"] += math.isinf(value)
         seen["empty side"] += n in (0, len(costs))
-        seen["unpadded"] += n is None
+        seen["square"] += oracle is not costs
         seen["r = 9"] += len(costs) == 9
     assert seen["padded"] >= 2000
     assert min(seen.values()) >= 30, seen
@@ -474,13 +530,13 @@ def test_lex_smallest_matching_breaks_ties():
     # Every permutation has the same total; the identity is lexicographically
     # least.
     costs = [[1.0] * 4 for _ in range(4)]
-    assert _solve_matching(costs, 1.0) == (0, 1, 2, 3)
-    assert _solve_matching(costs, INF) == (0, 1, 2, 3)
+    assert _solve_matching(padded_square(costs), 1.0, 4)[:4] == (0, 1, 2, 3)
+    assert _solve_matching(padded_square(costs), INF, 4)[:4] == (0, 1, 2, 3)
     complete = [list(range(4)) for _ in range(4)]
     assert lex_smallest_matching(complete, (3, 2, 1, 0)) == (0, 1, 2, 3)
     # Two optimal permutations: (0, 1) and (1, 0); prefer (0, 1).
     costs = [[2.0, 2.0], [2.0, 2.0]]
-    assert _solve_matching(costs, 1.0) == (0, 1)
+    assert _solve_matching(padded_square(costs), 1.0, 2)[:2] == (0, 1)
     assert lex_smallest_matching([[0, 1], [0, 1]], (1, 0)) == (0, 1)
 
 
@@ -489,16 +545,16 @@ def test_lex_smallest_matching_respects_optimality():
         [0.0, 5.0],
         [5.0, 0.0],
     ]
-    assert _solve_matching(costs, 1.0) == (0, 1)
-    assert _solve_matching(costs, INF) == (0, 1)
+    assert _solve_matching(padded_square(costs), 1.0, 2)[:2] == (0, 1)
+    assert _solve_matching(padded_square(costs), INF, 2)[:2] == (0, 1)
     # Only the identity is a perfect matching of this graph.
     assert lex_smallest_matching([[0, 1], [1]], (0, 1)) == (0, 1)
 
 
 def test_lex_smallest_matching_empty():
     assert lex_smallest_matching([], ()) == ()
-    assert _solve_matching([], 1.0) == ()
-    assert _solve_matching([], INF) == ()
+    assert _solve_matching(padded_square([]), 1.0, 0) == ()
+    assert _solve_matching(padded_square([]), INF, 0) == ()
 
 
 @pytest.mark.parametrize("p", [1.0, 2.0, 3.5, INF])
@@ -536,6 +592,6 @@ def test_tie_break_is_first_optimum_in_permutation_order(p):
             if math.isclose(lp_norm([costs[i][perm[i]] for i in range(n)], p),
                             best, rel_tol=1e-9, abs_tol=0.0)
         )
-        assert _solve_matching(costs, p) == expected
+        assert _solve_matching(padded_square(costs), p, n)[:n] == expected
         checked += 1
     assert checked >= 150

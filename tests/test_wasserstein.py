@@ -3,6 +3,7 @@ import math
 import random
 
 import pytest
+from test_assignment import padded_square
 
 from pdmetric.assignment import exhaustive_min
 from pdmetric.diagram import diagram_from_list, empty_diagram
@@ -170,16 +171,17 @@ def test_large_exponent_mixed_scale_against_oracle(p):
         n = rng.randint(2, 6)
         costs = [[10.0 ** rng.uniform(-3.0, 0.0) for _ in range(n)] for _ in range(n)]
         best = exhaustive_min(costs, p)
-        assert _solve_value(costs, p) == pytest.approx(best, rel=1e-9)
-        perm = _solve_matching(costs, p)
+        assert _solve_value(padded_square(costs), p, n) == pytest.approx(best, rel=1e-9)
+        perm = _solve_matching(padded_square(costs), p, n)[:n]
         assert lp_norm([costs[i][perm[i]] for i in range(n)], p) == pytest.approx(best, rel=1e-9)
     costs = [[0.02, 0.01, 1.0], [0.01, 0.02, 1.0], [1.0, 1.0, 0.0]]
-    assert _solve_value(costs, p) == pytest.approx(lp_norm([0.01, 0.01], p), rel=1e-12)
-    assert _solve_matching(costs, p) == (1, 0, 2)
+    assert _solve_value(padded_square(costs), p, 3) == pytest.approx(lp_norm([0.01, 0.01], p),
+                                                                     rel=1e-12)
+    assert _solve_matching(padded_square(costs), p, 3)[:3] == (1, 0, 2)
     # An optimum of 0 beside entries whose powers underflow to 0.
     costs = [[1e-5, 0.0, 1.0], [0.0, 1e-5, 1.0], [1.0, 1.0, 0.0]]
-    assert _solve_value(costs, p) == 0.0
-    assert _solve_matching(costs, p) == (1, 0, 2)
+    assert _solve_value(padded_square(costs), p, 3) == 0.0
+    assert _solve_matching(padded_square(costs), p, 3)[:3] == (1, 0, 2)
 
 
 @pytest.mark.parametrize("p", [2.0, 3.5, 200.0])
@@ -269,6 +271,23 @@ def test_immortal_atoms_take_the_square_solve(p, solve_calls):
             brute_force_wasserstein(alpha, beta, p), rel=1e-12)
         assert calls == ["compact"]
 
+
+@pytest.mark.parametrize("p", [2.0, 64.0])
+@pytest.mark.parametrize("d_ab", [0.0, INF])
+def test_all_zero_costs_take_one_compact_solve(p, d_ab, solve_calls):
+    # Every finite cost is 0 (and d(a, b) either 0 or inf), so every power
+    # is 0 or inf and the compact optimum is 0.  It is accepted, with the
+    # matching a square re-solve would give, since every finite edge is tight.
+    space = FiniteSpace(["o", "a", "b"], [[0.0, 0.0, 0.0], [0.0, 0.0, d_ab], [0.0, d_ab, 0.0]],
+                        "o")
+    alpha, beta = diagrams(space, ["a", "a", "b"], ["b", "a"])
+    assert wasserstein_value(alpha, beta, p) == 0.0
+    assert solve_calls == ["compact"]
+    value, matching = wasserstein(alpha, beta, p)
+    assert value == 0.0
+    right = [0, 1, BASEPOINT] if d_ab == 0.0 else [0, BASEPOINT, 1]
+    assert matching.pairs == tuple((i, j, 0.0) for i, j in enumerate(right))
+    assert solve_calls == ["compact"] * 2
 
 def test_certificate_reads_the_w1_solve(solve_calls):
     # kr_certificate's potentials are the duals of the one W_1 solve: the
