@@ -114,13 +114,22 @@ def test_immortal_matching_at_size_matches_golden_output(capsys, left, right, p,
     assert capsys.readouterr().out == (GOLDEN / pinned).read_text()
 
 
-# W_1 matchings with their Kantorovich-Rubinstein certificates: the immortal
-# pair takes the square solve, the grid40 pair the compact one, whose pad
-# potentials are 0.  CI diffs the same commands against the same files.
+# W_1 values, some with their matchings, and their Kantorovich-Rubinstein
+# certificates: the immortal pair takes the square solve, the grid40 pair the
+# compact one, whose pad potentials are 0.  Without --matching the value is
+# the solve's own; against the immortal diagram the primal is inf and there
+# are no potentials; two empty diagrams give an empty certificate.  CI diffs
+# the same commands against the same files.
 CERTIFICATE_PINS = [
-    ("immortal-left.json", "immortal-right.json", ["--q", "2", "--extended"],
+    ("immortal-left.json", "immortal-right.json", ["--q", "2", "--extended", "--matching"],
      "immortal-p1-certificate.json"),
-    ("grid40-left.json", "grid40-right.json", ["--q", "inf"], "grid40-p1-certificate.json"),
+    ("grid40-left.json", "grid40-right.json", ["--q", "inf", "--matching"],
+     "grid40-p1-certificate.json"),
+    ("grid40-left.json", "grid40-right.json", ["--q", "inf"],
+     "grid40-p1-value-certificate.json"),
+    ("empty.json", "immortal-right.json", ["--q", "2", "--extended"],
+     "empty-immortal-right-p1-certificate.json"),
+    ("empty.json", "empty.json", ["--q", "2", "--matching"], "empty-empty-p1-certificate.json"),
 ]
 
 
@@ -128,7 +137,7 @@ CERTIFICATE_PINS = [
                          ids=[pin[-1].removesuffix(".json") for pin in CERTIFICATE_PINS])
 def test_certificate_matches_golden_output(capsys, left, right, flags, pinned):
     code = cli.main(["distance", str(GOLDEN / left), str(GOLDEN / right), "--space",
-                     "halfplane", *flags, "--p", "1", "--matching", "--certificate"])
+                     "halfplane", *flags, "--p", "1", "--certificate"])
     assert code == 0
     assert capsys.readouterr().out == (GOLDEN / pinned).read_text()
 
