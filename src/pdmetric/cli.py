@@ -29,9 +29,9 @@ from .io import (
     parse_exponent_text,
     space_from_spec,
 )
-from .kr_duality import kr_certificate, support_function
+from .kr_duality import certificate_of, support_function
 from .spaces import AnagramSpace, anagram_distance, word_diagram
-from .wasserstein import wasserstein, wasserstein_value
+from .wasserstein import solve
 
 EXIT_OK = 0
 EXIT_FAILED = 1
@@ -74,21 +74,13 @@ def cmd_distance(args) -> int:
     space = space_from_spec(_space_spec_from_args(args))
     alpha = _load_input(args.inputs[0], space)
     beta = _load_input(args.inputs[1], space)
+    solved = solve(alpha, beta, p)
+    out: dict = {"space": getattr(space, "space_id", "custom"), "p": p, "value": solved.value}
     if args.matching:
-        value, matching = wasserstein(alpha, beta, p)
-    else:
-        value = wasserstein_value(alpha, beta, p)
-    out: dict = {
-        "space": getattr(space, "space_id", "custom"),
-        "p": p,
-        "value": value,
-    }
-    if args.matching:
-        out["matching"] = matching_to_json(matching)
+        matching = solved.matching()
+        out.update(value=matching.total, matching=matching_to_json(matching))
     if args.certificate:
-        if p != 1.0:
-            raise PreconditionError("dual certificates are available for p = 1 only")
-        cert = kr_certificate(alpha, beta)
+        cert = certificate_of(alpha, beta, solved)
         h = support_function(cert) if cert.has_certificate else None
         out["certificate"] = certificate_to_json(cert, h)
     print(dump_json(out))

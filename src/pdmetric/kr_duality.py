@@ -3,8 +3,8 @@
 The padded assignment problem is a linear program over doubly stochastic
 matrices whose vertices are permutations, so the optimal matching comes
 with dual potentials y in R^(2r): y[i] - y[r+j] <= d(a_i, b_j) everywhere,
-with equality along the optimal matching, and equal objective values.  The
-certificate is the W_1 solve that wasserstein runs, read with its duals:
+with equality along the optimal matching, and equal objective values.  A
+certificate reads the duals of the p = 1 Solve record that gives W_1:
 on finite diagrams the compact solve, whose potentials price the basepoint
 at 0 on both sides (the normalization h(x0) = 0), and otherwise the square
 solve of the padded costs.  The potentials assemble into a 1-Lipschitz
@@ -21,7 +21,7 @@ from typing import Mapping
 from .diagram import Diagram
 from .errors import DomainError, PreconditionError
 from .metric_core import INF
-from .wasserstein import _power_assignment, _require_same_space, _space_costs
+from .wasserstein import Solve, _require_same_space, solve, wasserstein_value
 
 FEASIBILITY_TOLERANCE = 1e-12
 COINCIDENCE_TOLERANCE = 1e-9
@@ -34,10 +34,10 @@ class DualCertificate:
     left_points / right_points are the padded supports (atoms then
     basepoint copies), each of length r = n + m.  y has length 2r: row
     potentials first, then column potentials negated so that feasibility
-    reads y[i] - y[r+j] <= d(a_i, b_j).  They are the duals of the W_1
-    solve; when it is the compact one, every pad potential (y[n:r] and
-    y[r+m:]) is 0.  When the primal is infinite no potentials exist and y
-    is None.
+    reads y[i] - y[r+j] <= d(a_i, b_j).  They are the duals of one p = 1
+    Solve (certificate_of); when it is the compact one, every pad potential
+    (y[n:r] and y[r+m:]) is 0.  When the primal is infinite no potentials
+    exist and y is None.
     """
 
     space: object
@@ -59,32 +59,29 @@ class DualCertificate:
         return self.y is not None
 
 
-def kr_certificate(alpha: Diagram, beta: Diagram) -> DualCertificate:
-    """Solve W_1 and return matching plus dual potentials.
+def certificate_of(alpha: Diagram, beta: Diagram, solved: Solve) -> DualCertificate:
+    """The matching and dual potentials of a p = 1 Solve of alpha against beta.
 
-    The permutation, value and potentials come from the same p = 1 solve
-    as wasserstein's: the compact solve, lifted to the padded matrix, when
-    every basepoint cost is finite and it is accepted, else the square
-    solve of the padded costs.  An infinite primal value (possible only
-    over spaces with infinite ground distances) is reported without
-    potentials.
+    They are the compact solve's, lifted to the padded matrix, or else the
+    square solve's.  An infinite primal (possible only with infinite ground
+    distances) has no potentials.  Any other p is a PreconditionError.
     """
-    _require_same_space(alpha, beta)
-    space = alpha.space
-    costs = _space_costs(alpha, beta)
+    if solved.p != 1.0:
+        raise PreconditionError("dual certificates are available for p = 1 only")
+    space, result = alpha.space, solved.result
     n, m = alpha.size, beta.size
     left = tuple(alpha.expand()) + (space.basepoint,) * m
     right = tuple(beta.expand()) + (space.basepoint,) * n
-    _, result = _power_assignment(costs, 1.0, n)
     if result.u is None:
-        return DualCertificate(
-            space, INF, None, None, result.permutation, left, right, n, m
-        )
+        return DualCertificate(space, INF, None, None, result.permutation, left, right, n, m)
     y = tuple(result.u) + tuple(-v for v in result.v)
     dual = math.fsum(result.u) + math.fsum(result.v)
-    return DualCertificate(
-        space, result.total, dual, y, result.permutation, left, right, n, m
-    )
+    return DualCertificate(space, result.total, dual, y, result.permutation, left, right, n, m)
+
+
+def kr_certificate(alpha: Diagram, beta: Diagram) -> DualCertificate:
+    """certificate_of the one W_1 solve of alpha against beta."""
+    return certificate_of(alpha, beta, solve(alpha, beta, 1))
 
 
 def feasibility_violation(cert: DualCertificate) -> float:
@@ -211,8 +208,6 @@ def duality_gap(alpha: Diagram, beta: Diagram, candidate) -> float:
     to 1e-12 are treated as rounding); weak duality then makes the gap
     nonnegative, with zero exactly at optimal potentials.
     """
-    from .wasserstein import wasserstein_value
-
     _require_same_space(alpha, beta)
     space = alpha.space
     points = list(dict.fromkeys(

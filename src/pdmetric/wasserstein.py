@@ -17,8 +17,9 @@ back to the padded matrix.  Two cases are solved on the square matrix:
 infinite basepoint costs (immortal atoms), and an optimum too small next to
 the basepoint costs to survive their subtraction.  For p > 1 that matrix is
 scaled by a bound on the optimum; p = 1 has no powers to keep in range, so
-its square solve runs on the costs unscaled, and its duals are the
-Kantorovich-Rubinstein certificate of kr_duality either way.
+its square solve runs on the costs unscaled.  A request builds its costs
+once and solves them once (solve), and its value, its matching and, at
+p = 1, kr_duality's certificate from the duals all read that one Solve.
 """
 
 from __future__ import annotations
@@ -133,13 +134,13 @@ def _compact_assignment(work, n: int) -> AssignmentResult | None:
     pad rows the atom columns left over in ascending order, then the rest.
     The duals (u, 0^m) and (v_j + b_j, 0^n) are feasible for work, since
     v_j <= 0 and u_i <= a_i, and tight on that permutation, since v_j = 0
-    on the columns no atom row takes.  Either side may be empty: with no
+    on the columns no atom row takes.  A side may be empty, or both: with no
     atom rows v_j is 0, so the lifted v is b.  Returns None when the optimum
     is too small next to the entries for their differences to decide it.
     """
     r = len(work)
     m = r - n
-    b = work[-1][:m]
+    b = work[n][:m] if m else []
     compact = [[c - bj for c, bj in zip(row, b)] + [row[m]] for row in work[:n]]
     _, perm, u, v = hungarian(compact, shared=True)
     pads = iter(range(m, r))
@@ -178,11 +179,9 @@ def _power_assignment(costs, p: float, n: int) -> tuple[list[list[float]], Assig
     When b is inf, no assignment is finite, and costs is solved as is.
     """
     r = len(costs)
-    if r and INF not in [row[r - n] for row in costs[:n]] + costs[-1][:r - n]:
-        if p == 1.0:
-            work = costs
-        else:
-            work = _padded_powers(costs, p, _finite_max(costs[:n + 1]), n)
+    m = r - n
+    if INF not in [row[m] for row in costs[:n]] + (costs[n][:m] if m else []):
+        work = costs if p == 1.0 else _padded_powers(costs, p, _finite_max(costs[:n + 1]), n)
         result = _compact_assignment(work, n)
         if result is not None:
             return work, result
@@ -193,61 +192,79 @@ def _power_assignment(costs, p: float, n: int) -> tuple[list[list[float]], Assig
     return work, min_cost_assignment(work)
 
 
-def _solve_value(costs, p: float, n: int) -> float:
-    """Optimal lp value on a padded matrix, without building a matching."""
-    if p == INF:
-        return bottleneck_assignment(costs, n)
-    _, result = _power_assignment(costs, p, n)
-    return lp_norm([costs[i][j] for i, j in enumerate(result.permutation)], p)
+class Solve(NamedTuple):
+    """One solve of a padded matrix, costs, whose first n rows are atoms.
 
-
-def _solve_matching(costs, p: float, n: int) -> tuple[int, ...]:
-    """Optimal permutation, lexicographically smallest among optima.
-
-    Optima are the perfect matchings of the threshold graph at the bottleneck
-    value, or (complementary slackness) of the optimal duals' equality
-    subgraph.  Its tolerance over r rows sums to 1e-9 of the optimum.  The
-    square solve's duals never exceed the optimum, and the compact solve
-    runs only where the optimum is at least r 2^-11 times its entries, so
-    rounding stays far below it either way.
+    At finite p, (work, result) is what _power_assignment returns and value
+    the lp value of result.permutation on costs, not its scaled total.  At
+    p = inf, value is the bottleneck value and work and result are None.
     """
+
+    costs: list[list[float]]
+    n: int
+    p: float
+    value: float
+    work: list[list[float]] | None
+    result: AssignmentResult | None
+
+    def permutation(self) -> tuple[int, ...]:
+        """Optimal permutation, lexicographically smallest among optima.
+
+        Optima are the perfect matchings of the threshold graph at the
+        bottleneck value, or (complementary slackness) of the optimal duals'
+        equality subgraph, whose tolerance over r rows sums to 1e-9 of the
+        optimum.  The square solve's duals never exceed the optimum, and an
+        accepted compact optimum is at least r 2^-11 times its entries, so
+        rounding stays far below it either way.
+        """
+        if self.p == INF:
+            if math.isinf(self.value):
+                return min_cost_assignment(self.costs).permutation
+            adjacency = _threshold_adjacency(self.costs, self.value)
+            return lex_smallest_matching(adjacency, hopcroft_karp(adjacency, len(self.costs))[1])
+        result = self.result
+        if math.isinf(result.total):
+            return result.permutation
+        perm, u, v = result.permutation, result.u, result.v
+        tol = 1e-9 * result.total / max(1, len(self.work))
+        tight = [
+            [j for j, (c, vj) in enumerate(zip(row, v)) if j == perm[i] or c - u[i] - vj <= tol]
+            for i, row in enumerate(self.work)
+        ]
+        return lex_smallest_matching(tight, perm)
+
+    def matching(self) -> Matching:
+        """The optimal permutation as pairs of atoms, pad-pad pairs left out."""
+        n, m = self.n, len(self.costs) - self.n
+        pairs = []
+        for i, j in enumerate(self.permutation()):
+            left = i if i < n else BASEPOINT
+            right = j if j < m else BASEPOINT
+            if left == BASEPOINT and right == BASEPOINT:
+                continue  # zero-cost padding, carries no information
+            pairs.append(MatchedPair(left, right, self.costs[i][j]))
+        total = lp_norm([pair.cost for pair in pairs], self.p)
+        return Matching(p=self.p, total=total, pairs=tuple(pairs))
+
+
+def _solve(costs, p: float, n: int) -> Solve:
     if p == INF:
-        value = bottleneck_assignment(costs, n)
-        if math.isinf(value):
-            return min_cost_assignment(costs).permutation
-        adjacency = _threshold_adjacency(costs, value)
-        return lex_smallest_matching(adjacency, hopcroft_karp(adjacency, len(costs))[1])
+        return Solve(costs, n, p, bottleneck_assignment(costs, n), None, None)
     work, result = _power_assignment(costs, p, n)
-    if math.isinf(result.total):
-        return result.permutation
-    perm, u, v = result.permutation, result.u, result.v
-    tol = 1e-9 * result.total / max(1, len(work))
-    tight = [
-        [j for j, (c, vj) in enumerate(zip(row, v)) if j == perm[i] or c - u[i] - vj <= tol]
-        for i, row in enumerate(work)
-    ]
-    return lex_smallest_matching(tight, perm)
+    value = lp_norm([costs[i][j] for i, j in enumerate(result.permutation)], p)
+    return Solve(costs, n, p, value, work, result)
 
 
-def _build_matching(alpha: Diagram, beta: Diagram, costs, perm, p: float) -> Matching:
-    n = alpha.size
-    m = beta.size
-    pairs = []
-    for i, j in enumerate(perm):
-        left = i if i < n else BASEPOINT
-        right = j if j < m else BASEPOINT
-        if left == BASEPOINT and right == BASEPOINT:
-            continue  # zero-cost padding, carries no information
-        pairs.append(MatchedPair(left, right, costs[i][j]))
-    total = lp_norm([pair.cost for pair in pairs], p)
-    return Matching(p=p, total=total, pairs=tuple(pairs))
+def solve(alpha: Diagram, beta: Diagram, p) -> Solve:
+    """The one solve of W_p(alpha, beta): padded costs built once, solved once."""
+    p = as_exponent(p)
+    _require_same_space(alpha, beta)
+    return _solve(_space_costs(alpha, beta), p, alpha.size)
 
 
 def wasserstein_value(alpha: Diagram, beta: Diagram, p) -> float:
     """W_p(alpha, beta) without constructing the realizing matching."""
-    p = as_exponent(p)
-    _require_same_space(alpha, beta)
-    return _solve_value(_space_costs(alpha, beta), p, alpha.size)
+    return solve(alpha, beta, p).value
 
 
 def wasserstein(alpha: Diagram, beta: Diagram, p) -> tuple[float, Matching]:
@@ -256,11 +273,7 @@ def wasserstein(alpha: Diagram, beta: Diagram, p) -> tuple[float, Matching]:
     Among optimal matchings the lexicographically smallest permutation of
     the padded index set is returned, so output is deterministic.
     """
-    p = as_exponent(p)
-    _require_same_space(alpha, beta)
-    costs = _space_costs(alpha, beta)
-    perm = _solve_matching(costs, p, alpha.size)
-    matching = _build_matching(alpha, beta, costs, perm, p)
+    matching = solve(alpha, beta, p).matching()
     return matching.total, matching
 
 
@@ -312,4 +325,4 @@ def wasserstein_quotient_reduced(alpha: Diagram, beta: Diagram, p, *,
     rows = [[float(ambient_dist(x, y)) for y in right] for x in left]
     costs = _padded_costs(rows, [float(subset_dist(x)) for x in left],
                           [float(subset_dist(y)) for y in right])
-    return _solve_value(costs, p, alpha.size)
+    return _solve(costs, p, alpha.size).value

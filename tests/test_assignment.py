@@ -23,7 +23,7 @@ from pdmetric.spaces import HalfPlaneSpace
 from pdmetric.wasserstein import (
     _compact_assignment,
     _padded_powers,
-    _solve_matching,
+    _solve,
     _space_costs,
 )
 
@@ -367,7 +367,7 @@ def test_bottleneck_assignment_matches_brute():
         n = rng.randint(1, 7)
         costs = random_matrix(rng, n, with_inf=0.1)
         value = bottleneck_assignment(padded_square(costs), n)
-        perm = _solve_matching(padded_square(costs), INF, n)[:n]
+        perm = _solve(padded_square(costs), INF, n).permutation()[:n]
         assert sorted(perm) == list(range(n))
         expected = brute_minimax(costs)
         if math.isinf(expected):
@@ -530,13 +530,13 @@ def test_lex_smallest_matching_breaks_ties():
     # Every permutation has the same total; the identity is lexicographically
     # least.
     costs = [[1.0] * 4 for _ in range(4)]
-    assert _solve_matching(padded_square(costs), 1.0, 4)[:4] == (0, 1, 2, 3)
-    assert _solve_matching(padded_square(costs), INF, 4)[:4] == (0, 1, 2, 3)
+    assert _solve(padded_square(costs), 1.0, 4).permutation()[:4] == (0, 1, 2, 3)
+    assert _solve(padded_square(costs), INF, 4).permutation()[:4] == (0, 1, 2, 3)
     complete = [list(range(4)) for _ in range(4)]
     assert lex_smallest_matching(complete, (3, 2, 1, 0)) == (0, 1, 2, 3)
     # Two optimal permutations: (0, 1) and (1, 0); prefer (0, 1).
     costs = [[2.0, 2.0], [2.0, 2.0]]
-    assert _solve_matching(padded_square(costs), 1.0, 2)[:2] == (0, 1)
+    assert _solve(padded_square(costs), 1.0, 2).permutation()[:2] == (0, 1)
     assert lex_smallest_matching([[0, 1], [0, 1]], (1, 0)) == (0, 1)
 
 
@@ -545,16 +545,16 @@ def test_lex_smallest_matching_respects_optimality():
         [0.0, 5.0],
         [5.0, 0.0],
     ]
-    assert _solve_matching(padded_square(costs), 1.0, 2)[:2] == (0, 1)
-    assert _solve_matching(padded_square(costs), INF, 2)[:2] == (0, 1)
+    assert _solve(padded_square(costs), 1.0, 2).permutation()[:2] == (0, 1)
+    assert _solve(padded_square(costs), INF, 2).permutation()[:2] == (0, 1)
     # Only the identity is a perfect matching of this graph.
     assert lex_smallest_matching([[0, 1], [1]], (0, 1)) == (0, 1)
 
 
 def test_lex_smallest_matching_empty():
     assert lex_smallest_matching([], ()) == ()
-    assert _solve_matching(padded_square([]), 1.0, 0) == ()
-    assert _solve_matching(padded_square([]), INF, 0) == ()
+    assert _solve(padded_square([]), 1.0, 0).permutation() == ()
+    assert _solve(padded_square([]), INF, 0).permutation() == ()
 
 
 @pytest.mark.parametrize("p", [1.0, 2.0, 3.5, INF])
@@ -592,6 +592,6 @@ def test_tie_break_is_first_optimum_in_permutation_order(p):
             if math.isclose(lp_norm([costs[i][perm[i]] for i in range(n)], p),
                             best, rel_tol=1e-9, abs_tol=0.0)
         )
-        assert _solve_matching(padded_square(costs), p, n)[:n] == expected
+        assert _solve(padded_square(costs), p, n).permutation()[:n] == expected
         checked += 1
     assert checked >= 150

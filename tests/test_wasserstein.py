@@ -1,22 +1,25 @@
 import importlib
 import math
 import random
+from pathlib import Path
 
 import pytest
 from test_assignment import padded_square
 
+from pdmetric import cli
 from pdmetric.assignment import exhaustive_min
 from pdmetric.diagram import diagram_from_list, empty_diagram
 from pdmetric.errors import DomainError, PreconditionError, SizeLimitError
-from pdmetric.kr_duality import kr_certificate
+from pdmetric.kr_duality import certificate_of, kr_certificate
 from pdmetric.metric_core import INF, FiniteSpace, lp_norm, remetrize
 from pdmetric.spaces import halfplane_quotient
 from pdmetric.wasserstein import (
     BASEPOINT,
-    _solve_matching,
-    _solve_value,
+    Matching,
+    _solve,
     bottleneck,
     brute_force_wasserstein,
+    solve,
     wasserstein,
     wasserstein_quotient_reduced,
     wasserstein_value,
@@ -24,7 +27,9 @@ from pdmetric.wasserstein import (
 
 # The package re-exports the function wasserstein under the module's name.
 wasserstein_module = importlib.import_module("pdmetric.wasserstein")
+kr_duality_module = importlib.import_module("pdmetric.kr_duality")
 
+GOLDEN = Path(__file__).parent / "golden"
 Q_INF_P1 = halfplane_quotient(INF, 1.0)
 Q_INF_PINF = halfplane_quotient(INF, INF)
 
@@ -171,17 +176,17 @@ def test_large_exponent_mixed_scale_against_oracle(p):
         n = rng.randint(2, 6)
         costs = [[10.0 ** rng.uniform(-3.0, 0.0) for _ in range(n)] for _ in range(n)]
         best = exhaustive_min(costs, p)
-        assert _solve_value(padded_square(costs), p, n) == pytest.approx(best, rel=1e-9)
-        perm = _solve_matching(padded_square(costs), p, n)[:n]
+        assert _solve(padded_square(costs), p, n).value == pytest.approx(best, rel=1e-9)
+        perm = _solve(padded_square(costs), p, n).permutation()[:n]
         assert lp_norm([costs[i][perm[i]] for i in range(n)], p) == pytest.approx(best, rel=1e-9)
     costs = [[0.02, 0.01, 1.0], [0.01, 0.02, 1.0], [1.0, 1.0, 0.0]]
-    assert _solve_value(padded_square(costs), p, 3) == pytest.approx(lp_norm([0.01, 0.01], p),
+    assert _solve(padded_square(costs), p, 3).value == pytest.approx(lp_norm([0.01, 0.01], p),
                                                                      rel=1e-12)
-    assert _solve_matching(padded_square(costs), p, 3)[:3] == (1, 0, 2)
+    assert _solve(padded_square(costs), p, 3).permutation()[:3] == (1, 0, 2)
     # An optimum of 0 beside entries whose powers underflow to 0.
     costs = [[1e-5, 0.0, 1.0], [0.0, 1e-5, 1.0], [1.0, 1.0, 0.0]]
-    assert _solve_value(padded_square(costs), p, 3) == 0.0
-    assert _solve_matching(padded_square(costs), p, 3)[:3] == (1, 0, 2)
+    assert _solve(padded_square(costs), p, 3).value == 0.0
+    assert _solve(padded_square(costs), p, 3).permutation()[:3] == (1, 0, 2)
 
 
 @pytest.mark.parametrize("p", [2.0, 3.5, 200.0])
@@ -289,6 +294,17 @@ def test_all_zero_costs_take_one_compact_solve(p, d_ab, solve_calls):
     assert matching.pairs == tuple((i, j, 0.0) for i, j in enumerate(right))
     assert solve_calls == ["compact"] * 2
 
+
+@pytest.mark.parametrize("p", [1.0, 2.0, 64.0])
+def test_two_empty_diagrams_take_one_compact_solve(p, solve_calls):
+    # r = 0: no atom rows and no atom columns, solved like an empty side.
+    alpha, beta = diagrams(halfplane_quotient(INF, p), [], [])
+    assert wasserstein_value(alpha, beta, p) == 0.0
+    assert solve_calls == ["compact"]
+    assert wasserstein(alpha, beta, p) == (0.0, Matching(p=p, total=0.0, pairs=()))
+    assert solve_calls == ["compact"] * 2
+
+
 def test_certificate_reads_the_w1_solve(solve_calls):
     # kr_certificate's potentials are the duals of the one W_1 solve: the
     # compact one on finite diagrams, the unbounded square one on immortal.
@@ -303,6 +319,31 @@ def test_certificate_reads_the_w1_solve(solve_calls):
         cert = kr_certificate(*diagrams(space, *points))
         assert cert.has_certificate == bool(points[1])
         assert solve_calls == ["square"]
+
+
+def test_distance_with_matching_and_certificate_solves_once(monkeypatch, capsys):
+    # The value, the matching and the W_1 certificate read one solve record.
+    # Every module that binds the solver's names is counted.
+    calls = []
+    for attr in ("_space_costs", "_power_assignment"):
+        def recording(*args, _attr=attr, _real=getattr(wasserstein_module, attr)):
+            calls.append(_attr)
+            return _real(*args)
+        for module in (wasserstein_module, kr_duality_module, cli):
+            if hasattr(module, attr):
+                monkeypatch.setattr(module, attr, recording)
+    code = cli.main(["distance", str(GOLDEN / "grid40-left.json"),
+                     str(GOLDEN / "grid40-right.json"), "--space", "halfplane", "--q", "inf",
+                     "--p", "1", "--matching", "--certificate"])
+    assert code == 0
+    assert capsys.readouterr().out == (GOLDEN / "grid40-p1-certificate.json").read_text()
+    assert calls == ["_space_costs", "_power_assignment"]
+
+
+def test_certificate_of_a_p_two_solve_is_refused():
+    alpha, beta = diagrams(halfplane_quotient(INF, 2.0), [(0.0, 2.0)], [(0.5, 2.0)])
+    with pytest.raises(PreconditionError, match="p = 1 only"):
+        certificate_of(alpha, beta, solve(alpha, beta, 2.0))
 
 
 def test_requires_same_space():
