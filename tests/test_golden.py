@@ -92,6 +92,17 @@ def test_bottleneck_matching_at_size_matches_golden_output(capsys):
     assert capsys.readouterr().out == (GOLDEN / "grid40-bottleneck-matching.json").read_text()
 
 
+def test_compact_matching_with_ties_matches_golden_output(capsys):
+    # The grid40 pair at p = 2 is solved compactly, and its integer grid
+    # leaves many optima, so the tie-break picks among atoms and the
+    # diagonal.  CI runs the same command and diffs it against the same file.
+    code = cli.main(["distance", str(GOLDEN / "grid40-left.json"),
+                     str(GOLDEN / "grid40-right.json"), "--space", "halfplane",
+                     "--q", "inf", "--p", "2", "--matching"])
+    assert code == 0
+    assert capsys.readouterr().out == (GOLDEN / "grid40-p2-matching.json").read_text()
+
+
 # Extended half-plane diagrams of 40 and 37 integer-grid atoms with
 # multiplicity (20 and 22 distinct), 4 of them immortal on each side, and
 # the empty diagram: (left, right, p, pinned stdout).  CI diffs the same
@@ -102,6 +113,9 @@ IMMORTAL_PINS = [
     ("immortal-left.json", "immortal-right.json", "3.5", "immortal-p3.5-matching.json"),
     ("immortal-left.json", "empty.json", "2", "immortal-left-empty-p2-matching.json"),
     ("empty.json", "immortal-right.json", "1", "empty-immortal-right-p1-matching.json"),
+    # The threshold route: immortal rows cannot take the diagonal, and
+    # immortal columns must be covered by atom rows.
+    ("immortal-left.json", "immortal-right.json", "inf", "immortal-pinf-matching.json"),
 ]
 
 
