@@ -11,9 +11,12 @@ hopcroft_karp    maximum bipartite matching, optionally grown from a given one;
 bottleneck_assignment
                  minimax value by binary search on a padded matrix's atom block.
 lex_smallest_matching
-                 the deterministic tie-break: lexicographically smallest perfect
-                 matching of the optimal duals' equality subgraph (or of the
-                 bottleneck threshold graph), grown from the solver's matching.
+                 the deterministic tie-break: lexicographically smallest
+                 assignment of n rows to m columns, some of which may stay
+                 free, and a shared diagonal, grown from a given one.  On a
+                 W_p problem the rows are the atoms, the pad rows one node,
+                 and the graph the optimal duals' equality subgraph (or the
+                 bottleneck threshold graph).
 exhaustive_min   brute-force enumeration over all permutations (vectorized),
                  guarded at n <= 9; the independent oracle for everything else.
 """
@@ -176,10 +179,6 @@ def _finite_adjacency(costs) -> list[list[int]]:
     return [[j for j, c in enumerate(row) if not math.isinf(c)] for row in costs]
 
 
-def _threshold_adjacency(costs, bound: float) -> list[list[int]]:
-    return [[j for j, c in enumerate(row) if c <= bound] for row in costs]
-
-
 def has_perfect_matching(adjacency: list[list[int]], n_right: int,
                          start: list[int] | None = None) -> tuple[bool, list[int]]:
     """Whether every left node can be matched, with the maximum matching found."""
@@ -269,42 +268,56 @@ def bottleneck_assignment(costs, n: int) -> float:
     return values[bisect_left(values, True, hi=len(values) - 1, key=feasible)]
 
 
-def lex_smallest_matching(adjacency: list[list[int]], perm) -> tuple[int, ...]:
-    """Lexicographically smallest perfect matching of a bipartite graph.
+def lex_smallest_matching(adjacency: list[list[int]], optional: list[bool],
+                          match: list[int]) -> tuple[int, ...]:
+    """Lexicographically smallest assignment of n rows to m columns and a diagonal.
 
-    adjacency[i] lists row i's columns; perm is one perfect matching in it.
-    Row by row, commit the smallest column on an alternating cycle through
-    the current matching over uncommitted rows, and rotate along the cycle.
+    adjacency[i] lists row i's columns in ascending order.  Column m =
+    len(optional), the diagonal, may take any number of rows and ranks last.
+    Column j < m may stay free when optional[j]; otherwise some row must take
+    it.  Node n stands for the pad rows, which are all alike: it holds the
+    free columns and the diagonal, and may take the diagonal and every
+    optional column.  match is one such assignment, a column per row.  Row
+    by row, commit the smallest column whose holder can pass it on along an
+    alternating path, over uncommitted rows and node n, that ends at the
+    column the row gives up, and rotate along that path.  With no optional
+    column and no diagonal edge this is the lexicographically smallest
+    perfect matching of a square graph.
     """
-    n = len(adjacency)
-    match = list(perm)
-    owner = [0] * n
-    for i, j in enumerate(match):
-        owner[j] = i
-    rows_of: list[list[int]] = [[] for _ in range(n)]
+    n, m = len(adjacency), len(optional)
+    match = list(match) + [m]  # plus node n's entry, which the rotation writes and nothing reads
+    # takers[col]: the nodes that may take col.  Node n may take the optional
+    # columns and the diagonal.
+    takers = [[n] if takes else [] for takes in optional + [True]]
     for i, cols in enumerate(adjacency):
         for j in cols:
-            rows_of[j].append(i)
+            takers[j].append(i)
     for i in range(n):
         target = match[i]
-        # step[k] (k > i): the column row k moves to on an alternating path
-        # that ends at `target`, the column row i gives up.
-        step = [-1] * n
-        stack = [target]
+        free = set(range(m)).difference(match[:n])  # the columns node n holds
+        # via[col]: the node that gives col up on an alternating path that
+        # ends at `target`, the column row i gives up; step[k] (k > i): the
+        # column node k then moves to.  Every column but the diagonal has one
+        # holder, so col's holder is on such a path iff via[col] is set.
+        step = [-1] * (n + 1)
+        via = [-1] * (m + 1)
+        stack = [(target, i)]
         while stack:
-            col = stack.pop()
-            for k in rows_of[col]:
-                if k > i and step[k] == -1:
-                    step[k] = col
-                    stack.append(match[k])
-        best = min((j for j in adjacency[i] if j < target and step[owner[j]] != -1),
-                   default=target)
-        k, col = owner[best], best
-        match[i], owner[best] = best, i
-        while col != target:  # each row on the cycle moves on to its step
+            col, giver = stack.pop()
+            if via[col] == -1:
+                via[col] = giver
+                for k in takers[col]:
+                    if k > i and step[k] == -1:
+                        step[k] = col
+                        held = [match[k]] if k < n else [*free, m]
+                        stack += [(j, k) for j in held]
+        best = min((j for j in adjacency[i] if j < target and via[j] != -1), default=target)
+        k, col = via[best], best
+        match[i] = best
+        while col != target:  # each node on the path moves on to its step
             col = step[k]
-            match[k], owner[col], k = col, k, owner[col]
-    return tuple(match)
+            match[k], k = col, via[col]
+    return tuple(match[:n])
 
 
 _PERM_CACHE: dict[int, np.ndarray] = {}

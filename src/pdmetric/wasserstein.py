@@ -31,10 +31,8 @@ from typing import NamedTuple
 from .assignment import (
     EXHAUSTIVE_LIMIT,
     AssignmentResult,
-    _threshold_adjacency,
     bottleneck_assignment,
     exhaustive_min,
-    hopcroft_karp,
     hungarian,
     lex_smallest_matching,
     min_cost_assignment,
@@ -123,6 +121,20 @@ def _padded_powers(costs, p: float, bound: float, n: int) -> list[list[float]]:
                    for row in costs[n:n + 1]] * m
 
 
+def _lift(match, m: int) -> tuple[int, ...]:
+    """The padded permutation of an assignment of n rows to m columns and a diagonal m.
+
+    Rows on the diagonal take the pad columns in row order, pad rows the
+    columns no row took in ascending order, then the pad columns left over.
+    Among the padded permutations that agree with match on the atoms, this
+    is the lexicographically smallest.
+    """
+    pads = iter(range(m, m + len(match)))
+    perm = [next(pads) if j == m else j for j in match]
+    taken = set(match)
+    return tuple(perm + [j for j in range(m) if j not in taken] + list(pads))
+
+
 def _compact_assignment(work, n: int) -> AssignmentResult | None:
     """The padded optimum, solved on n rows and m + 1 columns, then lifted.
 
@@ -138,26 +150,17 @@ def _compact_assignment(work, n: int) -> AssignmentResult | None:
     atom rows v_j is 0, so the lifted v is b.  Returns None when the optimum
     is too small next to the entries for their differences to decide it.
     """
-    r = len(work)
-    m = r - n
+    m = len(work) - n
     b = work[n][:m] if m else []
     compact = [[c - bj for c, bj in zip(row, b)] + [row[m]] for row in work[:n]]
     _, perm, u, v = hungarian(compact, shared=True)
-    pads = iter(range(m, r))
-    taken = [False] * m
-    for i, j in enumerate(perm):
-        if j == m:
-            perm[i] = next(pads)
-        else:
-            taken[j] = True
-    perm += [j for j in range(m) if not taken[j]]
-    perm += pads
+    perm = _lift(perm, m)
     total = math.fsum(work[i][j] for i, j in enumerate(perm))
-    if total < r * _CANCEL * max(_finite_max(compact), max(b, default=0.0)):
+    if total < len(work) * _CANCEL * max(_finite_max(compact), max(b, default=0.0)):
         return None
     u = tuple(u) + (0.0,) * m
     v = tuple(vj + bj for vj, bj in zip(v or [0.0] * m, b)) + (0.0,) * n
-    return AssignmentResult(total, tuple(perm), u, v)
+    return AssignmentResult(total, perm, u, v)
 
 
 def _power_assignment(costs, p: float, n: int) -> tuple[list[list[float]], AssignmentResult]:
@@ -216,22 +219,42 @@ class Solve(NamedTuple):
         optimum.  The square solve's duals never exceed the optimum, and an
         accepted compact optimum is at least r 2^-11 times its entries, so
         rounding stays far below it either way.
+
+        The search runs on the n atom rows against the m atom columns and
+        the diagonal, with the pad rows as one node (lex_smallest_matching),
+        and _lift gives the padded permutation.  An atom row may take the
+        diagonal if it is tight to some pad column, and an atom column may
+        be left to the pad rows if it is tight to some pad row.  Pad rows
+        are alike, and so are pad columns, so the largest pad dual decides
+        each test exactly (subtraction is monotone).  The pad rows left
+        over take pad columns at 0, which the largest pad duals leave tight.
+        At p = inf the duals are 0 and the tolerance is the bottleneck value
+        t.  The search starts from a shared-column solve of the indicators
+        of entries above t, whose padded optimum is 0, so its matching lies
+        in the threshold graph.
         """
-        if self.p == INF:
-            if math.isinf(self.value):
-                return min_cost_assignment(self.costs).permutation
-            adjacency = _threshold_adjacency(self.costs, self.value)
-            return lex_smallest_matching(adjacency, hopcroft_karp(adjacency, len(self.costs))[1])
-        result = self.result
-        if math.isinf(result.total):
-            return result.permutation
-        perm, u, v = result.permutation, result.u, result.v
-        tol = 1e-9 * result.total / max(1, len(self.work))
-        tight = [
-            [j for j, (c, vj) in enumerate(zip(row, v)) if j == perm[i] or c - u[i] - vj <= tol]
-            for i, row in enumerate(self.work)
-        ]
-        return lex_smallest_matching(tight, perm)
+        costs, n, result = self.costs, self.n, self.result
+        m = len(costs) - n
+        if math.isinf(self.value):
+            return min_cost_assignment(costs).permutation if result is None else result.permutation
+        if result is None:
+            work, tol = costs, self.value
+            u = v = [0.0] * len(costs)
+            # costs[-1] is a pad row, the b_j, whenever m > 0.
+            over = [[(c > tol) - (bj > tol) for c, bj in zip(row[:m], costs[-1])] + [row[m] > tol]
+                    for row in costs[:n]]
+            start = hungarian(over, shared=True)[1]
+        else:
+            work, u, v = self.work, result.u, result.v
+            tol = 1e-9 * result.total / max(1, len(work))
+            start = [min(j, m) for j in result.permutation[:n]]
+        pad_u, pad_v = max(u[n:], default=0.0), max(v[m:], default=0.0)
+        adjacency = [[j for j in range(m) if j == s or row[j] - u[i] - v[j] <= tol]
+                     + [m] * (s == m or row[m] - u[i] - pad_v <= tol)
+                     for i, (row, s) in enumerate(zip(work, start))]
+        held = set(start)
+        optional = [j not in held or work[n][j] - pad_u - v[j] <= tol for j in range(m)]
+        return _lift(lex_smallest_matching(adjacency, optional, start), m)
 
     def matching(self) -> Matching:
         """The optimal permutation as pairs of atoms, pad-pad pairs left out."""

@@ -8,7 +8,6 @@ from pdmetric import assignment
 from pdmetric.assignment import (
     EXHAUSTIVE_LIMIT,
     AssignmentResult,
-    _threshold_adjacency,
     bottleneck_assignment,
     exhaustive_min,
     hopcroft_karp,
@@ -323,7 +322,7 @@ def test_bottleneck_assignment_on_a_long_augmenting_path():
     costs[0][1] = 0.0
     value = bottleneck_assignment(padded_square(costs), n)
     assert value == 2.0
-    size, perm = hopcroft_karp(_threshold_adjacency(costs, value), n)
+    size, perm = hopcroft_karp([[j for j, c in enumerate(row) if c <= value] for row in costs], n)
     assert size == n
     assert max(costs[i][j] for i, j in enumerate(perm)) == 2.0
 
@@ -359,6 +358,29 @@ def test_duals_never_exceed_the_optimum():
         assert max(map(abs, result.u + result.v)) <= result.total * (1.0 + 1e-9)
         checked += 1
     assert checked >= 1000
+
+
+def test_square_solve_leaves_the_largest_pad_duals_tight():
+    # The tie-break lets the pad rows an assignment leaves over take pad
+    # columns at 0.  That is exact when some pad row and pad column are
+    # tight at the largest pad duals, as on the compact solve, where both
+    # are 0; the square solve must keep it too, also when every optimum
+    # sends all left atoms to the diagonal.
+    rng = random.Random(5)
+    seen = {"all on the diagonal": 0, "not all": 0}
+    for trial in range(1500):
+        n, m = rng.randint(1, 8), rng.randint(1, 8)
+        costs = padded_matrix(rng, ("random", "ties", "inf")[trial % 3], n, m)
+        if trial % 2:  # basepoint costs far below the atom costs
+            costs = [[c * 1e-3 if (i < n) != (j < m) else c for j, c in enumerate(row)]
+                     for i, row in enumerate(costs)]
+        p = (1.0, 2.0, 7.0)[trial // 3 % 3]
+        result = min_cost_assignment([[c ** p for c in row] for row in costs])
+        if result.u is None:
+            continue
+        assert 0.0 - max(result.u[n:]) - max(result.v[m:]) <= 1e-9 * result.total / (n + m)
+        seen["all on the diagonal" if min(result.permutation[:n]) >= m else "not all"] += 1
+    assert min(seen.values()) >= 300, seen
 
 
 def test_bottleneck_assignment_matches_brute():
@@ -452,8 +474,8 @@ def test_bottleneck_warm_started_probes_match_a_cold_solve(monkeypatch):
     # Cold: the square threshold graph is perfect at the value, not below it.
     r = n + m
     below = max(c for row in costs for c in row if c < value)
-    assert hopcroft_karp(_threshold_adjacency(costs, value), r)[0] == r
-    assert hopcroft_karp(_threshold_adjacency(costs, below), r)[0] < r
+    assert hopcroft_karp([[j for j, c in enumerate(row) if c <= value] for row in costs], r)[0] == r
+    assert hopcroft_karp([[j for j, c in enumerate(row) if c <= below] for row in costs], r)[0] < r
 
 
 def test_hopcroft_karp():
@@ -533,11 +555,11 @@ def test_lex_smallest_matching_breaks_ties():
     assert _solve(padded_square(costs), 1.0, 4).permutation()[:4] == (0, 1, 2, 3)
     assert _solve(padded_square(costs), INF, 4).permutation()[:4] == (0, 1, 2, 3)
     complete = [list(range(4)) for _ in range(4)]
-    assert lex_smallest_matching(complete, (3, 2, 1, 0)) == (0, 1, 2, 3)
+    assert lex_smallest_matching(complete, [False] * 4, [3, 2, 1, 0]) == (0, 1, 2, 3)
     # Two optimal permutations: (0, 1) and (1, 0); prefer (0, 1).
     costs = [[2.0, 2.0], [2.0, 2.0]]
     assert _solve(padded_square(costs), 1.0, 2).permutation()[:2] == (0, 1)
-    assert lex_smallest_matching([[0, 1], [0, 1]], (1, 0)) == (0, 1)
+    assert lex_smallest_matching([[0, 1], [0, 1]], [False] * 2, [1, 0]) == (0, 1)
 
 
 def test_lex_smallest_matching_respects_optimality():
@@ -548,13 +570,51 @@ def test_lex_smallest_matching_respects_optimality():
     assert _solve(padded_square(costs), 1.0, 2).permutation()[:2] == (0, 1)
     assert _solve(padded_square(costs), INF, 2).permutation()[:2] == (0, 1)
     # Only the identity is a perfect matching of this graph.
-    assert lex_smallest_matching([[0, 1], [1]], (0, 1)) == (0, 1)
+    assert lex_smallest_matching([[0, 1], [1]], [False] * 2, [0, 1]) == (0, 1)
 
 
 def test_lex_smallest_matching_empty():
-    assert lex_smallest_matching([], ()) == ()
+    assert lex_smallest_matching([], [], []) == ()
     assert _solve(padded_square([]), 1.0, 0).permutation() == ()
     assert _solve(padded_square([]), INF, 0).permutation() == ()
+
+
+def first_compact_assignment(adjacency, optional):
+    """The least feasible tuple by enumeration: one column per row, no atom
+    column twice, every column that is not optional taken, the diagonal m
+    (any number of rows) last."""
+    m = len(optional)
+    for cols in itertools.product(*(sorted(row) for row in adjacency)):
+        atoms = [j for j in cols if j < m]
+        covered = all(free or j in atoms for j, free in enumerate(optional))
+        if covered and len(atoms) == len(set(atoms)):
+            return cols
+    return None
+
+
+def test_lex_smallest_matching_on_compact_graphs_matches_enumeration():
+    # n rows against m columns and a shared diagonal, some columns optional:
+    # the rows that leave the diagonal or an optional column, and the pad
+    # node that takes them, must all be searched.  Here row 0 can take
+    # column 0 only if row 1 moves onto the diagonal while the pad node
+    # takes column 1, which row 0 gives up.
+    assert lex_smallest_matching([[0, 1], [0, 2]], [False, True], [1, 0]) == (0, 2)
+    rng = random.Random(1717)
+    seen = {"diagonal": 0, "optional": 0, "moved": 0}
+    for trial in range(1000):
+        n, m = rng.randint(0, 5), rng.randint(0, 5)
+        start, free = [], list(range(m))
+        for _ in range(n):
+            j = m if not free or rng.random() < 0.1 else free.pop(rng.randrange(len(free)))
+            start.append(j)
+        optional = [j in free or rng.random() < 0.5 for j in range(m)]
+        adjacency = [sorted({s} | {j for j in range(m + 1) if rng.random() < 0.5}) for s in start]
+        expected = first_compact_assignment(adjacency, optional)
+        assert lex_smallest_matching(adjacency, optional, start) == expected
+        seen["diagonal"] += m in expected
+        seen["optional"] += len(set(expected) - {m}) < m
+        seen["moved"] += expected != tuple(start)
+    assert min(seen.values()) >= 200, seen
 
 
 @pytest.mark.parametrize("p", [1.0, 2.0, 3.5, INF])
@@ -595,3 +655,26 @@ def test_tie_break_is_first_optimum_in_permutation_order(p):
         assert _solve(padded_square(costs), p, n).permutation()[:n] == expected
         checked += 1
     assert checked >= 150
+    # Padded problems with finite basepoint costs, which the tie-break reads
+    # on the atoms and one diagonal: integer ties, zero costs, and now and
+    # then an immortal row (basepoint cost inf) that sends the solve square.
+    finite = 0
+    for trial in range(120):
+        n = rng.randint(0, 4)
+        m = rng.randint(0 if n else 1, 7 - n)
+        costs = padded_matrix(rng, "ties", n, m)
+        for row in costs[:n]:
+            roll = rng.random()
+            if roll < 0.25:
+                row[m:] = [0.0 if roll < 0.2 else INF] * n
+        best = exhaustive_min(costs, p)
+        if math.isinf(best):
+            continue
+        expected = next(
+            perm for perm in itertools.permutations(range(n + m))
+            if math.isclose(lp_norm([costs[i][j] for i, j in enumerate(perm)], p),
+                            best, rel_tol=1e-9, abs_tol=0.0)
+        )
+        assert _solve(costs, p, n).permutation() == expected
+        finite += INF not in [row[m] for row in costs[:n]]
+    assert finite >= 80

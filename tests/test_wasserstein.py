@@ -10,6 +10,7 @@ from pdmetric import cli
 from pdmetric.assignment import exhaustive_min
 from pdmetric.diagram import diagram_from_list, empty_diagram
 from pdmetric.errors import DomainError, PreconditionError, SizeLimitError
+from pdmetric.io import load_diagram
 from pdmetric.kr_duality import certificate_of, kr_certificate
 from pdmetric.metric_core import INF, FiniteSpace, lp_norm, remetrize
 from pdmetric.spaces import halfplane_quotient
@@ -338,6 +339,25 @@ def test_distance_with_matching_and_certificate_solves_once(monkeypatch, capsys)
     assert code == 0
     assert capsys.readouterr().out == (GOLDEN / "grid40-p1-certificate.json").read_text()
     assert calls == ["_space_costs", "_power_assignment"]
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, INF])
+def test_tie_break_runs_on_the_atom_rows(monkeypatch, p):
+    # The tie-break searches the left atoms against the right atoms and the
+    # diagonal, with the pad rows as one node, at every exponent: it is given
+    # n rows, not the n + m rows of the padded matrix.
+    alpha, beta = (load_diagram(str(GOLDEN / name), halfplane_quotient(INF, p))
+                   for name in ("grid40-left.json", "grid40-right.json"))
+    rows = []
+    real = wasserstein_module.lex_smallest_matching
+
+    def recording(adjacency, *args):
+        rows.append(len(adjacency))
+        return real(adjacency, *args)
+
+    monkeypatch.setattr(wasserstein_module, "lex_smallest_matching", recording)
+    wasserstein(alpha, beta, p)
+    assert rows == [alpha.size] and beta.size > 0
 
 
 def test_certificate_of_a_p_two_solve_is_refused():
