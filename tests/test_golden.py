@@ -157,23 +157,35 @@ def test_certificate_matches_golden_output(capsys, left, right, flags, pinned):
 
 
 # W_p matchings at large p: the grid40 pair stays on the compact solve, the
-# immortal pair takes the bottleneck bound and the square solve.  CI diffs
-# the same commands against the same files.
+# immortal pair takes the bottleneck bound and the square solve.  Without
+# --matching the CLI prints the solve's own value, read off its costs: the
+# bare values at p = 1, 2 and inf cover the compact, square and threshold
+# routes.  CI diffs the same commands against the same files.
 LARGE_P_CLI_PINS = [
-    ("grid40-left.json", "grid40-right.json", ["--q", "inf"], p, f"grid40-p{p}-matching.json")
+    ("grid40-left.json", "grid40-right.json", ["--q", "inf", "--matching"], p,
+     f"grid40-p{p}-matching.json")
     for p in ("7", "64")
 ] + [
-    ("immortal-left.json", "immortal-right.json", ["--q", "2", "--extended"], p,
+    ("immortal-left.json", "immortal-right.json", ["--q", "2", "--extended", "--matching"], p,
      f"immortal-p{p}-matching.json")
     for p in ("7", "64")
 ]
+VALUE_PINS = [
+    ("grid40-left.json", "grid40-right.json", ["--q", "inf"], p, f"grid40-p{p}-value.json")
+    for p in ("1", "2", "inf")
+] + [
+    ("immortal-left.json", "immortal-right.json", ["--q", "2", "--extended"], p,
+     f"immortal-p{p}-value.json")
+    for p in ("1", "2", "inf")
+]
 
 
-@pytest.mark.parametrize("left, right, flags, p, pinned", LARGE_P_CLI_PINS,
-                         ids=[pin[-1].removesuffix("-matching.json") for pin in LARGE_P_CLI_PINS])
+@pytest.mark.parametrize("left, right, flags, p, pinned", LARGE_P_CLI_PINS + VALUE_PINS,
+                         ids=[pin[-1].removesuffix(".json").removesuffix("-matching")
+                              for pin in LARGE_P_CLI_PINS + VALUE_PINS])
 def test_large_p_matching_matches_golden_output(capsys, left, right, flags, p, pinned):
     code = cli.main(["distance", str(GOLDEN / left), str(GOLDEN / right), "--space",
-                     "halfplane", *flags, "--matching", "--p", p])
+                     "halfplane", *flags, "--p", p])
     assert code == 0
     assert capsys.readouterr().out == (GOLDEN / pinned).read_text()
 
