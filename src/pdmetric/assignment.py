@@ -9,7 +9,8 @@ hungarian        O(n^2 k) min-cost assignment of the n rows of an n x k matrix
 hopcroft_karp    maximum bipartite matching, optionally grown from a given one;
                  it completes infeasible assignments and runs threshold probes.
 bottleneck_assignment
-                 minimax value by binary search on a padded matrix's atom block.
+                 minimax value of a padded problem, given as its atom block
+                 and the atoms' basepoint costs, by binary search on the block.
 lex_smallest_matching
                  the deterministic tie-break: lexicographically smallest
                  assignment of n rows to m columns, some of which may stay
@@ -223,29 +224,27 @@ def min_cost_assignment(costs) -> AssignmentResult:
     return AssignmentResult(total, tuple(perm), tuple(u), tuple(v))
 
 
-def _ranked(rows, k: int) -> tuple[list[list[int]], list[list[float]]]:
-    """Each row's first k columns sorted by cost, and their costs in that order."""
-    order = [sorted(range(k), key=row.__getitem__) for row in rows]
+def _ranked(rows) -> tuple[list[list[int]], list[list[float]]]:
+    """Each row's columns sorted by cost, and their costs in that order."""
+    order = [sorted(range(len(row)), key=row.__getitem__) for row in rows]
     return order, [[row[j] for j in cols] for row, cols in zip(rows, order)]
 
 
-def bottleneck_assignment(costs, n: int) -> float:
-    """The least t at which some permutation's entries are all <= t (inf if none).
+def bottleneck_assignment(c, a, b) -> float:
+    """The least t at which some padded permutation's entries are all <= t (inf if none).
 
-    costs is padded: n atom rows with basepoint costs a_i = costs[i][m],
-    then pad rows of the m right atoms' b_j and zeros.  t is feasible iff
-    the atom block at t has a matching covering each row with a_i > t and
-    each column with b_j > t (other atoms take pads, pads take each other
-    at 0).  By Mendelsohn-Dulmage each set may be covered on its own, so a
+    c[i][j] is the cost of left atom i against right atom j, and a[i] and
+    b[j] the atoms' basepoint costs, as in wasserstein.Costs.  t is feasible
+    iff the atom block c at t has a matching covering each row with a_i > t
+    and each column with b_j > t (other atoms take pads, pads take each
+    other at 0).  By Mendelsohn-Dulmage each set may be covered on its own, so a
     probe runs Hopcroft-Karp on the required rows over their cost-sorted
     prefixes, then on the required columns, each grown from the last failed
     probe's matching.
     """
-    m = len(costs) - n
-    a = [row[m] for row in costs[:n]]
-    b = costs[n][:m] if m else []
-    rows, cols = costs[:n], [[row[j] for row in costs[:n]] for j in range(len(b))]
-    sides = [(a, *_ranked(rows, m), m, [-1] * n), (b, *_ranked(cols, n), n, [-1] * m)]
+    n, m = len(a), len(b)
+    cols = [[row[j] for row in c] for j in range(m)]
+    sides = [(a, *_ranked(c), m, [-1] * n), (b, *_ranked(cols), n, [-1] * m)]
 
     def feasible(t: float) -> bool:
         runs = []

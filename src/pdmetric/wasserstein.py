@@ -2,30 +2,35 @@
 
 Both diagrams are padded with copies of the basepoint so that each side
 has r = n + m entries, and the distance is the minimum over permutations
-of the lp combination of matched ground distances.  The ground distances
-come from the space's pairwise hook, so a quotient space reads each atom's
-distance to the collapsed subset once per matrix; a NaN or negative one
-is a DomainError.  p = inf is the bottleneck (minimax) problem, solved by
-threshold search on its atom block: a threshold is feasible when the atoms
-farther than it from the basepoint can be matched to atoms within it.
-For finite p the assignment runs on the entrywise p-th powers.  Its m pad
-rows are copies of one row and its n pad columns copies of one column, so
-it is solved on the n left atoms against the m right atoms plus one
-diagonal column that any number of rows may take (the "diagonal as one
-extra node" of hera and gudhi), and the permutation and duals are lifted
-back to the padded matrix.  Two cases are solved on the square matrix:
-infinite basepoint costs (immortal atoms), and an optimum too small next to
-the basepoint costs to survive their subtraction.  For p > 1 that matrix is
-scaled by a bound on the optimum; p = 1 has no powers to keep in range, so
-its square solve runs on the costs unscaled.  A request builds its costs
-once and solves them once (solve), and its value, its matching and, at
-p = 1, kr_duality's certificate from the duals all read that one Solve.
+of the lp combination of matched ground distances.  That padded matrix is
+held as one Costs record: the n x m atom-to-atom distances and each atom's
+distance to the basepoint, from which any entry can be read.  The ground
+distances come from the space's pairwise hook, so a quotient space reads
+each atom's distance to the collapsed subset once per build; a NaN or
+negative one is a DomainError.  p = inf is the bottleneck (minimax)
+problem, solved by threshold search on the atom block: a threshold is
+feasible when the atoms farther than it from the basepoint can be matched
+to atoms within it.  For finite p the assignment runs on the entrywise
+p-th powers.  The padded matrix's m pad rows are copies of one row and
+its n pad columns copies of one column, so it is solved on the n left
+atoms against the m right atoms plus one diagonal column that any number
+of rows may take (the "diagonal as one extra node" of hera and gudhi),
+and the permutation and duals are lifted back to the padded matrix.  Two
+cases are solved on the square matrix, the only solve that builds it
+(Costs.square): infinite basepoint costs (immortal atoms), and an optimum
+too small next to the basepoint costs to survive their subtraction.  For
+p > 1 that matrix is scaled by a bound on the optimum; p = 1 has no
+powers to keep in range, so its square solve runs on the costs unscaled.
+A request builds its costs once and solves them once (solve), and its
+value, its matching and, at p = 1, kr_duality's certificate from the
+duals all read that one Solve.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import NamedTuple
 
 from .assignment import (
@@ -72,27 +77,42 @@ def _require_same_space(alpha: Diagram, beta: Diagram) -> None:
         raise DomainError("diagrams live over different spaces")
 
 
-def _padded_costs(rows, left_base, right_base) -> list[list[float]]:
-    """(n+m) x (n+m) matrix: atoms of alpha + pads vs atoms of beta + pads.
+class Costs(NamedTuple):
+    """A W_p problem: c[i][j] the distance from left atom i to right atom j,
+    a[i] and b[j] the atoms' distances to the basepoint.
 
-    rows is the n x m matrix of atom-to-atom ground distances, which this
-    extends in place; left_base and right_base are the atoms' distances to
-    the basepoint.  A NaN or negative ground distance is a DomainError.
+    It stands for the (n+m) x (n+m) padded matrix whose n atom rows are c[i]
+    followed by n copies of a[i], and whose m pad rows are b followed by n
+    zeros.  entry reads one entry of that matrix; square builds it.
     """
-    n = len(rows)
-    for row, a in zip(rows, left_base):
-        row.extend([a] * n)
-    rows.extend(right_base + [0.0] * n for _ in right_base)
+
+    c: list[list[float]]
+    a: list[float]
+    b: list[float]
+
+    def entry(self, i: int, j: int) -> float:
+        if i < len(self.a):
+            return self.c[i][j] if j < len(self.b) else self.a[i]
+        return self.b[j] if j < len(self.b) else 0.0
+
+    def square(self) -> list[list[float]]:
+        n = len(self.a)
+        return ([row + [ai] * n for row, ai in zip(self.c, self.a)]
+                + [self.b + [0.0] * n for _ in self.b])
+
+
+def _checked_costs(c, a, b) -> Costs:
+    """Costs(c, a, b); a NaN or negative ground distance is a DomainError."""
     # One C-level pass each.  NaN compares false, so min cannot report it.
-    if rows and min(map(min, rows)) < 0.0:
+    if min(chain(a, b, *c), default=0.0) < 0.0:
         raise DomainError("a ground distance is negative")
-    if math.isnan(sum(map(sum, rows))):
+    if math.isnan(sum(chain(a, b, *c))):
         raise DomainError("a ground distance is NaN")
-    return rows
+    return Costs(c, a, b)
 
 
-def _space_costs(alpha: Diagram, beta: Diagram) -> list[list[float]]:
-    return _padded_costs(*alpha.space.pairwise(alpha.expand(), beta.expand()))
+def _space_costs(alpha: Diagram, beta: Diagram) -> Costs:
+    return _checked_costs(*alpha.space.pairwise(alpha.expand(), beta.expand()))
 
 
 # The compact solve subtracts basepoint costs from atom costs.  Below r times
@@ -101,24 +121,19 @@ _CANCEL = 2.0 ** -11
 
 
 def _finite_max(rows) -> float:
-    top = max(map(max, rows), default=0.0)
+    top = max(chain.from_iterable(rows), default=0.0)
     if math.isinf(top):
         top = max((c for row in rows for c in row if not math.isinf(c)), default=0.0)
     return top
 
 
-def _padded_powers(costs, p: float, bound: float, n: int) -> list[list[float]]:
-    """(c / bound) ** p on a padded matrix, one power per atom pair or basepoint cost.
-
-    Entries above bound are inf (forbidden), and bound 0 scales by 1.  The
-    m pad rows are one shared list, which no caller modifies.
-    """
-    m = len(costs) - n
+def _powers(costs: Costs, p: float, bound: float) -> Costs:
+    """(x / bound) ** p for every entry of costs; entries above bound are inf
+    (forbidden), and bound 0 scales by 1."""
     scale = bound or 1.0
-    rows = [[INF if c > bound else (c / scale) ** p for c in row[:m]]
-            + [INF if row[m] > bound else (row[m] / scale) ** p] * n for row in costs[:n]]
-    return rows + [[INF if c > bound else (c / scale) ** p for c in row[:m]] + [0.0] * n
-                   for row in costs[n:n + 1]] * m
+    rows = [[INF if x > bound else (x / scale) ** p for x in row]
+            for row in (*costs.c, costs.a, costs.b)]
+    return Costs(rows[:-2], rows[-2], rows[-1])
 
 
 def _lift(match, m: int) -> tuple[int, ...]:
@@ -135,79 +150,73 @@ def _lift(match, m: int) -> tuple[int, ...]:
     return tuple(perm + [j for j in range(m) if j not in taken] + list(pads))
 
 
-def _compact_assignment(work, n: int) -> AssignmentResult | None:
+def _compact_assignment(work: Costs) -> AssignmentResult | None:
     """The padded optimum, solved on n rows and m + 1 columns, then lifted.
 
-    work is padded: n atom rows, each with one basepoint cost a_i in its n
-    pad columns, and m pad rows, each the right atoms' basepoint costs b_j
-    followed by zeros.  Rows may share one diagonal column of entries a_i;
-    atom entries are w_ij - b_j, so the padded optimum is the compact one
-    plus sum b_j.  Rows on the diagonal take the pad columns in row order,
-    pad rows the atom columns left over in ascending order, then the rest.
-    The duals (u, 0^m) and (v_j + b_j, 0^n) are feasible for work, since
-    v_j <= 0 and u_i <= a_i, and tight on that permutation, since v_j = 0
-    on the columns no atom row takes.  A side may be empty, or both: with no
-    atom rows v_j is 0, so the lifted v is b.  Returns None when the optimum
-    is too small next to the entries for their differences to decide it.
+    Rows may share one diagonal column of entries a_i; atom entries are
+    c_ij - b_j, so the padded optimum is the compact one plus sum b_j.  Rows
+    on the diagonal take the pad columns in row order, pad rows the atom
+    columns left over in ascending order, then the rest.  The duals (u, 0^m)
+    and (v_j + b_j, 0^n) are feasible for the padded matrix, since v_j <= 0
+    and u_i <= a_i, and tight on that permutation, since v_j = 0 on the
+    columns no atom row takes.  A side may be empty, or both: with no atom
+    rows v_j is 0, so the lifted v is b.  Returns None when the optimum is
+    too small next to the entries for their differences to decide it.
     """
-    m = len(work) - n
-    b = work[n][:m] if m else []
-    compact = [[c - bj for c, bj in zip(row, b)] + [row[m]] for row in work[:n]]
+    c, a, b = work
+    n, m = len(a), len(b)
+    compact = [[cij - bj for cij, bj in zip(row, b)] + [ai] for row, ai in zip(c, a)]
     _, perm, u, v = hungarian(compact, shared=True)
     perm = _lift(perm, m)
-    total = math.fsum(work[i][j] for i, j in enumerate(perm))
-    if total < len(work) * _CANCEL * max(_finite_max(compact), max(b, default=0.0)):
+    total = math.fsum(work.entry(i, j) for i, j in enumerate(perm))
+    if total < (n + m) * _CANCEL * max(_finite_max(compact), max(b, default=0.0)):
         return None
     u = tuple(u) + (0.0,) * m
     v = tuple(vj + bj for vj, bj in zip(v or [0.0] * m, b)) + (0.0,) * n
     return AssignmentResult(total, perm, u, v)
 
 
-def _power_assignment(costs, p: float, n: int) -> tuple[list[list[float]], AssignmentResult]:
+def _power_assignment(costs: Costs, p: float) -> tuple[Costs, AssignmentResult]:
     """An argmin of sum c ** p, solved on scaled powers; returns (powers, result).
 
-    costs is padded with the left diagram's n atoms first.  When every
-    basepoint cost is finite, the optimum is solved on n rows and a shared
-    diagonal column (_compact_assignment), on powers (c / c_max) ** p, which
-    cannot overflow; at p > 1 one of them is 1, so an optimum the compact
-    solve accepts is far above where underflow could decide it.  Otherwise,
-    or when the compact solve declines, the square matrix is solved instead.
-    At p = 1 that is costs as they are, with no powers to keep in range.
-    At p > 1 it is the powers taken over bound = r^(1/p) b, b the bottleneck
-    value, with the entries above bound forbidden: no optimum uses them,
-    since its lp value is at most r^(1/p) b (the 1e-9 margin keeps rounding
-    from forbidding more).  Every kept power is then at most 1 and the
-    optimum about 1/r or more; at bound 0 the kept entries are the zeros.
-    Its total is in units of bound ** p, so callers read values off costs.
-    When b is inf, no assignment is finite, and costs is solved as is.
+    When every basepoint cost is finite, the optimum is solved on n rows and
+    a shared diagonal column (_compact_assignment), on powers (c / c_max) ** p,
+    which cannot overflow; at p > 1 one of them is 1, so an optimum the
+    compact solve accepts is far above where underflow could decide it.
+    Otherwise, or when the compact solve declines, the square matrix is
+    solved instead.  At p = 1 that is costs as they are, with no powers to
+    keep in range.  At p > 1 it is the powers taken over bound = r^(1/p) b,
+    b the bottleneck value, with the entries above bound forbidden: no
+    optimum uses them, since its lp value is at most r^(1/p) b (the 1e-9
+    margin keeps rounding from forbidding more).  Every kept power is then
+    at most 1 and the optimum about 1/r or more; at bound 0 the kept entries
+    are the zeros.  Its total is in units of bound ** p, so callers read
+    values off costs.  When b is inf, no assignment is finite, and costs is
+    solved as is.
     """
-    r = len(costs)
-    m = r - n
-    if INF not in [row[m] for row in costs[:n]] + (costs[n][:m] if m else []):
-        work = costs if p == 1.0 else _padded_powers(costs, p, _finite_max(costs[:n + 1]), n)
-        result = _compact_assignment(work, n)
+    if INF not in costs.a and INF not in costs.b:
+        work = costs if p == 1.0 else _powers(costs, p, _finite_max([*costs.c, costs.a, costs.b]))
+        result = _compact_assignment(work)
         if result is not None:
             return work, result
-    bound = INF if p == 1.0 else bottleneck_assignment(costs, n) * (r * (1.0 + 1e-9)) ** (1.0 / p)
-    if math.isinf(bound):
-        return costs, min_cost_assignment(costs)
-    work = _padded_powers(costs, p, bound, n)
-    return work, min_cost_assignment(work)
+    r = len(costs.a) + len(costs.b)
+    bound = INF if p == 1.0 else bottleneck_assignment(*costs) * (r * (1.0 + 1e-9)) ** (1.0 / p)
+    work = costs if math.isinf(bound) else _powers(costs, p, bound)
+    return work, min_cost_assignment(work.square())
 
 
 class Solve(NamedTuple):
-    """One solve of a padded matrix, costs, whose first n rows are atoms.
+    """One solve of a W_p problem, costs.
 
     At finite p, (work, result) is what _power_assignment returns and value
     the lp value of result.permutation on costs, not its scaled total.  At
     p = inf, value is the bottleneck value and work and result are None.
     """
 
-    costs: list[list[float]]
-    n: int
+    costs: Costs
     p: float
     value: float
-    work: list[list[float]] | None
+    work: Costs | None
     result: AssignmentResult | None
 
     def permutation(self) -> tuple[int, ...]:
@@ -233,56 +242,52 @@ class Solve(NamedTuple):
         of entries above t, whose padded optimum is 0, so its matching lies
         in the threshold graph.
         """
-        costs, n, result = self.costs, self.n, self.result
-        m = len(costs) - n
+        costs, result = self.costs, self.result
+        n, m = len(costs.a), len(costs.b)
         if math.isinf(self.value):
-            return min_cost_assignment(costs).permutation if result is None else result.permutation
+            return (result or min_cost_assignment(costs.square())).permutation
         if result is None:
             work, tol = costs, self.value
-            u = v = [0.0] * len(costs)
-            # costs[-1] is a pad row, the b_j, whenever m > 0.
-            over = [[(c > tol) - (bj > tol) for c, bj in zip(row[:m], costs[-1])] + [row[m] > tol]
-                    for row in costs[:n]]
+            u = v = [0.0] * (n + m)
+            over = [[(cij > tol) - (bj > tol) for cij, bj in zip(row, costs.b)] + [ai > tol]
+                    for row, ai in zip(costs.c, costs.a)]
             start = hungarian(over, shared=True)[1]
         else:
             work, u, v = self.work, result.u, result.v
-            tol = 1e-9 * result.total / max(1, len(work))
+            tol = 1e-9 * result.total / max(1, n + m)
             start = [min(j, m) for j in result.permutation[:n]]
         pad_u, pad_v = max(u[n:], default=0.0), max(v[m:], default=0.0)
         adjacency = [[j for j in range(m) if j == s or row[j] - u[i] - v[j] <= tol]
-                     + [m] * (s == m or row[m] - u[i] - pad_v <= tol)
-                     for i, (row, s) in enumerate(zip(work, start))]
+                     + [m] * (s == m or ai - u[i] - pad_v <= tol)
+                     for i, (row, ai, s) in enumerate(zip(work.c, work.a, start))]
         held = set(start)
-        optional = [j not in held or work[n][j] - pad_u - v[j] <= tol for j in range(m)]
+        optional = [j not in held or bj - pad_u - v[j] <= tol for j, bj in enumerate(work.b)]
         return _lift(lex_smallest_matching(adjacency, optional, start), m)
 
     def matching(self) -> Matching:
         """The optimal permutation as pairs of atoms, pad-pad pairs left out."""
-        n, m = self.n, len(self.costs) - self.n
-        pairs = []
-        for i, j in enumerate(self.permutation()):
-            left = i if i < n else BASEPOINT
-            right = j if j < m else BASEPOINT
-            if left == BASEPOINT and right == BASEPOINT:
-                continue  # zero-cost padding, carries no information
-            pairs.append(MatchedPair(left, right, self.costs[i][j]))
+        n, m = len(self.costs.a), len(self.costs.b)
+        # A pad-pad pair costs 0 and carries no information.
+        pairs = tuple(MatchedPair(i if i < n else BASEPOINT, j if j < m else BASEPOINT,
+                                  self.costs.entry(i, j))
+                      for i, j in enumerate(self.permutation()) if i < n or j < m)
         total = lp_norm([pair.cost for pair in pairs], self.p)
-        return Matching(p=self.p, total=total, pairs=tuple(pairs))
+        return Matching(p=self.p, total=total, pairs=pairs)
 
 
-def _solve(costs, p: float, n: int) -> Solve:
+def _solve(costs: Costs, p: float) -> Solve:
     if p == INF:
-        return Solve(costs, n, p, bottleneck_assignment(costs, n), None, None)
-    work, result = _power_assignment(costs, p, n)
-    value = lp_norm([costs[i][j] for i, j in enumerate(result.permutation)], p)
-    return Solve(costs, n, p, value, work, result)
+        return Solve(costs, p, bottleneck_assignment(*costs), None, None)
+    work, result = _power_assignment(costs, p)
+    value = lp_norm([costs.entry(i, j) for i, j in enumerate(result.permutation)], p)
+    return Solve(costs, p, value, work, result)
 
 
 def solve(alpha: Diagram, beta: Diagram, p) -> Solve:
-    """The one solve of W_p(alpha, beta): padded costs built once, solved once."""
+    """The one solve of W_p(alpha, beta): costs built once, solved once."""
     p = as_exponent(p)
     _require_same_space(alpha, beta)
-    return _solve(_space_costs(alpha, beta), p, alpha.size)
+    return _solve(_space_costs(alpha, beta), p)
 
 
 def wasserstein_value(alpha: Diagram, beta: Diagram, p) -> float:
@@ -317,7 +322,7 @@ def brute_force_wasserstein(alpha: Diagram, beta: Diagram, p) -> float:
         raise SizeLimitError(
             f"brute force limited to n + m <= {EXHAUSTIVE_LIMIT}, got {r}"
         )
-    return exhaustive_min(_space_costs(alpha, beta), p)
+    return exhaustive_min(_space_costs(alpha, beta).square(), p)
 
 
 def wasserstein_quotient_reduced(alpha: Diagram, beta: Diagram, p, *,
@@ -346,6 +351,6 @@ def wasserstein_quotient_reduced(alpha: Diagram, beta: Diagram, p, *,
         )
     left, right = alpha.expand(), beta.expand()
     rows = [[float(ambient_dist(x, y)) for y in right] for x in left]
-    costs = _padded_costs(rows, [float(subset_dist(x)) for x in left],
-                          [float(subset_dist(y)) for y in right])
-    return _solve(costs, p, alpha.size).value
+    costs = _checked_costs(rows, [float(subset_dist(x)) for x in left],
+                           [float(subset_dist(y)) for y in right])
+    return _solve(costs, p).value

@@ -20,8 +20,9 @@ from pdmetric.errors import SizeLimitError
 from pdmetric.metric_core import INF, lp_norm
 from pdmetric.spaces import HalfPlaneSpace
 from pdmetric.wasserstein import (
+    Costs,
     _compact_assignment,
-    _padded_powers,
+    _powers,
     _solve,
     _space_costs,
 )
@@ -149,6 +150,13 @@ def padded_square(costs):
     return [list(row) + [INF] * k for row in costs] + [[INF] * k + [0.0] * k for _ in costs]
 
 
+def as_costs(padded, n):
+    """The Costs record of a padded matrix whose first n rows are atoms."""
+    m = len(padded) - n
+    return Costs([row[:m] for row in padded[:n]], [row[m] for row in padded[:n]],
+                 padded[n][:m] if m else [])
+
+
 def test_hungarian_on_padded_structure_matches_oracle():
     rng = random.Random(2016)
     feasible = 0
@@ -235,7 +243,7 @@ def test_compact_solve_on_padded_structure_matches_oracle():
         compact = [[c - bj for c, bj in zip(row, b)] + [row[m]] for row in costs[:n]]
         total = hungarian(compact, shared=True)[0] + math.fsum(b)
         assert total == pytest.approx(expected, rel=1e-12, abs=1e-12)
-        result = _compact_assignment(costs, n)
+        result = _compact_assignment(as_costs(costs, n))
         if result is None:  # declined: the optimum is 0 beside entries up to 3
             assert expected == 0.0
             continue
@@ -278,7 +286,7 @@ def test_accepted_compact_optimum_is_far_above_underflow():
         right = [entry() for _ in range(m)]
         costs += [right + [0.0] * n for _ in range(m)]
         top = max((c for row in costs for c in row if c < INF), default=0.0)
-        result = _compact_assignment(_padded_powers(costs, p, top, n), n)
+        result = _compact_assignment(_powers(as_costs(costs, n), p, top))
         if result is None:
             seen["declined"] += 1
         elif top == 0.0:
@@ -296,7 +304,7 @@ def test_compact_solve_with_an_empty_side(n, m):
     # is the identity, and the lifted duals are feasible and tight.  With no
     # atom rows the lifted v is the right atoms' basepoint costs.
     costs = padded_matrix(random.Random(2025 + 10 * n + m), "random", n, m)
-    result = _compact_assignment(costs, n)
+    result = _compact_assignment(as_costs(costs, n))
     r = n + m
     assert result.permutation == tuple(range(r))
     assert result.total == math.fsum(costs[i][i] for i in range(r))
@@ -320,7 +328,7 @@ def test_bottleneck_assignment_on_a_long_augmenting_path():
         if i + 1 < n:
             costs[i][i + 1] = 1.0
     costs[0][1] = 0.0
-    value = bottleneck_assignment(padded_square(costs), n)
+    value = bottleneck_assignment(*as_costs(padded_square(costs), n))
     assert value == 2.0
     size, perm = hopcroft_karp([[j for j, c in enumerate(row) if c <= value] for row in costs], n)
     assert size == n
@@ -388,8 +396,8 @@ def test_bottleneck_assignment_matches_brute():
     for _ in range(40):
         n = rng.randint(1, 7)
         costs = random_matrix(rng, n, with_inf=0.1)
-        value = bottleneck_assignment(padded_square(costs), n)
-        perm = _solve(padded_square(costs), INF, n).permutation()[:n]
+        value = bottleneck_assignment(*as_costs(padded_square(costs), n))
+        perm = _solve(as_costs(padded_square(costs), n), INF).permutation()[:n]
         assert sorted(perm) == list(range(n))
         expected = brute_minimax(costs)
         if math.isinf(expected):
@@ -401,8 +409,8 @@ def test_bottleneck_assignment_matches_brute():
 
 
 def test_bottleneck_empty():
-    assert bottleneck_assignment(padded_square([]), 0) == 0.0
-    assert bottleneck_assignment([], 0) == 0.0
+    assert bottleneck_assignment(*as_costs(padded_square([]), 0)) == 0.0
+    assert bottleneck_assignment([], [], []) == 0.0
 
 
 def bottleneck_instances(rng, count):
@@ -428,7 +436,7 @@ def bottleneck_instances(rng, count):
             sides.append(diagram_from_list(
                 [(float(b), INF if kind == 2 and rng.random() < 0.25 else float(b + rng.randint(1, 3)))
                  for b in births], space))
-        costs = _space_costs(*sides)
+        costs = _space_costs(*sides).square()
         yield costs, n, costs
 
 
@@ -436,7 +444,7 @@ def test_bottleneck_value_matches_exhaustive_oracle():
     rng = random.Random(1107)
     seen = {"padded": 0, "infeasible": 0, "empty side": 0, "square": 0, "r = 9": 0}
     for costs, n, oracle in bottleneck_instances(rng, 2700):
-        value = bottleneck_assignment(costs, n)
+        value = bottleneck_assignment(*as_costs(costs, n))
         assert value == exhaustive_min(oracle, INF)
         seen["padded"] += oracle is costs
         seen["infeasible"] += math.isinf(value)
@@ -466,7 +474,7 @@ def test_bottleneck_warm_started_probes_match_a_cold_solve(monkeypatch):
         return cold(adjacency, n_right, start)
 
     monkeypatch.setattr(assignment, "has_perfect_matching", recording)
-    value = bottleneck_assignment(costs, n)
+    value = bottleneck_assignment(*as_costs(costs, n))
     assert len(probes) >= 12
     assert sum(k == m and warm > 0 for k, warm in probes) >= 5  # row runs
     assert sum(k == n and warm > 0 for k, warm in probes) >= 5  # column runs
@@ -552,13 +560,13 @@ def test_lex_smallest_matching_breaks_ties():
     # Every permutation has the same total; the identity is lexicographically
     # least.
     costs = [[1.0] * 4 for _ in range(4)]
-    assert _solve(padded_square(costs), 1.0, 4).permutation()[:4] == (0, 1, 2, 3)
-    assert _solve(padded_square(costs), INF, 4).permutation()[:4] == (0, 1, 2, 3)
+    assert _solve(as_costs(padded_square(costs), 4), 1.0).permutation()[:4] == (0, 1, 2, 3)
+    assert _solve(as_costs(padded_square(costs), 4), INF).permutation()[:4] == (0, 1, 2, 3)
     complete = [list(range(4)) for _ in range(4)]
     assert lex_smallest_matching(complete, [False] * 4, [3, 2, 1, 0]) == (0, 1, 2, 3)
     # Two optimal permutations: (0, 1) and (1, 0); prefer (0, 1).
     costs = [[2.0, 2.0], [2.0, 2.0]]
-    assert _solve(padded_square(costs), 1.0, 2).permutation()[:2] == (0, 1)
+    assert _solve(as_costs(padded_square(costs), 2), 1.0).permutation()[:2] == (0, 1)
     assert lex_smallest_matching([[0, 1], [0, 1]], [False] * 2, [1, 0]) == (0, 1)
 
 
@@ -567,16 +575,16 @@ def test_lex_smallest_matching_respects_optimality():
         [0.0, 5.0],
         [5.0, 0.0],
     ]
-    assert _solve(padded_square(costs), 1.0, 2).permutation()[:2] == (0, 1)
-    assert _solve(padded_square(costs), INF, 2).permutation()[:2] == (0, 1)
+    assert _solve(as_costs(padded_square(costs), 2), 1.0).permutation()[:2] == (0, 1)
+    assert _solve(as_costs(padded_square(costs), 2), INF).permutation()[:2] == (0, 1)
     # Only the identity is a perfect matching of this graph.
     assert lex_smallest_matching([[0, 1], [1]], [False] * 2, [0, 1]) == (0, 1)
 
 
 def test_lex_smallest_matching_empty():
     assert lex_smallest_matching([], [], []) == ()
-    assert _solve(padded_square([]), 1.0, 0).permutation() == ()
-    assert _solve(padded_square([]), INF, 0).permutation() == ()
+    assert _solve(as_costs(padded_square([]), 0), 1.0).permutation() == ()
+    assert _solve(as_costs(padded_square([]), 0), INF).permutation() == ()
 
 
 def first_compact_assignment(adjacency, optional):
@@ -652,7 +660,7 @@ def test_tie_break_is_first_optimum_in_permutation_order(p):
             if math.isclose(lp_norm([costs[i][perm[i]] for i in range(n)], p),
                             best, rel_tol=1e-9, abs_tol=0.0)
         )
-        assert _solve(padded_square(costs), p, n).permutation()[:n] == expected
+        assert _solve(as_costs(padded_square(costs), n), p).permutation()[:n] == expected
         checked += 1
     assert checked >= 150
     # Padded problems with finite basepoint costs, which the tie-break reads
@@ -675,6 +683,6 @@ def test_tie_break_is_first_optimum_in_permutation_order(p):
             if math.isclose(lp_norm([costs[i][j] for i, j in enumerate(perm)], p),
                             best, rel_tol=1e-9, abs_tol=0.0)
         )
-        assert _solve(costs, p, n).permutation() == expected
+        assert _solve(as_costs(costs, n), p).permutation() == expected
         finite += INF not in [row[m] for row in costs[:n]]
     assert finite >= 80

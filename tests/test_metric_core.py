@@ -314,7 +314,10 @@ def _pairwise_cases():
 
 def test_pairwise_matches_dist(rng):
     """pairwise is dist on every pair and against the basepoint, exactly;
-    _space_costs is the padded matrix of the per-pair definition."""
+    _space_costs stands for the padded matrix of the per-pair definition,
+    built by square and read by entry, also with an empty side and with
+    immortal atoms (infinite distance to the basepoint)."""
+    immortal = 0
     for space, points in _pairwise_cases():
         x0 = space.basepoint
         xs = points + [x0] + [space.sample_point(rng) for _ in range(4)]
@@ -324,13 +327,19 @@ def test_pairwise_matches_dist(rng):
         assert xs_base == [space.dist(x, x0) for x in xs]
         assert ys_base == [space.dist(y, x0) for y in ys]
 
-        alpha = diagram_from_list(xs[:6], space)
-        beta = diagram_from_list(ys[:5], space)
-        left, right = alpha.expand(), beta.expand()
-        n = len(left)
-        expected = [[space.dist(x, y) for y in right] + [space.dist(x, x0)] * n for x in left]
-        expected += [[space.dist(y, x0) for y in right] + [0.0] * n for _ in right]
-        assert _space_costs(alpha, beta) == expected
+        for left, right in (xs[:6], ys[:5]), ([], ys[:5]), (xs[:6], []), (points, points[::-1]):
+            alpha = diagram_from_list(left, space)
+            beta = diagram_from_list(right, space)
+            left, right = alpha.expand(), beta.expand()
+            n = len(left)
+            expected = [[space.dist(x, y) for y in right] + [space.dist(x, x0)] * n for x in left]
+            expected += [[space.dist(y, x0) for y in right] + [0.0] * n for _ in right]
+            costs = _space_costs(alpha, beta)
+            assert costs.square() == expected
+            assert [[costs.entry(i, j) for j in range(len(expected))]
+                    for i in range(len(expected))] == expected
+            immortal += INF in costs.a
+    assert immortal >= 3
 
 
 def test_quotient_metric_direct_route_wins_nearby():

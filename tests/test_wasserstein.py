@@ -4,7 +4,7 @@ import random
 from pathlib import Path
 
 import pytest
-from test_assignment import padded_square
+from test_assignment import as_costs, padded_square
 
 from pdmetric import cli
 from pdmetric.assignment import exhaustive_min
@@ -177,17 +177,17 @@ def test_large_exponent_mixed_scale_against_oracle(p):
         n = rng.randint(2, 6)
         costs = [[10.0 ** rng.uniform(-3.0, 0.0) for _ in range(n)] for _ in range(n)]
         best = exhaustive_min(costs, p)
-        assert _solve(padded_square(costs), p, n).value == pytest.approx(best, rel=1e-9)
-        perm = _solve(padded_square(costs), p, n).permutation()[:n]
+        assert _solve(as_costs(padded_square(costs), n), p).value == pytest.approx(best, rel=1e-9)
+        perm = _solve(as_costs(padded_square(costs), n), p).permutation()[:n]
         assert lp_norm([costs[i][perm[i]] for i in range(n)], p) == pytest.approx(best, rel=1e-9)
     costs = [[0.02, 0.01, 1.0], [0.01, 0.02, 1.0], [1.0, 1.0, 0.0]]
-    assert _solve(padded_square(costs), p, 3).value == pytest.approx(lp_norm([0.01, 0.01], p),
-                                                                     rel=1e-12)
-    assert _solve(padded_square(costs), p, 3).permutation()[:3] == (1, 0, 2)
+    assert _solve(as_costs(padded_square(costs), 3), p).value == pytest.approx(
+        lp_norm([0.01, 0.01], p), rel=1e-12)
+    assert _solve(as_costs(padded_square(costs), 3), p).permutation()[:3] == (1, 0, 2)
     # An optimum of 0 beside entries whose powers underflow to 0.
     costs = [[1e-5, 0.0, 1.0], [0.0, 1e-5, 1.0], [1.0, 1.0, 0.0]]
-    assert _solve(padded_square(costs), p, 3).value == 0.0
-    assert _solve(padded_square(costs), p, 3).permutation()[:3] == (1, 0, 2)
+    assert _solve(as_costs(padded_square(costs), 3), p).value == 0.0
+    assert _solve(as_costs(padded_square(costs), 3), p).permutation()[:3] == (1, 0, 2)
 
 
 @pytest.mark.parametrize("p", [2.0, 3.5, 200.0])
@@ -232,7 +232,8 @@ def test_compact_solve_guard_on_near_identical_large_atoms():
 @pytest.fixture
 def solve_calls(monkeypatch):
     """The solves wasserstein makes, in order: "bound" for bottleneck_assignment,
-    "square" for min_cost_assignment and "compact" for a direct hungarian call."""
+    "square" for min_cost_assignment and "compact" for a direct hungarian call,
+    and "build" for each padded (n+m) x (n+m) matrix built (Costs.square)."""
     calls = []
 
     def recorder(name, solve):
@@ -245,6 +246,8 @@ def solve_calls(monkeypatch):
                        ("hungarian", "compact")]:
         monkeypatch.setattr(wasserstein_module, attr,
                             recorder(name, getattr(wasserstein_module, attr)))
+    costs = wasserstein_module.Costs
+    monkeypatch.setattr(costs, "square", recorder("build", costs.square))
     return calls
 
 
@@ -252,15 +255,17 @@ def solve_calls(monkeypatch):
 def test_immortal_atoms_take_the_square_solve(p, solve_calls):
     # Immortal atoms (infinite basepoint cost) take the square solve, at
     # p > 1 on powers bounded by the bottleneck value and at p = 1 on the
-    # costs as they are; every padded problem with finite basepoint costs
-    # takes the compact one, an empty side included.
+    # costs as they are, each building its square matrix once; every padded
+    # problem with finite basepoint costs takes the compact one, an empty
+    # side included, and builds none.
     calls = solve_calls
     space = halfplane_quotient(INF, p, extended=True)
     alpha, beta = diagrams(space, [(0.0, INF), (1.0, 3.0), (2.0, 2.5)], [(0.5, INF), (1.0, 3.5)])
     expected = brute_force_wasserstein(alpha, beta, p)
+    calls.clear()  # the oracle builds the square matrix too
     assert wasserstein_value(alpha, beta, p) == pytest.approx(expected, rel=1e-12)
     assert wasserstein(alpha, beta, p)[0] == pytest.approx(expected, rel=1e-12)
-    square = ["square"] if p == 1.0 else ["bound", "square"]
+    square = ["build", "square"] if p == 1.0 else ["bound", "build", "square"]
     assert calls == square * 2
     # With no finite assignment the square solve says so (at p > 1 the
     # bound is inf first).
@@ -271,10 +276,10 @@ def test_immortal_atoms_take_the_square_solve(p, solve_calls):
     # Without the immortal atoms the same diagrams solve compactly, also
     # against an empty diagram on either side.
     for points in ([(1.0, 3.0), (2.0, 2.5)], [(1.0, 3.5)]), ([(1.0, 3.0)], []), ([], [(1.0, 3.5)]):
-        calls.clear()
         alpha, beta = diagrams(space, *points)
-        assert wasserstein_value(alpha, beta, p) == pytest.approx(
-            brute_force_wasserstein(alpha, beta, p), rel=1e-12)
+        expected = brute_force_wasserstein(alpha, beta, p)
+        calls.clear()
+        assert wasserstein_value(alpha, beta, p) == pytest.approx(expected, rel=1e-12)
         assert calls == ["compact"]
 
 
@@ -319,7 +324,7 @@ def test_certificate_reads_the_w1_solve(solve_calls):
         solve_calls.clear()
         cert = kr_certificate(*diagrams(space, *points))
         assert cert.has_certificate == bool(points[1])
-        assert solve_calls == ["square"]
+        assert solve_calls == ["build", "square"]
 
 
 def test_distance_with_matching_and_certificate_solves_once(monkeypatch, capsys):
@@ -342,10 +347,12 @@ def test_distance_with_matching_and_certificate_solves_once(monkeypatch, capsys)
 
 
 @pytest.mark.parametrize("p", [1.0, 2.0, INF])
-def test_tie_break_runs_on_the_atom_rows(monkeypatch, p):
+def test_tie_break_runs_on_the_atom_rows(monkeypatch, solve_calls, p):
     # The tie-break searches the left atoms against the right atoms and the
     # diagonal, with the pad rows as one node, at every exponent: it is given
-    # n rows, not the n + m rows of the padded matrix.
+    # n rows, not the n + m rows of the padded matrix.  No padded matrix is
+    # built: the compact route makes one solve, and the threshold route one
+    # threshold search and one shared-column solve for the tie-break's start.
     alpha, beta = (load_diagram(str(GOLDEN / name), halfplane_quotient(INF, p))
                    for name in ("grid40-left.json", "grid40-right.json"))
     rows = []
@@ -358,6 +365,7 @@ def test_tie_break_runs_on_the_atom_rows(monkeypatch, p):
     monkeypatch.setattr(wasserstein_module, "lex_smallest_matching", recording)
     wasserstein(alpha, beta, p)
     assert rows == [alpha.size] and beta.size > 0
+    assert solve_calls == (["bound", "compact"] if p == INF else ["compact"])
 
 
 def test_certificate_of_a_p_two_solve_is_refused():
@@ -429,10 +437,18 @@ def test_nan_ground_distance_is_domain_error(p):
     labels = ["o", "x1", "x2", "x3"]
     finite = FiniteSpace(labels, [[0.0 if i == j else 1.0 for j in labels] for i in labels], "o")
     space = remetrize(finite, lambda x, y: 0.0 if x == y else math.nan)
-    alpha, beta = diagrams(space, ["x1", "x2"], ["x3"])
-    for solve in (wasserstein_value, wasserstein):
+    for points in (["x1", "x2"], ["x3"]), (["x1", "x2"], []), ([], ["x3"]):
+        alpha, beta = diagrams(space, *points)
+        for solve in (wasserstein_value, wasserstein):
+            with pytest.raises(DomainError, match="NaN"):
+                solve(alpha, beta, p)
+    # The quotient-reduced route checks its ambient data the same way, the
+    # distances to the subset and those between atoms.
+    alpha, beta = diagrams(finite, ["x1", "x2"], ["x3"])
+    for ambient, subset in ((finite.dist, lambda x: math.nan),
+                            (lambda x, y: math.nan, lambda x: finite.dist(x, "o"))):
         with pytest.raises(DomainError, match="NaN"):
-            solve(alpha, beta, p)
+            wasserstein_quotient_reduced(alpha, beta, p, ambient_dist=ambient, subset_dist=subset)
 
 
 @pytest.mark.parametrize("p", [1.0, 2.0, INF])
@@ -440,7 +456,13 @@ def test_negative_ground_distance_is_domain_error(p):
     labels = ["o", "x1", "x2", "x3"]
     finite = FiniteSpace(labels, [[0.0 if i == j else 1.0 for j in labels] for i in labels], "o")
     space = remetrize(finite, lambda x, y: 0.0 if x == y else -1.0)
-    alpha, beta = diagrams(space, ["x1", "x2"], ["x3"])
-    for solve in (wasserstein_value, wasserstein, brute_force_wasserstein):
+    for points in (["x1", "x2"], ["x3"]), (["x1", "x2"], []), ([], ["x3"]):
+        alpha, beta = diagrams(space, *points)
+        for solve in (wasserstein_value, wasserstein, brute_force_wasserstein):
+            with pytest.raises(DomainError, match="negative"):
+                solve(alpha, beta, p)
+    alpha, beta = diagrams(finite, ["x1", "x2"], ["x3"])
+    for ambient, subset in ((finite.dist, lambda x: -1.0),
+                            (lambda x, y: -1.0, lambda x: finite.dist(x, "o"))):
         with pytest.raises(DomainError, match="negative"):
-            solve(alpha, beta, p)
+            wasserstein_quotient_reduced(alpha, beta, p, ambient_dist=ambient, subset_dist=subset)
