@@ -1,5 +1,7 @@
+import json
 import math
 import random
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +19,7 @@ from pdmetric.universality import (
     extend_lipschitz,
     lipschitz_norm,
 )
+from pdmetric.verify import random_finite_space
 from pdmetric.wasserstein import wasserstein_value
 
 SPACE = FiniteSpace(
@@ -174,3 +177,44 @@ def test_converse_stability_rejects_non_subadditive(rng):
     report = converse_stability(SPACE, rho, 1.0, rng, sample_diagrams=25,
                                 subadditivity_samples=500)
     assert report.status == "precondition_failed"
+
+
+def _boosted(a, b):
+    """W_1 between diagrams of at most one atom, 2 W_1 otherwise: 1-Lipschitz
+    on points, so only the comparison with W_1 itself can reject it."""
+    value = wasserstein_value(a, b, 1.0)
+    return value if a.size <= 1 and b.size <= 1 else 2.0 * value
+
+
+def pinned_reports() -> list[dict]:
+    """The reports of the three universality checks on seeded inputs: every
+    status each can give, with its witness."""
+    reports = []
+    for seed in (5, 6):
+        space = random_finite_space(random.Random(seed), size=4)
+        for p in (1.0, 2.0, INF):
+            for candidate in (space, p_strengthen(space, p)):
+                reports.append(check_restriction_trichotomy(candidate, p, space.labels))
+        rhos = [
+            (lambda a, b: wasserstein_value(a, b, INF), {}),
+            (lambda a, b: 2.0 * wasserstein_value(a, b, 1.0), {}),
+            (lambda a, b: 0.5 * wasserstein_value(a, b, 1.0) ** 2,
+             {"subadditivity_samples": 500}),
+            (_boosted, {"subadditivity_samples": 0}),
+        ]
+        for rho, options in rhos:
+            reports.append(check_maximality(space, rho, 1.0, max_size=2,
+                                            rng=random.Random(seed), **options))
+            reports.append(converse_stability(space, rho, 1.0, random.Random(seed),
+                                              sample_diagrams=12, **options))
+    return [report.as_dict() for report in reports]
+
+
+PINNED_REPORTS = Path(__file__).parent / "golden" / "universality-reports.json"
+
+
+def test_universality_reports_match_their_pin():
+    # Taken before the strengthening became the quotient by the basepoint;
+    # the failing checks keep their witness keys: "wasserstein" for
+    # maximality, "bound" for converse stability.
+    assert pinned_reports() == json.loads(PINNED_REPORTS.read_text())

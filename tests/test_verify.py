@@ -1,3 +1,5 @@
+import hashlib
+import importlib
 import json
 import math
 import random
@@ -7,7 +9,7 @@ import pytest
 
 from pdmetric import verify
 from pdmetric.errors import PreconditionError
-from pdmetric.io import dump_json
+from pdmetric.io import dump_json, json_ready
 from pdmetric.metric_core import INF
 from pdmetric.spaces import halfplane_quotient
 from pdmetric.verify import (
@@ -24,6 +26,8 @@ from pdmetric.verify import (
     run_suite,
     word_metric_suite,
 )
+
+wasserstein_module = importlib.import_module("pdmetric.wasserstein")
 
 # Small instance counts keep the whole module quick; the acceptance tests
 # run the full-size counterparts.
@@ -58,6 +62,40 @@ def test_each_suite_passes(name):
     [expected] = [r for r in json.loads(GOLDEN_SMALL.read_text()) if r["suite"] == name]
     assert json.loads(dump_json(report)) == expected
 
+
+
+# sha256 over (p, value) of every W_p solve each suite makes at
+# test_each_suite_passes's seed and sizes, values rounded as dump_json rounds
+# them.  A passing check shows only its status, so this pins the instances a
+# suite draws and the values it reads, which the report cannot show.
+SOLVED_VALUE_DIGESTS = {
+    "converse-stability": "a79c0fa554ae17bc0de5137eded7a112db0b54e83f7bdbafeb61c7baf9ad9eef",
+    "duality": "a9292dff7e640507d800f23d1ed1ffb059ede69019a0c3676dc4397d74ad16ad",
+    "metric-axioms": "bb08ccbae21ddf6c6cd3e5fb9f9b0c1bd6ce0f9b9451a40673f97cd42dcadd34",
+    "monotonicity": "4b73ee22f23f3456069fa5046e01298f702bf3cb0cf0dba6207a680a7f3cac5f",
+    "oracle": "14caffc07a066a02b1c4def3d023de3ebabd381c69e8ac780dab2119565f8169",
+    "padding": "b45a9358091f36a34674cc1b7aa222971173f5303162a7f4f57b36af7998acf9",
+    "quotient-reduced": "e34647fdd2e8472854adb9350d5705c7f87b21ab20f994cafd3850bc9dcf51ef",
+    "strengthening": "af6b88df032a09bd00fc16c4e794a255e2863649e31c154175addddf263a07be",
+    "subadditivity": "8406e2f7c9ea6e49f77e7c333a15e50be1493c5d051e1983a0d179fcd07cfaba",
+    "universality": "6b2d9d319aadc28995b9c00365a24003e58538404a0088ab6f09f09f63c1438e",
+    "word-metric": "e372fd2c24df0db95425f34d030bc223dc82df7afe9cbacc5ef13098930c4d01",
+}
+
+
+@pytest.mark.parametrize("name", sorted(SUITES))
+def test_each_suite_solves_its_pinned_values(monkeypatch, name):
+    digest = hashlib.sha256()
+    solve_one = wasserstein_module._solve
+
+    def recording(costs, p):
+        solved = solve_one(costs, p)
+        digest.update(repr(json_ready((p, solved.value))).encode())
+        return solved
+
+    monkeypatch.setattr(wasserstein_module, "_solve", recording)
+    run_suite(name, seed=4, samples=SMALL[name])
+    assert digest.hexdigest() == SOLVED_VALUE_DIGESTS[name]
 
 def test_resolve_seed_precedence(monkeypatch):
     monkeypatch.delenv(SEED_ENV_VAR, raising=False)
