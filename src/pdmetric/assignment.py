@@ -7,7 +7,8 @@ hungarian        O(n^2 k) min-cost assignment of the n rows of an n x k matrix
                  any number of rows may take it, so a padded W_p problem
                  solves as n atom rows against m atoms and one diagonal.
 hopcroft_karp    maximum bipartite matching, optionally grown from a given one;
-                 it completes infeasible assignments and runs threshold probes.
+                 it completes infeasible assignments (infeasible_assignment)
+                 and runs threshold probes.
 bottleneck_assignment
                  minimax value of a padded problem, given as its atom block
                  and the atoms' basepoint costs, by binary search on the block.
@@ -209,18 +210,24 @@ class AssignmentResult:
     v: tuple[float, ...] | None
 
 
+def infeasible_assignment(costs) -> AssignmentResult:
+    """The result for an n x k matrix, n >= 1, on which every assignment
+    takes an inf entry: total inf, no duals, and a maximum matching on the
+    finite edges (Hopcroft-Karp), greedily completed."""
+    k = len(costs[0])
+    _, match_left = hopcroft_karp(_finite_adjacency(costs), k)
+    return AssignmentResult(INF, tuple(_complete_greedily(k, match_left)), None, None)
+
+
 def min_cost_assignment(costs) -> AssignmentResult:
     """Minimum-total assignment of the rows of an n x k matrix (see hungarian).
 
     inf entries mark forbidden edges, which the solver never follows.  If no
-    assignment avoids them, the total is inf, no duals are produced, and the
-    permutation greedily extends a maximum matching on the finite edges.
+    assignment avoids them, the result is infeasible_assignment's.
     """
     total, perm, u, v = hungarian(costs)
     if perm is None:
-        k = len(costs[0])
-        _, match_left = hopcroft_karp(_finite_adjacency(costs), k)
-        return AssignmentResult(INF, tuple(_complete_greedily(k, match_left)), None, None)
+        return infeasible_assignment(costs)
     return AssignmentResult(total, tuple(perm), tuple(u), tuple(v))
 
 

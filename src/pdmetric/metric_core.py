@@ -212,7 +212,9 @@ class QuotientSpace(PointedSpace):
     to the new basepoint.  sd must be compatible with d in the sense
     sd(x) <= d(x, y) + sd(y), which makes the result a pseudometric again.
     A point at sd 0 is the basepoint class, so dist evaluates sd once per
-    point (pairwise once per listed point) and needs no canonical form.
+    point (pairwise once per listed point) and needs no canonical form;
+    canonical maps such a point to the class and any other to the ambient's
+    normal form.  With A = {x0} this is the p-strengthening (p_strengthen).
     """
 
     def __init__(self, ambient: MetricSpace, subset_dist: Callable, p, *,
@@ -232,7 +234,7 @@ class QuotientSpace(PointedSpace):
             return self.basepoint
         if self.ambient.contains(x) and self.subset_dist(x) == 0.0:
             return self.basepoint
-        return x
+        return self.ambient.canonical(x)
 
     def contains(self, x) -> bool:
         return x == self.basepoint or self.ambient.contains(x)
@@ -272,52 +274,6 @@ class QuotientSpace(PointedSpace):
 
     def point_from_json(self, obj):
         return self.canonical(self.ambient.point_from_json(obj))
-
-
-class SamePointSpace(PointedSpace):
-    """The points and basepoint of a base space; subclasses give dist and signature."""
-
-    def __init__(self, base: PointedSpace):
-        self.base = base
-        self.basepoint = base.basepoint
-
-    def contains(self, x) -> bool:
-        return self.base.contains(x)
-
-    def canonical(self, x):
-        return self.base.canonical(x)
-
-    def sort_key(self, x):
-        return self.base.sort_key(x)
-
-    def sample_point(self, rng):
-        return self.base.sample_point(rng)
-
-    def point_to_json(self, x):
-        return self.base.point_to_json(x)
-
-    def point_from_json(self, obj):
-        return self.base.point_from_json(obj)
-
-
-class StrengthenedSpace(SamePointSpace):
-    """The base space's points under min(d(x, y), ||(d(x, x0), d(x0, y))||_p)."""
-
-    def __init__(self, base: PointedSpace, p):
-        super().__init__(base)
-        self.p = as_exponent(p)
-
-    @property
-    def signature(self) -> tuple:
-        return ("strengthened", self.base.signature, self.p)
-
-    def dist(self, x, y) -> float:
-        d = self.base.dist(x, y)
-        through = lp_norm(
-            (self.base.dist(x, self.basepoint), self.base.dist(self.basepoint, y)),
-            self.p,
-        )
-        return min(d, through)
 
 
 class ProductSpace(PointedSpace):
@@ -366,11 +322,12 @@ class ProductSpace(PointedSpace):
         return (self.left.sample_point(rng), self.right.sample_point(rng))
 
 
-class RemetrizedSpace(SamePointSpace):
+class RemetrizedSpace(PointedSpace):
     """The base space's points under another distance (a pullback, a raw ambient metric)."""
 
     def __init__(self, base: PointedSpace, dist_fn: Callable, label: str = "remetrized"):
-        super().__init__(base)
+        self.base = base
+        self.basepoint = base.basepoint
         self._dist = dist_fn
         self.label = label
 
@@ -380,6 +337,24 @@ class RemetrizedSpace(SamePointSpace):
 
     def dist(self, x, y) -> float:
         return float(self._dist(x, y))
+
+    def contains(self, x) -> bool:
+        return self.base.contains(x)
+
+    def canonical(self, x):
+        return self.base.canonical(x)
+
+    def sort_key(self, x):
+        return self.base.sort_key(x)
+
+    def sample_point(self, rng):
+        return self.base.sample_point(rng)
+
+    def point_to_json(self, x):
+        return self.base.point_to_json(x)
+
+    def point_from_json(self, obj):
+        return self.base.point_from_json(obj)
 
 
 def quotient_metric(space: MetricSpace, subset_dist: Callable, p, *,
@@ -392,9 +367,16 @@ def quotient_metric(space: MetricSpace, subset_dist: Callable, p, *,
     return QuotientSpace(space, subset_dist, p, label=label)
 
 
-def p_strengthen(space: PointedSpace, p) -> StrengthenedSpace:
-    """Cap distances by the lp route through the basepoint."""
-    return StrengthenedSpace(space, p)
+def p_strengthen(space: PointedSpace, p) -> QuotientSpace:
+    """The quotient by the basepoint: distances capped by the lp route through it.
+
+    min(d(x, y), ||(d(x, x0), d(x0, y))||_p) is the quotient metric with
+    A = {x0}, so its basepoint is the collapsed class, which every point at
+    distance 0 from x0 joins.  The class is labelled "basepoint", so a
+    strengthening's signature differs from a default quotient's of the base.
+    """
+    x0 = space.basepoint
+    return QuotientSpace(space, lambda x: space.dist(x, x0), p, label="basepoint")
 
 
 def pullback_metric(f: Callable, target) -> Callable:
@@ -480,13 +462,11 @@ def check_axioms_sampled(space: MetricSpace, rng, triples: int = 1000) -> Report
 
 
 def check_p_strengthened(space: PointedSpace, p, sample_pairs) -> bool:
-    """Does d(x, y) <= ||(d(x, x0), d(x0, y))||_p hold on the given pairs?"""
-    p = as_exponent(p)
-    x0 = space.basepoint
+    """Does d(x, y) <= ||(d(x, x0), d(x0, y))||_p, that is d <= d_p, hold on the pairs?"""
+    strengthened = p_strengthen(space, p).dist
     for x, y in sample_pairs:
         lhs = space.dist(x, y)
-        rhs = lp_norm((space.dist(x, x0), space.dist(x0, y)), p)
-        if lhs > rhs + _TRIANGLE_SLACK * max(1.0, abs(lhs)):
+        if lhs > strengthened(x, y) + _TRIANGLE_SLACK * max(1.0, abs(lhs)):
             return False
     return True
 

@@ -1,10 +1,12 @@
 """Lipschitz extension of point maps to diagram homomorphisms.
 
 The inclusion of points as singleton diagrams is 1-Lipschitz onto the
-p-strengthened metric, and W_p is the largest p-subadditive metric with
-that restriction.  These facts become checkable statements here: norm
-computation, extension, maximality, the restriction trichotomy, and the
-converse stability bound rho <= W_p over the pulled-back ground metric.
+p-strengthened metric, the quotient by the basepoint (p_strengthen), and
+W_p is the largest p-subadditive metric with that restriction.  These facts
+become checkable statements here: norm computation, extension, maximality,
+the restriction trichotomy, and the converse stability bound rho <= W_p
+over the pulled-back ground metric.  Maximality and converse stability
+share one comparison of rho with W_p on diagram pairs.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from .metric_core import (
     Report,
     as_exponent,
     lp_norm,
+    p_strengthen,
     remetrize,
 )
 from .wasserstein import wasserstein_value
@@ -69,13 +72,12 @@ def lipschitz_norm(f, source: FiniteSpace, target_dist: Callable) -> float:
     A zero denominator contributes 0 when the numerator is also zero and
     inf otherwise; pairs at infinite source distance impose no constraint.
     """
-    func = f.func if isinstance(f, LipschitzMap) else f
     worst = 0.0
     labels = source.labels
     for i, x in enumerate(labels):
         for y in labels[i + 1:]:
             d = source.dist(x, y)
-            rho = target_dist(func(x), func(y))
+            rho = target_dist(f(x), f(y))
             if math.isinf(d):
                 continue
             if d == 0.0:
@@ -98,8 +100,7 @@ def extend_lipschitz(phi, alpha: Diagram, monoid: MetricMonoid, p):
             f"target is declared {monoid.subadditive_p}-subadditive, which "
             f"does not cover p = {p}"
         )
-    func = phi.func if isinstance(phi, LipschitzMap) else phi
-    return extend_hom(func, alpha, monoid_add=monoid.add, identity=monoid.identity)
+    return extend_hom(phi, alpha, monoid_add=monoid.add, identity=monoid.identity)
 
 
 def _subadditivity_witness(rho, p: float, diagrams, rng, samples: int):
@@ -115,6 +116,18 @@ def _subadditivity_witness(rho, p: float, diagrams, rng, samples: int):
             return {"a": repr(a), "b": repr(b), "c": repr(c), "d": repr(d),
                     "lhs": lhs, "rhs": rhs}
     return None
+
+
+def _below_wasserstein(name: str, key: str, rho: Callable, pairs, bound: Callable) -> Report:
+    """Passes when rho(alpha, beta) <= bound(alpha, beta), the W_p value, on
+    every pair; else fails at the first excess, the bound witnessed under key."""
+    for alpha, beta in pairs:
+        limit = bound(alpha, beta)
+        value = rho(alpha, beta)
+        if value > limit + _TOLERANCE * max(1.0, abs(limit)):
+            return Report(name, FAIL, {"alpha": repr(alpha), "beta": repr(beta),
+                                       "rho": value, key: limit})
+    return Report(name, PASS)
 
 
 def check_maximality(space: FiniteSpace, rho: Callable, p, max_size: int,
@@ -142,16 +155,9 @@ def check_maximality(space: FiniteSpace, rho: Callable, p, max_size: int,
     if witness is not None:
         witness["reason"] = "rho is not p-subadditive"
         return Report("maximality", PRECONDITION_FAILED, witness)
-    for alpha, beta in itertools.product(diagrams, repeat=2):
-        bound = wasserstein_value(alpha, beta, p)
-        value = rho(alpha, beta)
-        if value > bound + _TOLERANCE * max(1.0, abs(bound)):
-            return Report(
-                "maximality", FAIL,
-                {"alpha": repr(alpha), "beta": repr(beta),
-                 "rho": value, "wasserstein": bound},
-            )
-    return Report("maximality", PASS)
+    return _below_wasserstein("maximality", "wasserstein", rho,
+                              itertools.product(diagrams, repeat=2),
+                              lambda alpha, beta: wasserstein_value(alpha, beta, p))
 
 
 def check_restriction_trichotomy(space: PointedSpace, p, points=None) -> Report:
@@ -159,20 +165,21 @@ def check_restriction_trichotomy(space: PointedSpace, p, points=None) -> Report:
 
     Both sides are decided exhaustively over the given points (default: the
     labels of a finite space); the report passes when they agree (whether
-    both hold or both fail).
+    both hold or both fail).  d is p-strengthened when d <= d_p, the
+    distance of p_strengthen(space, p).
     """
     p = as_exponent(p)
     if points is None:
         points = space.labels
     points = list(points)
-    x0 = space.basepoint
+    strengthened_dist = p_strengthen(space, p).dist
     strengthened = True
     restriction_equals = True
     for x in points:
         for y in points:
             d = space.dist(x, y)
-            through = lp_norm((space.dist(x, x0), space.dist(x0, y)), p)
-            if d > through + _TOLERANCE * max(1.0, abs(through)):
+            dp = strengthened_dist(x, y)
+            if d > dp + _TOLERANCE * max(1.0, abs(dp)):
                 strengthened = False
             w = wasserstein_value(include(x, space), include(y, space), p)
             if abs(w - d) > _TOLERANCE * max(1.0, abs(d)):
@@ -186,23 +193,20 @@ def check_restriction_trichotomy(space: PointedSpace, p, points=None) -> Report:
 
 
 def converse_stability(space: PointedSpace, rho: Callable, p, rng,
-                       sample_diagrams, subadditivity_samples: int = 100) -> Report:
+                       sample_diagrams: int, subadditivity_samples: int = 100) -> Report:
     """rho <= W_p over the ground metric that rho itself induces on points.
 
     The induced metric is d'(x, y) = rho(i(x), i(y)); rho must be
     p-subadditive (checked on samples) for the bound to be meaningful.
-    sample_diagrams is either a pool of diagrams over the space or a count
-    of random ones to draw.
+    sample_diagrams is the number of random diagrams, of up to 3 points
+    drawn with rng, compared pairwise.
     """
     p = as_exponent(p)
-    if isinstance(sample_diagrams, int):
-        pool = [
-            diagram_from_list(
-                [space.sample_point(rng) for _ in range(rng.randint(0, 3))], space)
-            for _ in range(sample_diagrams)
-        ]
-    else:
-        pool = list(sample_diagrams)
+    pool = [
+        diagram_from_list(
+            [space.sample_point(rng) for _ in range(rng.randint(0, 3))], space)
+        for _ in range(sample_diagrams)
+    ]
     witness = _subadditivity_witness(rho, p, pool, rng, subadditivity_samples)
     if witness is not None:
         witness["reason"] = "rho is not p-subadditive"
@@ -212,16 +216,10 @@ def converse_stability(space: PointedSpace, rho: Callable, p, rng,
         return rho(include(x, space), include(y, space))
 
     pulled = remetrize(space, induced, label="induced-by-rho")
-    for alpha in pool:
-        for beta in pool:
-            moved_a = diagram_from_list(alpha.expand(), pulled)
-            moved_b = diagram_from_list(beta.expand(), pulled)
-            bound = wasserstein_value(moved_a, moved_b, p)
-            value = rho(alpha, beta)
-            if value > bound + _TOLERANCE * max(1.0, abs(bound)):
-                return Report(
-                    "converse-stability", FAIL,
-                    {"alpha": repr(alpha), "beta": repr(beta),
-                     "rho": value, "bound": bound},
-                )
-    return Report("converse-stability", PASS)
+
+    def bound(alpha: Diagram, beta: Diagram) -> float:
+        return wasserstein_value(diagram_from_list(alpha.expand(), pulled),
+                                 diagram_from_list(beta.expand(), pulled), p)
+
+    return _below_wasserstein("converse-stability", "bound", rho,
+                              itertools.product(pool, repeat=2), bound)

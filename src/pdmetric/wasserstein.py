@@ -39,6 +39,7 @@ from .assignment import (
     bottleneck_assignment,
     exhaustive_min,
     hungarian,
+    infeasible_assignment,
     lex_smallest_matching,
     min_cost_assignment,
 )
@@ -240,12 +241,14 @@ class Solve(NamedTuple):
         At p = inf the duals are 0 and the tolerance is the bottleneck value
         t.  The search starts from a shared-column solve of the indicators
         of entries above t, whose padded optimum is 0, so its matching lies
-        in the threshold graph.
+        in the threshold graph.  An infinite value has no optimum to break
+        ties among: the square solve's permutation stands, or at p = inf
+        infeasible_assignment's, with no hungarian attempt bound to fail.
         """
         costs, result = self.costs, self.result
         n, m = len(costs.a), len(costs.b)
         if math.isinf(self.value):
-            return (result or min_cost_assignment(costs.square())).permutation
+            return (result or infeasible_assignment(costs.square())).permutation
         if result is None:
             work, tol = costs, self.value
             u = v = [0.0] * (n + m)

@@ -81,113 +81,74 @@ def test_duality_suite_matches_golden_report():
     assert json.loads(dump_json(duality_suite(DEFAULT_SEED))) == expected
 
 
-def test_bottleneck_matching_at_size_matches_golden_output(capsys):
-    # Two diagrams of 40 distinct integer-grid atoms (73 and 69 with
-    # multiplicity), so the threshold graph is full of ties; CI runs the
-    # same command and diffs it against the same file.
-    code = cli.main(["distance", str(GOLDEN / "grid40-left.json"),
-                     str(GOLDEN / "grid40-right.json"), "--space", "halfplane",
-                     "--q", "inf", "--p", "inf", "--matching"])
-    assert code == 0
-    assert capsys.readouterr().out == (GOLDEN / "grid40-bottleneck-matching.json").read_text()
+# The CLI pins, by group: each is a pinned stdout and the command that
+# prints it, run in tests/golden.  CI diffs the same commands against the
+# same files, reading the same manifest.
+PIN_MANIFEST = GOLDEN / "cli-pins.txt"
 
 
-def test_compact_matching_with_ties_matches_golden_output(capsys):
-    # The grid40 pair at p = 2 is solved compactly, and its integer grid
-    # leaves many optima, so the tie-break picks among atoms and the
-    # diagonal.  CI runs the same command and diffs it against the same file.
-    code = cli.main(["distance", str(GOLDEN / "grid40-left.json"),
-                     str(GOLDEN / "grid40-right.json"), "--space", "halfplane",
-                     "--q", "inf", "--p", "2", "--matching"])
-    assert code == 0
-    assert capsys.readouterr().out == (GOLDEN / "grid40-p2-matching.json").read_text()
+def cli_pins() -> dict[str, list[tuple[str, list[str]]]]:
+    """group -> [(pinned file, CLI arguments)] from the manifest, where a
+    "[group]" line starts a group and "#" a comment."""
+    groups: dict = {}
+    for line in PIN_MANIFEST.read_text().splitlines():
+        if line.startswith("["):
+            pins = groups.setdefault(line.strip("[]"), [])
+        elif line.strip() and not line.startswith("#"):
+            pinned, *args = line.split()
+            pins.append((pinned, args))
+    return groups
 
 
-# Extended half-plane diagrams of 40 and 37 integer-grid atoms with
-# multiplicity (20 and 22 distinct), 4 of them immortal on each side, and
-# the empty diagram: (left, right, p, pinned stdout).  CI diffs the same
-# commands against the same files.
-IMMORTAL_PINS = [
-    ("immortal-left.json", "immortal-right.json", "1", "immortal-p1-matching.json"),
-    ("immortal-left.json", "immortal-right.json", "2", "immortal-p2-matching.json"),
-    ("immortal-left.json", "immortal-right.json", "3.5", "immortal-p3.5-matching.json"),
-    ("immortal-left.json", "empty.json", "2", "immortal-left-empty-p2-matching.json"),
-    ("empty.json", "immortal-right.json", "1", "empty-immortal-right-p1-matching.json"),
-    # The threshold route: immortal rows cannot take the diagonal, and
-    # immortal columns must be covered by atom rows.
-    ("immortal-left.json", "immortal-right.json", "inf", "immortal-pinf-matching.json"),
-]
+CLI_PINS = cli_pins()
 
 
-@pytest.mark.parametrize("left, right, p, pinned", IMMORTAL_PINS,
-                         ids=[pin[-1].removesuffix("-matching.json") for pin in IMMORTAL_PINS])
-def test_immortal_matching_at_size_matches_golden_output(capsys, left, right, p, pinned):
-    code = cli.main(["distance", str(GOLDEN / left), str(GOLDEN / right), "--space",
-                     "halfplane", "--q", "2", "--extended", "--matching", "--p", p])
-    assert code == 0
+def cli_pin_group(group: str):
+    pins = CLI_PINS[group]
+    return pytest.mark.parametrize(
+        "pinned, args", pins,
+        ids=[pinned.removesuffix(".json").removesuffix("-matching") for pinned, _ in pins])
+
+
+def check_cli_pin(capsys, monkeypatch, pinned: str, args: list[str]) -> None:
+    monkeypatch.chdir(GOLDEN)
+    assert cli.main(args) == 0
     assert capsys.readouterr().out == (GOLDEN / pinned).read_text()
 
 
-# W_1 values, some with their matchings, and their Kantorovich-Rubinstein
-# certificates: the immortal pair takes the square solve, the grid40 pair the
-# compact one, whose pad potentials are 0.  Without --matching the value is
-# the solve's own; against the immortal diagram the primal is inf and there
-# are no potentials; two empty diagrams give an empty certificate.  CI diffs
-# the same commands against the same files.
-CERTIFICATE_PINS = [
-    ("immortal-left.json", "immortal-right.json", ["--q", "2", "--extended", "--matching"],
-     "immortal-p1-certificate.json"),
-    ("grid40-left.json", "grid40-right.json", ["--q", "inf", "--matching"],
-     "grid40-p1-certificate.json"),
-    ("grid40-left.json", "grid40-right.json", ["--q", "inf"],
-     "grid40-p1-value-certificate.json"),
-    ("empty.json", "immortal-right.json", ["--q", "2", "--extended"],
-     "empty-immortal-right-p1-certificate.json"),
-    ("empty.json", "empty.json", ["--q", "2", "--matching"], "empty-empty-p1-certificate.json"),
-]
+def test_cli_pin_manifest_is_run_whole():
+    # Every group is one test below, and every pinned file is distinct.
+    assert sorted(CLI_PINS) == ["bottleneck", "certificate", "compact-ties", "immortal",
+                                "large-p"]
+    pinned = [name for pins in CLI_PINS.values() for name, _ in pins]
+    assert len(set(pinned)) == len(pinned)
+    assert all((GOLDEN / name).is_file() for name in pinned)
 
 
-@pytest.mark.parametrize("left, right, flags, pinned", CERTIFICATE_PINS,
-                         ids=[pin[-1].removesuffix(".json") for pin in CERTIFICATE_PINS])
-def test_certificate_matches_golden_output(capsys, left, right, flags, pinned):
-    code = cli.main(["distance", str(GOLDEN / left), str(GOLDEN / right), "--space",
-                     "halfplane", *flags, "--p", "1", "--certificate"])
-    assert code == 0
-    assert capsys.readouterr().out == (GOLDEN / pinned).read_text()
+def test_bottleneck_matching_at_size_matches_golden_output(capsys, monkeypatch):
+    [(pinned, args)] = CLI_PINS["bottleneck"]
+    check_cli_pin(capsys, monkeypatch, pinned, args)
 
 
-# W_p matchings at large p: the grid40 pair stays on the compact solve, the
-# immortal pair takes the bottleneck bound and the square solve.  Without
-# --matching the CLI prints the solve's own value, read off its costs: the
-# bare values at p = 1, 2 and inf cover the compact, square and threshold
-# routes.  CI diffs the same commands against the same files.
-LARGE_P_CLI_PINS = [
-    ("grid40-left.json", "grid40-right.json", ["--q", "inf", "--matching"], p,
-     f"grid40-p{p}-matching.json")
-    for p in ("7", "64")
-] + [
-    ("immortal-left.json", "immortal-right.json", ["--q", "2", "--extended", "--matching"], p,
-     f"immortal-p{p}-matching.json")
-    for p in ("7", "64")
-]
-VALUE_PINS = [
-    ("grid40-left.json", "grid40-right.json", ["--q", "inf"], p, f"grid40-p{p}-value.json")
-    for p in ("1", "2", "inf")
-] + [
-    ("immortal-left.json", "immortal-right.json", ["--q", "2", "--extended"], p,
-     f"immortal-p{p}-value.json")
-    for p in ("1", "2", "inf")
-]
+def test_compact_matching_with_ties_matches_golden_output(capsys, monkeypatch):
+    [(pinned, args)] = CLI_PINS["compact-ties"]
+    check_cli_pin(capsys, monkeypatch, pinned, args)
 
 
-@pytest.mark.parametrize("left, right, flags, p, pinned", LARGE_P_CLI_PINS + VALUE_PINS,
-                         ids=[pin[-1].removesuffix(".json").removesuffix("-matching")
-                              for pin in LARGE_P_CLI_PINS + VALUE_PINS])
-def test_large_p_matching_matches_golden_output(capsys, left, right, flags, p, pinned):
-    code = cli.main(["distance", str(GOLDEN / left), str(GOLDEN / right), "--space",
-                     "halfplane", *flags, "--p", p])
-    assert code == 0
-    assert capsys.readouterr().out == (GOLDEN / pinned).read_text()
+@cli_pin_group("immortal")
+def test_immortal_matching_at_size_matches_golden_output(capsys, monkeypatch, pinned, args):
+    check_cli_pin(capsys, monkeypatch, pinned, args)
+
+
+@cli_pin_group("certificate")
+def test_certificate_matches_golden_output(capsys, monkeypatch, pinned, args):
+    check_cli_pin(capsys, monkeypatch, pinned, args)
+
+
+@cli_pin_group("large-p")
+def test_large_p_matching_matches_golden_output(capsys, monkeypatch, pinned, args):
+    check_cli_pin(capsys, monkeypatch, pinned, args)
+
 
 LARGE_P_VALUES = (5.0, 7.0, 10.0, 16.0, 64.0)
 LARGE_P_KINDS = ("float", "grid", "immortal")

@@ -237,6 +237,73 @@ def test_p_strengthen_no_op_when_direct_route_shorter():
     assert p_strengthen(space, 1.0).dist("a", "b") == 0.5
 
 
+def _strengthening_bases():
+    """(metric base, points of it off the basepoint class): a random finite
+    space, a half-plane x finite product, a half-plane quotient and a
+    remetrized finite space."""
+    finite = random_finite_space(_rng(DEFAULT_SEED, "strengthen/finite"), size=5)
+    prod = product_metric(halfplane_quotient(INF, 1.0), finite, 2.0)
+    wide = remetrize(finite, lambda x, y: finite.dist(x, y) + (x != y), "plus-discrete")
+    return [
+        (finite, list(finite.labels[1:])),
+        (prod, [((0.0, 2.0), "x0"), ((1.0, 1.0), "x3"), ((-1.0, 2.5), "x2"),
+                ((0.5, 4.0), "x1"), ((3.0, 3.5), "x4")]),
+        (halfplane_quotient(2.0, 1.0), [p for p in HALFPLANE_POINTS if p[0] != p[1]]),
+        (wide, list(finite.labels[1:])),
+    ]
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, INF])
+def test_p_strengthen_is_the_capped_distance(p):
+    """dist and pairwise of the strengthening are min(d(x, y), through x0)
+    exactly, on the basepoint and on a basepoint-class point too."""
+    for base, points in _strengthening_bases():
+        x0 = base.basepoint
+        strong = p_strengthen(base, p)
+        points = points + [x0]
+        expected = [[min(base.dist(x, y), lp_norm((base.dist(x, x0), base.dist(x0, y)), p))
+                     for y in points] for x in points]
+        assert [[strong.dist(x, y) for y in points] for x in points] == expected
+        rows, xs_base, ys_base = strong.pairwise(points, points[::-1])
+        assert rows == [row[::-1] for row in expected]
+        assert xs_base == [base.dist(x, x0) for x in points] == ys_base[::-1]
+    # The half-plane quotient's diagonal points are its basepoint class.
+    quot = halfplane_quotient(2.0, 1.0)
+    assert p_strengthen(quot, p).dist((2.0, 2.0), (0.0, 2.0)) == quot.dist(quot.basepoint,
+                                                                            (0.0, 2.0))
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, INF])
+def test_p_strengthen_pairwise_reads_each_basepoint_distance_once(monkeypatch, p):
+    for base, points in _strengthening_bases():
+        calls = []
+        dist = base.dist
+
+        def counting(x, y, _dist=dist):
+            calls.append((x, y))
+            return _dist(x, y)
+
+        xs, ys = points, points[1:]
+        with monkeypatch.context() as patch:
+            patch.setattr(base, "dist", counting)
+            p_strengthen(base, p).pairwise(xs, ys)
+        assert len(calls) == len(xs) * len(ys) + len(xs) + len(ys)
+
+
+def test_quotient_canonical_is_the_ambient_normal_form():
+    """Off the collapsed class a quotient's points take the ambient's normal
+    form: ((1, 1), "a") and ((2, 2), "a") are one product point, so one
+    atom, in a quotient of the product and in its strengthening."""
+    finite = FiniteSpace(["o", "a"], [[0.0, 1.0], [1.0, 0.0]], "o")
+    prod = product_metric(halfplane_quotient(INF, 1.0), finite, 2.0)
+    far = ((0.0, 4.0), "o")
+    for space in (quotient_metric(prod, lambda x: prod.dist(x, far), 1.0),
+                  p_strengthen(prod, 2.0)):
+        alpha = diagram_from_list([((1.0, 1.0), "a"), ((2.0, 2.0), "a")], space)
+        assert alpha.atoms == ((prod.canonical(((1.0, 1.0), "a")), 2),)
+        assert space.canonical(((2.0, 2.0), "a")) == prod.canonical(((1.0, 1.0), "a"))
+
+
 # Half-plane points on and off the diagonal, then extended ones.
 HALFPLANE_POINTS = [(3.0, 3.0), (-1.0, -1.0), (0.0, 2.0), (10.0, 12.0), (2.0, 2.0), (0.5, 4.0)]
 EXTENDED_POINTS = HALFPLANE_POINTS + [(INF, INF), (0.0, INF), (-2.5, INF), (-INF, 1.0),
@@ -448,3 +515,8 @@ def test_spaces_compare_by_signature():
         halfplane_quotient(2.0, 1.0).signature
     assert halfplane_quotient(2.0, 1.0).signature != \
         halfplane_quotient(2.0, 2.0).signature
+    # A strengthening is a quotient of its base, yet not a default one.
+    base = two_point_space(2.0)
+    assert p_strengthen(base, 1.0).signature == p_strengthen(base, 1.0).signature
+    assert p_strengthen(base, 1.0).signature != \
+        quotient_metric(base, lambda x: base.dist(x, "a"), 1.0).signature

@@ -214,7 +214,6 @@ PINNED_REPORTS = Path(__file__).parent / "golden" / "universality-reports.json"
 
 
 def test_universality_reports_match_their_pin():
-    # Taken before the strengthening became the quotient by the basepoint;
-    # the failing checks keep their witness keys: "wasserstein" for
-    # maximality, "bound" for converse stability.
+    # Every status of each check, with its witness; a failing check names
+    # its bound "wasserstein" (maximality) or "bound" (converse stability).
     assert pinned_reports() == json.loads(PINNED_REPORTS.read_text())

@@ -7,7 +7,7 @@ import pytest
 from test_assignment import as_costs, padded_square
 
 from pdmetric import cli
-from pdmetric.assignment import exhaustive_min
+from pdmetric.assignment import exhaustive_min, min_cost_assignment
 from pdmetric.diagram import diagram_from_list, empty_diagram
 from pdmetric.errors import DomainError, PreconditionError, SizeLimitError
 from pdmetric.io import load_diagram
@@ -28,6 +28,7 @@ from pdmetric.wasserstein import (
 
 # The package re-exports the function wasserstein under the module's name.
 wasserstein_module = importlib.import_module("pdmetric.wasserstein")
+assignment_module = importlib.import_module("pdmetric.assignment")
 kr_duality_module = importlib.import_module("pdmetric.kr_duality")
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -366,6 +367,30 @@ def test_tie_break_runs_on_the_atom_rows(monkeypatch, solve_calls, p):
     wasserstein(alpha, beta, p)
     assert rows == [alpha.size] and beta.size > 0
     assert solve_calls == (["bound", "compact"] if p == INF else ["compact"])
+
+
+def test_infinite_bottleneck_permutation_makes_no_hungarian_call(monkeypatch):
+    # An immortal atom with no immortal partner leaves no finite matching,
+    # so hungarian is bound to fail: the permutation is the completed maximum
+    # finite matching that min_cost_assignment falls back to, taken directly.
+    rng = random.Random(150)
+    space = halfplane_quotient(2.0, INF, extended=True)
+
+    def points(count):
+        births = [rng.uniform(-5.0, 5.0) for _ in range(count)]
+        return [(b, b + rng.uniform(0.0, 6.0)) for b in births]
+
+    alpha, beta = diagrams(space, points(20) + [(0.0, INF)], points(20))
+    solved = solve(alpha, beta, INF)
+    assert solved.value == INF
+    expected = min_cost_assignment(solved.costs.square()).permutation
+    calls = []
+    for module in (assignment_module, wasserstein_module):
+        monkeypatch.setattr(module, "hungarian", lambda *args, _solve=module.hungarian:
+                            calls.append(args) or _solve(*args))
+    assert solved.permutation() == expected
+    assert wasserstein(alpha, beta, INF)[1].pairs == solved.matching().pairs
+    assert calls == []
 
 
 def test_certificate_of_a_p_two_solve_is_refused():
