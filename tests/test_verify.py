@@ -63,7 +63,6 @@ def test_each_suite_passes(name):
     assert json.loads(dump_json(report)) == expected
 
 
-
 # sha256 over (p, value) of every W_p solve each suite makes at
 # test_each_suite_passes's seed and sizes, values rounded as dump_json rounds
 # them.  A passing check shows only its status, so this pins the instances a
@@ -96,6 +95,7 @@ def test_each_suite_solves_its_pinned_values(monkeypatch, name):
     monkeypatch.setattr(wasserstein_module, "_solve", recording)
     run_suite(name, seed=4, samples=SMALL[name])
     assert digest.hexdigest() == SOLVED_VALUE_DIGESTS[name]
+
 
 def test_resolve_seed_precedence(monkeypatch):
     monkeypatch.delenv(SEED_ENV_VAR, raising=False)
