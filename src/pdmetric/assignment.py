@@ -19,8 +19,10 @@ lex_smallest_matching
                  W_p problem the rows are the atoms, the pad rows one node,
                  and the graph the optimal duals' equality subgraph (or the
                  bottleneck threshold graph).
-exhaustive_min   brute-force enumeration over all permutations (vectorized),
-                 guarded at n <= 9; the independent oracle for everything else.
+exhaustive_min   brute-force enumeration over all permutations, guarded at
+                 n <= 9; the independent oracle for everything else.  It
+                 evaluates a cached permutation table in fixed blocks of rows,
+                 so a call's memory stays bounded (under 1 MB at n = 9).
 """
 
 from __future__ import annotations
@@ -328,12 +330,19 @@ def lex_smallest_matching(adjacency: list[list[int]], optional: list[bool],
 
 _PERM_CACHE: dict[int, np.ndarray] = {}
 
+# Rows of the permutation table exhaustive_min evaluates at once, so its
+# float temporaries stay near PERM_BLOCK * n entries whatever n! is.
+PERM_BLOCK = 1024
+
 
 def _permutation_array(n: int) -> np.ndarray:
+    """Every permutation of range(n), one per row in lexicographic order (cached)."""
     cached = _PERM_CACHE.get(n)
     if cached is None:
         import numpy as np
-        cached = np.array(list(itertools.permutations(range(n))), dtype=np.int8)
+        count = math.factorial(n)
+        flat = itertools.chain.from_iterable(itertools.permutations(range(n)))
+        cached = np.fromiter(flat, dtype=np.int8, count=count * n).reshape(count, n)
         _PERM_CACHE[n] = cached
     return cached
 
@@ -342,7 +351,11 @@ def exhaustive_min(costs, p) -> float:
     """min over all permutations of the lp combination of matched entries.
 
     Enumerates every permutation outright, so it is the oracle the fast
-    solvers are checked against.  Guarded at n <= EXHAUSTIVE_LIMIT.
+    solvers are checked against.  Guarded at n <= EXHAUSTIVE_LIMIT.  The
+    cached permutation table (n! * n bytes) is read in blocks of PERM_BLOCK
+    rows, each evaluated on its own, so a call's float temporaries stay
+    bounded (under 1 MB at n = 9) and the result is the minimum of the
+    block minima, the same float as over the whole table at once.
     """
     p = as_exponent(p)
     n = len(costs)
@@ -355,14 +368,19 @@ def exhaustive_min(costs, p) -> float:
     import numpy as np
     matrix = np.asarray(costs, dtype=float)
     perms = _permutation_array(n)
-    picked = matrix[np.arange(n)[None, :], perms]
-    if p == INF:
-        return float(picked.max(axis=1).min())
-    # Each permutation's lp norm scaled by its own largest entry, as in
-    # lp_norm, so that no scale or spread of input over- or underflows.
-    top = picked.max(axis=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = picked / top[:, None]
-        np.power(ratio, p, out=ratio)
-        norms = top * ratio.sum(axis=1) ** (1.0 / p)
-    return float(np.where((top > 0.0) & np.isfinite(top), norms, top).min())
+    rows = np.arange(n)[None, :]
+    minima = []
+    for start in range(0, len(perms), PERM_BLOCK):
+        picked = matrix[rows, perms[start:start + PERM_BLOCK]]
+        top = picked.max(axis=1)
+        if p == INF:
+            minima.append(top.min())
+            continue
+        # Each permutation's lp norm scaled by its own largest entry, as in
+        # lp_norm, so that no scale or spread of input over- or underflows.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = picked / top[:, None]
+            np.power(ratio, p, out=ratio)
+            norms = top * ratio.sum(axis=1) ** (1.0 / p)
+        minima.append(np.where((top > 0.0) & np.isfinite(top), norms, top).min())
+    return float(np.min(minima))

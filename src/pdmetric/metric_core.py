@@ -215,19 +215,26 @@ class QuotientSpace(PointedSpace):
     point (pairwise once per listed point) and needs no canonical form;
     canonical maps such a point to the class and any other to the ambient's
     normal form.  With A = {x0} this is the p-strengthening (p_strengthen).
+
+    The signature names the subset distance by subset_key, which defaults to
+    the callable itself, so quotients by different callables never compare
+    equal.  A subclass or constructor whose subset distance is fixed by the
+    ambient's signature passes a structural key instead.
     """
 
     def __init__(self, ambient: MetricSpace, subset_dist: Callable, p, *,
-                 label: str = "A", space_id: str = "quotient"):
+                 label: str = "A", space_id: str = "quotient", subset_key=None):
         self.ambient = ambient
         self.subset_dist = subset_dist
+        self.subset_key = subset_dist if subset_key is None else subset_key
         self.p = as_exponent(p)
         self.basepoint = CollapsedClass(label)
         self.space_id = space_id
 
     @property
     def signature(self) -> tuple:
-        return ("quotient", self.ambient.signature, self.p, self.basepoint.label)
+        return ("quotient", self.ambient.signature, self.p, self.basepoint.label,
+                self.subset_key)
 
     def canonical(self, x):
         if x == self.basepoint:
@@ -323,7 +330,11 @@ class ProductSpace(PointedSpace):
 
 
 class RemetrizedSpace(PointedSpace):
-    """The base space's points under another distance (a pullback, a raw ambient metric)."""
+    """The base space's points under another distance (a pullback, a raw ambient metric).
+
+    The signature holds dist_fn itself, so spaces under different callables
+    never compare equal.
+    """
 
     def __init__(self, base: PointedSpace, dist_fn: Callable, label: str = "remetrized"):
         self.base = base
@@ -333,7 +344,7 @@ class RemetrizedSpace(PointedSpace):
 
     @property
     def signature(self) -> tuple:
-        return ("remetrized", self.base.signature, self.label)
+        return ("remetrized", self.base.signature, self.label, self._dist)
 
     def dist(self, x, y) -> float:
         return float(self._dist(x, y))
@@ -372,11 +383,14 @@ def p_strengthen(space: PointedSpace, p) -> QuotientSpace:
 
     min(d(x, y), ||(d(x, x0), d(x0, y))||_p) is the quotient metric with
     A = {x0}, so its basepoint is the collapsed class, which every point at
-    distance 0 from x0 joins.  The class is labelled "basepoint", so a
-    strengthening's signature differs from a default quotient's of the base.
+    distance 0 from x0 joins.  The class is labelled "basepoint", and the
+    subset distance, fixed by the base's signature, is keyed "basepoint" too,
+    so two strengthenings of one base compare equal while a quotient by any
+    callable differs from them.
     """
     x0 = space.basepoint
-    return QuotientSpace(space, lambda x: space.dist(x, x0), p, label="basepoint")
+    return QuotientSpace(space, lambda x: space.dist(x, x0), p, label="basepoint",
+                         subset_key="basepoint")
 
 
 def pullback_metric(f: Callable, target) -> Callable:

@@ -118,13 +118,16 @@ class HalfPlaneSpace(QuotientSpace):
     """The half-plane with the diagonal collapsed to the basepoint.
 
     Ground distance is min(lq distance, lp combination of the two diagonal
-    distances); p is the same exponent later used for W_p.
+    distances); p is the same exponent later used for W_p.  q and extended,
+    which the ambient's signature holds, fix the diagonal distance, so it is
+    keyed structurally and two equal constructions compare equal.
     """
 
     def __init__(self, q, p, extended: bool = False):
         ambient = HalfPlane(q, extended)
         super().__init__(
-            ambient, ambient.diag_dist, p, label="diagonal", space_id="halfplane"
+            ambient, ambient.diag_dist, p, label="diagonal", space_id="halfplane",
+            subset_key="diagonal",
         )
         self.q = ambient.q
         self.extended = ambient.extended

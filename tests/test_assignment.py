@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -511,12 +512,28 @@ def test_hopcroft_karp_on_a_long_augmenting_path():
     assert hopcroft_karp(chain, n, start) == (n, list(range(n)))
 
 
+def only_finite_on(perm, rng):
+    """A matrix that is inf off the entries perm picks, so perm is the one finite assignment."""
+    n = len(perm)
+    return [[rng.uniform(0.0, 10.0) if perm[i] == j else INF for j in range(n)]
+            for i in range(n)]
+
+
 def test_exhaustive_min_matches_pure_python():
+    # Sizes 7 and 8 span several blocks of the permutation table, and the
+    # inf matrices leave one finite permutation: the first row of the
+    # second block, the last row of the first, and the table's last row,
+    # which sits in its last partial block.
     rng = random.Random(99)
+    table = list(itertools.permutations(range(8)))
     for p in (1.0, 2.0, 3.5, INF):
-        for _ in range(20):
-            n = rng.randint(1, 6)
-            costs = random_matrix(rng, n)
+        matrices = [random_matrix(rng, rng.randint(1, 6)) for _ in range(20)]
+        matrices += [random_matrix(rng, 7), random_matrix(rng, 8),
+                     random_matrix(rng, 8, with_inf=0.6)]
+        matrices += [only_finite_on(table[row], rng)
+                     for row in (assignment.PERM_BLOCK, assignment.PERM_BLOCK - 1, -1)]
+        for costs in matrices:
+            n = len(costs)
             got = exhaustive_min(costs, p)
             if p == INF:
                 expected = brute_minimax(costs)
@@ -526,6 +543,35 @@ def test_exhaustive_min_matches_pure_python():
                     for perm in itertools.permutations(range(n))
                 )
             assert got == pytest.approx(expected, rel=1e-12)
+
+
+def test_exhaustive_min_fills_and_rebuilds_its_permutation_cache():
+    # Each verify-all benchmark pass clears _PERM_CACHE so that it starts
+    # as cold as a fresh process; the clear must reach the oracle's table.
+    costs = random_matrix(random.Random(4), 4)
+    value = exhaustive_min(costs, 2.0)
+    table = assignment._PERM_CACHE[4]
+    assert [tuple(row) for row in table.tolist()] == list(itertools.permutations(range(4)))
+    assignment._PERM_CACHE.clear()
+    assert exhaustive_min(costs, 2.0) == value
+    assert assignment._PERM_CACHE[4] is not table
+    assert (assignment._PERM_CACHE[4] == table).all()
+
+
+@pytest.mark.parametrize("p", [2.0, INF])
+def test_exhaustive_min_memory_stays_bounded(p):
+    # The 9! x 9 table is cached; a call walks it in blocks of rows, so its
+    # temporaries stay far below the 26 MB one float copy of the table takes.
+    n = EXHAUSTIVE_LIMIT
+    costs = random_matrix(random.Random(6), n)
+    exhaustive_min(costs, p)
+    tracemalloc.start()
+    try:
+        exhaustive_min(costs, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_exhaustive_min_guard():

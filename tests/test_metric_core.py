@@ -520,3 +520,18 @@ def test_spaces_compare_by_signature():
     assert p_strengthen(base, 1.0).signature == p_strengthen(base, 1.0).signature
     assert p_strengthen(base, 1.0).signature != \
         quotient_metric(base, lambda x: base.dist(x, "a"), 1.0).signature
+
+
+def test_signatures_name_the_subset_and_remetrized_distances():
+    # Quotients by different subsets, and remetrizations by different
+    # distances, are different spaces even with equal bases and labels.
+    space = FiniteSpace(["o", "a", "b"], [[0, 1, 2], [1, 0, 3], [2, 3, 0]], "o")
+    by_a = quotient_metric(space, lambda x: space.dist(x, "a"), 1.0)
+    by_b = quotient_metric(space, lambda x: space.dist(x, "b"), 1.0)
+    near = remetrize(space, lambda x, y: 0.0 if x == y else 1.0)
+    far = remetrize(space, lambda x, y: 0.0 if x == y else 5.0)
+    for left, right in ((by_a, by_b), (near, far)):
+        alpha, beta = diagram_from_list(["o"], left), diagram_from_list(["o"], right)
+        assert alpha != beta
+        with pytest.raises(DomainError):
+            wasserstein_value(alpha, beta, 1.0)
