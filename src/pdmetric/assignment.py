@@ -30,8 +30,7 @@ from __future__ import annotations
 import itertools
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import SizeLimitError
 from .metric_core import INF, as_exponent
@@ -100,7 +99,7 @@ def hungarian(costs, shared: bool = False
             col4row[i], j = j, col4row[i]
         if shared:
             row4col[-1] = -1
-    total = math.fsum(costs[i][col4row[i]] for i in range(n))
+    total = math.fsum([row[j] for row, j in zip(costs, col4row)])
     return total, col4row, u, v
 
 
@@ -197,8 +196,7 @@ def _complete_greedily(k: int, match_left: list[int]) -> list[int]:
     return [j if j != -1 else next(free_cols) for j in match_left]
 
 
-@dataclass(frozen=True)
-class AssignmentResult:
+class AssignmentResult(NamedTuple):
     """Optimal value, realizing permutation, and dual potentials.
 
     Duals are omitted (None) when no finite-cost perfect matching exists;
@@ -235,8 +233,7 @@ def min_cost_assignment(costs) -> AssignmentResult:
 
 def _ranked(rows) -> tuple[list[list[int]], list[list[float]]]:
     """Each row's columns sorted by cost, and their costs in that order."""
-    order = [sorted(range(len(row)), key=row.__getitem__) for row in rows]
-    return order, [[row[j] for j in cols] for row, cols in zip(rows, order)]
+    return [sorted(range(len(row)), key=row.__getitem__) for row in rows], [*map(sorted, rows)]
 
 
 def bottleneck_assignment(c, a, b) -> float:
@@ -249,16 +246,22 @@ def bottleneck_assignment(c, a, b) -> float:
     other at 0).  By Mendelsohn-Dulmage each set may be covered on its own, so a
     probe runs Hopcroft-Karp on the required rows over their cost-sorted
     prefixes, then on the required columns, each grown from the last failed
-    probe's matching.
+    probe's matching; a side with nothing required is covered at once.  With
+    one diagram empty every atom takes a pad, so the value is the largest
+    basepoint cost, and no search runs.
     """
     n, m = len(a), len(b)
-    cols = [[row[j] for row in c] for j in range(m)]
+    if not n or not m:
+        return max(a or b, default=0.0)
+    cols = [list(col) for col in zip(*c)]
     sides = [(a, *_ranked(c), m, [-1] * n), (b, *_ranked(cols), n, [-1] * m)]
 
     def feasible(t: float) -> bool:
         runs = []
         for need, order, ranked, k, start in sides:
             required = [i for i, x in enumerate(need) if x > t]
+            if not required:
+                continue
             adjacency = [order[i][:bisect_right(ranked[i], t)] for i in required]
             perfect, match = has_perfect_matching(adjacency, k, [start[i] for i in required])
             runs.append((start, required, match))

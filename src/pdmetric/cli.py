@@ -24,6 +24,7 @@ from .io import (
     SPACES,
     dump_json,
     load_diagram,
+    load_json,
     matching_to_json,
     certificate_to_json,
     parse_exponent_text,
@@ -41,8 +42,7 @@ EXIT_SIZE = 4
 
 def _space_spec_from_args(args) -> dict:
     if args.space_file:
-        with open(args.space_file, "r", encoding="utf-8") as handle:
-            spec = json.load(handle)
+        spec = load_json(args.space_file)
         if not isinstance(spec, dict):
             raise DomainError("the space file must hold a JSON object")
         if args.space and spec.get("id") not in (None, args.space):

@@ -14,7 +14,7 @@ from operator import add as _operator_add
 from typing import Iterable
 
 from .errors import DomainError, PreconditionError
-from .metric_core import PointedSpace
+from .metric_core import CollapsedClass, PointedSpace
 
 
 class Diagram:
@@ -30,12 +30,22 @@ class Diagram:
 
     @staticmethod
     def from_points(points: Iterable, space: PointedSpace) -> "Diagram":
-        counts: dict = {}
+        normal = []
         for raw in points:
             if not space.contains(raw):
                 raise DomainError(f"point {raw!r} is not in the space")
-            x = space.canonical(raw)
-            if x == space.basepoint:
+            normal.append(space.canonical(raw))
+        return Diagram.from_normal_points(normal, space)
+
+    @staticmethod
+    def from_normal_points(points: Iterable, space: PointedSpace) -> "Diagram":
+        """The diagram of points of the space already in normal form (as
+        canonical and sample_point return them); basepoints are dropped."""
+        counts: dict = {}
+        for x in points:
+            base = space.basepoint
+            # Only a CollapsedClass equals one, so no other point calls its __eq__.
+            if (type(x) is CollapsedClass or type(base) is not CollapsedClass) and x == base:
                 continue
             counts[x] = counts.get(x, 0) + 1
         atoms = tuple(sorted(counts.items(), key=lambda item: space.sort_key(item[0])))
@@ -63,7 +73,7 @@ class Diagram:
     def __add__(self, other: "Diagram") -> "Diagram":
         if not isinstance(other, Diagram):
             return NotImplemented
-        if self.space.signature != other.space.signature:
+        if self.space is not other.space and self.space.signature != other.space.signature:
             raise DomainError("cannot add diagrams over different spaces")
         merged = self.counts()
         for x, c in other.atoms:
@@ -76,7 +86,7 @@ class Diagram:
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Diagram)
-            and self.space.signature == other.space.signature
+            and (self.space is other.space or self.space.signature == other.space.signature)
             and self.atoms == other.atoms
         )
 

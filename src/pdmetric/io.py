@@ -154,10 +154,17 @@ def diagram_from_json(data: dict, space: PointedSpace) -> Diagram:
     return Diagram.from_points(points, space)
 
 
-def load_diagram(path: str, space: PointedSpace) -> Diagram:
+def load_json(path: str):
+    """A JSON file's contents; nesting too deep to parse is a ValueError."""
     with open(path, "r", encoding="utf-8") as handle:
-        data = json.load(handle)
-    return diagram_from_json(data, space)
+        try:
+            return json.load(handle)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply to parse") from None
+
+
+def load_diagram(path: str, space: PointedSpace) -> Diagram:
+    return diagram_from_json(load_json(path), space)
 
 
 # -- results ----------------------------------------------------------------

@@ -104,7 +104,8 @@ class MetricSpace(ABC):
     def sort_key(self, x): ...
 
     @abstractmethod
-    def sample_point(self, rng): ...
+    def sample_point(self, rng):
+        """A seeded random point of the space, in normal form (see canonical)."""
 
     def canonical(self, x):
         """Normal form of a point; the identity unless the space identifies points."""
@@ -236,18 +237,22 @@ class QuotientSpace(PointedSpace):
         return ("quotient", self.ambient.signature, self.p, self.basepoint.label,
                 self.subset_key)
 
+    # Only a CollapsedClass equals the basepoint, so each basepoint test checks
+    # the type first and calls its __eq__ on no ambient point.
     def canonical(self, x):
-        if x == self.basepoint:
+        if type(x) is CollapsedClass and x == self.basepoint:
             return self.basepoint
         if self.ambient.contains(x) and self.subset_dist(x) == 0.0:
             return self.basepoint
         return self.ambient.canonical(x)
 
     def contains(self, x) -> bool:
-        return x == self.basepoint or self.ambient.contains(x)
+        return type(x) is CollapsedClass and x == self.basepoint or self.ambient.contains(x)
 
     def _sd(self, x) -> float:
-        return 0.0 if x == self.basepoint else float(self.subset_dist(x))
+        if type(x) is CollapsedClass and x == self.basepoint:
+            return 0.0
+        return float(self.subset_dist(x))
 
     def _joined(self, x, y, sx: float, sy: float) -> float:
         """dist(x, y) given sx = sd(x) and sy = sd(y)."""
@@ -269,7 +274,7 @@ class QuotientSpace(PointedSpace):
         return rows, xs_base, ys_base
 
     def sort_key(self, x):
-        if x == self.basepoint:
+        if type(x) is CollapsedClass and x == self.basepoint:
             return (0,)
         return (1, self.ambient.sort_key(x))
 

@@ -48,6 +48,8 @@ class HalfPlane(MetricSpace):
             raise TypeError(f"extended must be true or false, got {extended!r}")
         self.q = as_exponent(q)
         self.extended = extended
+        # The diagonal distance's factor 2**(1/q - 1), where 1/inf reads as 0.
+        self._diag_scale = 2.0 ** ((0.0 if self.q == INF else 1.0 / self.q) - 1.0)
 
     @property
     def signature(self) -> tuple:
@@ -57,7 +59,14 @@ class HalfPlane(MetricSpace):
         return halfplane_dist(x, y, self.q)
 
     def diag_dist(self, x) -> float:
-        return halfplane_diag_dist(x, self.q)
+        """halfplane_diag_dist(x, q).  When finite b and d are too far apart
+        for d - b, the scaled endpoints are subtracted instead, so the value
+        stays finite when it can be."""
+        b, d = float(x[0]), float(x[1])
+        persistence = ext_abs_diff(d, b)
+        if persistence == INF and math.isfinite(b) and math.isfinite(d):
+            return abs(self._diag_scale * d - self._diag_scale * b)
+        return self._diag_scale * persistence
 
     def contains(self, x) -> bool:
         if not (isinstance(x, tuple) and len(x) == 2):
@@ -66,11 +75,8 @@ class HalfPlane(MetricSpace):
             b, d = float(x[0]), float(x[1])
         except (TypeError, ValueError):
             return False
-        if math.isnan(b) or math.isnan(d) or b > d:
-            return False
-        if not self.extended and (math.isinf(b) or math.isinf(d)):
-            return False
-        return True
+        # b <= d is false when either is NaN.
+        return b <= d and (self.extended or (-INF < b and d < INF))
 
     def sort_key(self, x):
         return (float(x[0]), float(x[1]))
@@ -108,10 +114,7 @@ def halfplane_diag_dist(x, q) -> float:
     any point of [b, d] works), which collapses all cases into the single
     closed form; 1/inf reads as 0.
     """
-    q = as_exponent(q)
-    persistence = ext_abs_diff(float(x[1]), float(x[0]))
-    inv_q = 0.0 if q == INF else 1.0 / q
-    return 2.0 ** (inv_q - 1.0) * persistence
+    return HalfPlane(q).diag_dist(x)
 
 
 class HalfPlaneSpace(QuotientSpace):
@@ -261,12 +264,12 @@ class IntervalSpace(PointedSpace):
 
     def sample_point(self, rng):
         left = rng.uniform(-5.0, 5.0)
-        return Interval(
+        return self.canonical(Interval(
             left,
             left + rng.uniform(0.0, 6.0),
             rng.random() < 0.8,
             rng.random() < 0.8,
-        )
+        ))
 
     def point_to_json(self, x):
         return [x.left, x.right, x.left_closed, x.right_closed]
@@ -410,6 +413,15 @@ class StarGraphSpace(PointedSpace):
         if x != self.zero and x not in self._order:
             raise DomainError(f"{x!r} is neither the identity nor a generator")
 
+    def pairwise(self, xs, ys):
+        """dist over xs x ys and to the identity, each point validated once."""
+        for x in (*xs, *ys):
+            self._check(x)
+        zero = self.zero
+        rows = [[0.0 if x == y else 1.0 if x == zero or y == zero else 2.0 for y in ys]
+                for x in xs]
+        return rows, *([0.0 if x == zero else 1.0 for x in points] for points in (xs, ys))
+
     def contains(self, x) -> bool:
         return x == self.zero or x in self._order
 
@@ -498,11 +510,16 @@ def _cayley_distances(group: FiniteAbelianGroup, gens: list[tuple]) -> dict:
 
 def word_metric(group: FiniteAbelianGroup, generators, g, h) -> int:
     """Graph distance on the Cayley graph: least word length writing g - h."""
+    return cayley_metric(group, generators)(g, h)
+
+
+def cayley_metric(group: FiniteAbelianGroup, generators):
+    """word_metric on group as a function of (g, h), its Cayley graph searched once."""
     gens = _prepare_generators(group, generators)
     dist = _cayley_distances(group, gens)
     if len(dist) != len(group):
         raise DomainError("generators do not generate the group")
-    return dist[group.sub(group.coerce(g), group.coerce(h))]
+    return lambda g, h: dist[group.sub(group.coerce(g), group.coerce(h))]
 
 
 def _words_by_value(group: FiniteAbelianGroup, gens: list[tuple],
@@ -526,31 +543,44 @@ def word_metric_via_wasserstein(group: FiniteAbelianGroup, generators, g, h,
     at least let both elements be written, otherwise the search is
     incomplete and rejected; reaching the true word metric can need words
     as long as d(g, h) + d(h, 0), so twice the group diameter always
-    suffices.
+    suffices.  One pair's search; wasserstein_word_metric builds the words
+    and their diagrams once for many pairs.
+    """
+    return wasserstein_word_metric(group, generators, length_bound)(g, h)
+
+
+def wasserstein_word_metric(group: FiniteAbelianGroup, generators, length_bound: int):
+    """word_metric_via_wasserstein on group as a function of (g, h).
+
+    The words up to length_bound, bucketed by value and shortest first, and
+    their diagrams are built here once, and each pair's search reads them.
     """
     # Imported here: wasserstein builds on diagram, which this module feeds.
     from .wasserstein import wasserstein_value
 
     gens = _prepare_generators(group, generators)
-    g = group.coerce(g)
-    h = group.coerce(h)
-    buckets = _words_by_value(group, gens, int(length_bound))
-    if g not in buckets or h not in buckets:
-        raise PreconditionError(
-            f"length bound {length_bound} is too small: some element has no "
-            "word representative; the search would be incomplete"
-        )
     space = StarGraphSpace(gens, group.zero)
-    best = INF
-    for word_g in sorted(buckets[g], key=len):
-        alpha = diagram_from_list(list(word_g), space)
-        for word_h in sorted(buckets[h], key=len):
-            # Every unmatched letter costs at least 1, so W_1 is bounded
-            # below by the length difference; such pairs cannot improve.
-            if abs(len(word_g) - len(word_h)) >= best:
-                continue
-            beta = diagram_from_list(list(word_h), space)
-            best = min(best, wasserstein_value(alpha, beta, 1))
-        if best == 0.0:
-            break
-    return best
+    words = {value: [(len(word), diagram_from_list(list(word), space))
+                     for word in sorted(bucket, key=len)]
+             for value, bucket in _words_by_value(group, gens, int(length_bound)).items()}
+
+    def realize(g, h) -> float:
+        g, h = group.coerce(g), group.coerce(h)
+        if g not in words or h not in words:
+            raise PreconditionError(
+                f"length bound {length_bound} is too small: some element has no "
+                "word representative; the search would be incomplete"
+            )
+        best = INF
+        for length_g, alpha in words[g]:
+            for length_h, beta in words[h]:
+                # Every unmatched letter costs at least 1, so W_1 is bounded
+                # below by the length difference; such pairs cannot improve.
+                if abs(length_g - length_h) >= best:
+                    continue
+                best = min(best, wasserstein_value(alpha, beta, 1))
+            if best == 0.0:
+                break
+        return best
+
+    return realize

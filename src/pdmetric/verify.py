@@ -60,10 +60,10 @@ from .spaces import (
     anagram_distance,
     halfplane_quotient,
     interval_half_length,
+    cayley_metric,
     interval_interleaving,
+    wasserstein_word_metric,
     word_diagram,
-    word_metric,
-    word_metric_via_wasserstein,
 )
 from .universality import (
     REAL_LINE,
@@ -113,7 +113,7 @@ def _rng(seed: int, tag: str) -> random.Random:
 
 def random_diagram(space, rng: random.Random, max_size: int, min_size: int = 0) -> Diagram:
     size = rng.randint(min_size, max_size)
-    return diagram_from_list([space.sample_point(rng) for _ in range(size)], space)
+    return Diagram.from_normal_points([space.sample_point(rng) for _ in range(size)], space)
 
 
 def random_finite_space(rng: random.Random, size: int = 4, scale: float = 3.0) -> FiniteSpace:
@@ -824,33 +824,28 @@ def converse_stability_suite(seed: int, pairs: int = 200) -> Iterator[Report]:
 @_suite("word-metric")
 def word_metric_suite(seed: int, max_order: int = 12) -> Iterator[Report]:
     """The BFS word metric against its realization as a minimum of W_1 over
-    the star space, exhaustively over small cyclic groups and Z2 x Z2."""
+    the star space, exhaustively over small cyclic groups and Z2 x Z2.  Each
+    group's Cayley distances, words and word diagrams are built once."""
+    groups = []
     for n in range(2, max_order + 1):
         group = FiniteAbelianGroup((n,))
         generators = tuple(dict.fromkeys(((1 % n,), ((-1) % n,))))
-        diameter = max(word_metric(group, generators, g, group.zero)
-                       for g in group.elements())
-        bound = max(2 * diameter, 1)
+        direct = cayley_metric(group, generators)
+        diameter = max(direct(g, group.zero) for g in group.elements())
+        groups.append((f"cyclic[{n}]", {"n": n}, group, generators, direct,
+                       max(2 * diameter, 1)))
+    group = FiniteAbelianGroup((2, 2))
+    generators = tuple(g for g in group.elements() if g != group.zero)
+    groups.append(("klein-four", {}, group, generators, cayley_metric(group, generators), 2))
+    for name, where, group, generators, direct, bound in groups:
+        realized = wasserstein_word_metric(group, generators, bound)
         gap = _Worst()
         for g in group.elements():
             for h in group.elements():
-                direct = word_metric(group, generators, g, h)
-                realized = word_metric_via_wasserstein(group, generators, g, h, bound)
-                gap.see(abs(direct - realized),
-                        lambda: {"n": n, "g": g, "h": h, "bfs": direct,
-                                 "wasserstein": realized})
-        yield gap.check(f"cyclic[{n}]", 0.0)
-
-    group = FiniteAbelianGroup((2, 2))
-    generators = tuple(g for g in group.elements() if g != group.zero)
-    gap = _Worst()
-    for g in group.elements():
-        for h in group.elements():
-            direct = word_metric(group, generators, g, h)
-            realized = word_metric_via_wasserstein(group, generators, g, h, 2)
-            gap.see(abs(direct - realized),
-                    lambda: {"g": g, "h": h, "bfs": direct, "wasserstein": realized})
-    yield gap.check("klein-four", 0.0)
+                d, w = direct(g, h), realized(g, h)
+                gap.see(abs(d - w), lambda: {**where, "g": g, "h": h, "bfs": d,
+                                             "wasserstein": w})
+        yield gap.check(name, 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -31,6 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import chain
+from operator import add, sub
 from typing import NamedTuple
 
 from .assignment import (
@@ -74,7 +75,7 @@ class Matching:
 
 
 def _require_same_space(alpha: Diagram, beta: Diagram) -> None:
-    if alpha.space.signature != beta.space.signature:
+    if alpha.space is not beta.space and alpha.space.signature != beta.space.signature:
         raise DomainError("diagrams live over different spaces")
 
 
@@ -96,6 +97,12 @@ class Costs(NamedTuple):
             return self.c[i][j] if j < len(self.b) else self.a[i]
         return self.b[j] if j < len(self.b) else 0.0
 
+    def matched(self, perm) -> list[float]:
+        """The entries a padded permutation takes, less its pad-pad zeros."""
+        m = len(self.b)
+        return ([row[j] if j < m else ai for row, ai, j in zip(self.c, self.a, perm)]
+                + [self.b[j] for j in perm[len(self.a):] if j < m])
+
     def square(self) -> list[list[float]]:
         n = len(self.a)
         return ([row + [ai] * n for row, ai in zip(self.c, self.a)]
@@ -105,9 +112,10 @@ class Costs(NamedTuple):
 def _checked_costs(c, a, b) -> Costs:
     """Costs(c, a, b); a NaN or negative ground distance is a DomainError."""
     # One C-level pass each.  NaN compares false, so min cannot report it.
-    if min(chain(a, b, *c), default=0.0) < 0.0:
+    entries = [*a, *b, *chain.from_iterable(c)]
+    if min(entries, default=0.0) < 0.0:
         raise DomainError("a ground distance is negative")
-    if math.isnan(sum(chain(a, b, *c))):
+    if math.isnan(sum(entries)):
         raise DomainError("a ground distance is NaN")
     return Costs(c, a, b)
 
@@ -145,10 +153,13 @@ def _lift(match, m: int) -> tuple[int, ...]:
     Among the padded permutations that agree with match on the atoms, this
     is the lexicographically smallest.
     """
-    pads = iter(range(m, m + len(match)))
-    perm = [next(pads) if j == m else j for j in match]
+    perm, pad = [], m
+    for j in match:
+        if j == m:
+            j, pad = pad, pad + 1
+        perm.append(j)
     taken = set(match)
-    return tuple(perm + [j for j in range(m) if j not in taken] + list(pads))
+    return (*perm, *[j for j in range(m) if j not in taken], *range(pad, m + len(match)))
 
 
 def _compact_assignment(work: Costs) -> AssignmentResult | None:
@@ -166,15 +177,14 @@ def _compact_assignment(work: Costs) -> AssignmentResult | None:
     """
     c, a, b = work
     n, m = len(a), len(b)
-    compact = [[cij - bj for cij, bj in zip(row, b)] + [ai] for row, ai in zip(c, a)]
-    _, perm, u, v = hungarian(compact, shared=True)
-    perm = _lift(perm, m)
-    total = math.fsum(work.entry(i, j) for i, j in enumerate(perm))
-    if total < (n + m) * _CANCEL * max(_finite_max(compact), max(b, default=0.0)):
+    compact = [[*map(sub, row, b), ai] for row, ai in zip(c, a)]
+    _, match, u, v = hungarian(compact, shared=True)
+    perm = _lift(match, m)
+    total = math.fsum(work.matched(perm))
+    if total < (n + m) * _CANCEL * _finite_max([b, *compact]):
         return None
-    u = tuple(u) + (0.0,) * m
-    v = tuple(vj + bj for vj, bj in zip(v or [0.0] * m, b)) + (0.0,) * n
-    return AssignmentResult(total, perm, u, v)
+    return AssignmentResult(total, perm, (*u, *[0.0] * m),
+                            (*map(add, v or [0.0] * m, b), *[0.0] * n))
 
 
 def _power_assignment(costs: Costs, p: float) -> tuple[Costs, AssignmentResult]:
@@ -282,8 +292,11 @@ def _solve(costs: Costs, p: float) -> Solve:
     if p == INF:
         return Solve(costs, p, bottleneck_assignment(*costs), None, None)
     work, result = _power_assignment(costs, p)
-    value = lp_norm([costs.entry(i, j) for i, j in enumerate(result.permutation)], p)
-    return Solve(costs, p, value, work, result)
+    # At p = 1 the solve ran on costs themselves, so a positive total is
+    # already the fsum of the matched costs that lp_norm would return.
+    if p == 1.0 and result.total > 0.0:
+        return Solve(costs, p, result.total, work, result)
+    return Solve(costs, p, lp_norm(costs.matched(result.permutation), p), work, result)
 
 
 def solve(alpha: Diagram, beta: Diagram, p) -> Solve:

@@ -413,3 +413,17 @@ def test_root_exports_only_entry_points():
     assert lines[0] == "[]"
     count, resolved = lines[1].split()
     assert int(count) <= 40 and resolved == "True"
+
+
+@pytest.mark.parametrize("where", ["diagram", "space-file"])
+def test_json_nested_past_the_recursion_limit_is_a_parse_error(capsys, tmp_path, halfplane_pair,
+                                                              where):
+    # Nesting too deep for the JSON parser is malformed input: exit 2 with
+    # one error line, as at any depth it can parse, and no traceback.
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 1100 + "]" * 1100)
+    a, b = halfplane_pair
+    flags = ["--space", "halfplane"] if where == "diagram" else ["--space-file", str(deep)]
+    code, out, err = run(capsys, ["distance", a, str(deep) if where == "diagram" else b, *flags])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1

@@ -119,7 +119,7 @@ def check_cli_pin(capsys, monkeypatch, pinned: str, args: list[str]) -> None:
 def test_cli_pin_manifest_is_run_whole():
     # Every group is one test below, and every pinned file is distinct.
     assert sorted(CLI_PINS) == ["bottleneck", "certificate", "compact-ties", "immortal",
-                                "large-p"]
+                                "large-p", "overflow"]
     pinned = [name for pins in CLI_PINS.values() for name, _ in pins]
     assert len(set(pinned)) == len(pinned)
     assert all((GOLDEN / name).is_file() for name in pinned)
@@ -147,6 +147,11 @@ def test_certificate_matches_golden_output(capsys, monkeypatch, pinned, args):
 
 @cli_pin_group("large-p")
 def test_large_p_matching_matches_golden_output(capsys, monkeypatch, pinned, args):
+    check_cli_pin(capsys, monkeypatch, pinned, args)
+
+
+@cli_pin_group("overflow")
+def test_overflowing_persistence_matches_golden_output(capsys, monkeypatch, pinned, args):
     check_cli_pin(capsys, monkeypatch, pinned, args)
 
 

@@ -202,6 +202,30 @@ def test_diag_dist_frozen_values():
     assert halfplane_diag_dist((5.0, INF), 2.0) == INF
 
 
+@pytest.mark.parametrize("q, expected", [(INF, 1e308), (2.0, math.sqrt(2.0) * 1e308), (1.0, INF)])
+def test_diag_dist_of_a_persistence_past_the_float_range(q, expected):
+    # d - b overflows, but 2^(1/q - 1) (d - b) is finite at q = 2 and q = inf:
+    # 2^-1 * 2e308 = 1e308 and 2^-0.5 * 2e308 = sqrt(2) * 1e308.  At q = 1 the
+    # true value, 2e308, is past the float range.
+    point = (-1e308, 1e308)
+    assert halfplane_diag_dist(point, q) == pytest.approx(expected, rel=1e-15)
+    space = halfplane_quotient(q, 1.0)
+    atom = diagram_from_list([point], space)
+    for p in (1.0, 2.0, INF):
+        assert wasserstein_value(atom, empty_diagram(space), p) == pytest.approx(expected,
+                                                                                 rel=1e-15)
+
+
+@pytest.mark.parametrize("q", [1.0, 1.5, 2.0, 3.0, INF])
+def test_diag_dist_is_the_closed_form_bit_for_bit(rng, q):
+    # Away from overflow the value is exactly 2^(1/q - 1) * (d - b).
+    for _ in range(200):
+        b = rng.uniform(-1e3, 1e3)
+        d = b + rng.uniform(0.0, 1e3)
+        factor = 2.0 ** ((0.0 if q == INF else 1.0 / q) - 1.0)
+        assert halfplane_diag_dist((b, d), q) == factor * (d - b)
+
+
 def test_halfplane_contains():
     space = HalfPlane(INF)
     assert space.contains((0.0, 1.0))

@@ -4,6 +4,7 @@ import time
 
 import pytest
 
+from pdmetric import spaces
 from pdmetric.diagram import diagram_from_list
 from pdmetric.errors import DomainError, PreconditionError
 from pdmetric.metric_core import INF
@@ -27,6 +28,7 @@ from pdmetric.spaces import (
     word_metric,
     word_metric_via_wasserstein,
 )
+from pdmetric.verify import DEFAULT_SEED, word_metric_suite
 from pdmetric.wasserstein import wasserstein_value
 
 
@@ -264,6 +266,24 @@ def test_word_metric_via_wasserstein_bound_too_small():
     gens = ((1,), (5,))
     with pytest.raises(PreconditionError):
         word_metric_via_wasserstein(group, gens, (0,), (3,), 2)
+
+
+def test_word_metric_suite_builds_each_groups_words_once(monkeypatch):
+    # Every (g, h) pair of a group reads one set of words and their
+    # diagrams: one bucketing per group, for 11 cyclic groups and Z2 x Z2.
+    calls = []
+    words_by_value = spaces._words_by_value
+
+    def counting(*args):
+        calls.append(args)
+        return words_by_value(*args)
+
+    monkeypatch.setattr(spaces, "_words_by_value", counting)
+    assert word_metric_suite(DEFAULT_SEED)["passed"]
+    assert len(calls) == 12
+    # A single pair still rejects a bound too small to write both elements.
+    with pytest.raises(PreconditionError, match="too small"):
+        word_metric_via_wasserstein(FiniteAbelianGroup((6,)), ((1,), (5,)), (0,), (3,), 2)
 
 
 def test_word_metric_needs_long_words():
