@@ -174,6 +174,11 @@ def _compact_assignment(work: Costs) -> AssignmentResult | None:
     columns no atom row takes.  A side may be empty, or both: with no atom
     rows v_j is 0, so the lifted v is b.  Returns None when the optimum is
     too small next to the entries for their differences to decide it.
+
+    work's basepoint costs are finite.  Nothing of size (n+m)^2 is built:
+    the padded total is the fsum of the entries the lifted permutation
+    takes (Costs.matched), the same float as over the whole padded row set,
+    and the guard reads the largest finite entry of b and the compact rows.
     """
     c, a, b = work
     n, m = len(a), len(b)
