@@ -826,18 +826,14 @@ def word_metric_suite(seed: int, max_order: int = 12) -> Iterator[Report]:
     """The BFS word metric against its realization as a minimum of W_1 over
     the star space, exhaustively over small cyclic groups and Z2 x Z2.  Each
     group's Cayley distances, words and word diagrams are built once."""
-    groups = []
-    for n in range(2, max_order + 1):
-        group = FiniteAbelianGroup((n,))
-        generators = tuple(dict.fromkeys(((1 % n,), ((-1) % n,))))
+    groups = [(f"cyclic[{n}]", {"n": n}, FiniteAbelianGroup((n,)),
+               tuple(dict.fromkeys(((1 % n,), ((-1) % n,))))) for n in range(2, max_order + 1)]
+    klein = FiniteAbelianGroup((2, 2))
+    groups.append(("klein-four", {}, klein, tuple(g for g in klein.elements() if g != klein.zero)))
+    for name, where, group, generators in groups:
         direct = cayley_metric(group, generators)
-        diameter = max(direct(g, group.zero) for g in group.elements())
-        groups.append((f"cyclic[{n}]", {"n": n}, group, generators, direct,
-                       max(2 * diameter, 1)))
-    group = FiniteAbelianGroup((2, 2))
-    generators = tuple(g for g in group.elements() if g != group.zero)
-    groups.append(("klein-four", {}, group, generators, cayley_metric(group, generators), 2))
-    for name, where, group, generators, direct, bound in groups:
+        # Twice the diameter always suffices (word_metric_via_wasserstein).
+        bound = max(2 * max(direct(g, group.zero) for g in group.elements()), 1)
         realized = wasserstein_word_metric(group, generators, bound)
         gap = _Worst()
         for g in group.elements():
