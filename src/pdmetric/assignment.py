@@ -233,7 +233,8 @@ def min_cost_assignment(costs) -> AssignmentResult:
 
 def _ranked(rows) -> tuple[list[list[int]], list[list[float]]]:
     """Each row's columns sorted by cost, and their costs in that order."""
-    return [sorted(range(len(row)), key=row.__getitem__) for row in rows], [*map(sorted, rows)]
+    order = [sorted(range(len(row)), key=row.__getitem__) for row in rows]
+    return order, [[row[j] for j in cols] for row, cols in zip(rows, order)]
 
 
 def bottleneck_assignment(c, a, b) -> float:
