@@ -58,9 +58,9 @@ from .spaces import (
     IntervalModuleSpace,
     IntervalSpace,
     anagram_distance,
+    cayley_metric,
     halfplane_quotient,
     interval_half_length,
-    cayley_metric,
     interval_interleaving,
     wasserstein_word_metric,
     word_diagram,
