@@ -160,20 +160,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
+        return args.func(args)
     except SystemExit as exc:
         return EXIT_PARSE if exc.code not in (0, None) else EXIT_OK
-    try:
-        return args.func(args)
     except SizeLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SIZE
     except (DomainError, PreconditionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
 

@@ -5,9 +5,11 @@ matrices whose vertices are permutations, so the optimal matching comes
 with dual potentials y in R^(2r): y[i] - y[r+j] <= d(a_i, b_j) everywhere,
 with equality along the optimal matching, and equal objective values.  A
 certificate reads the duals of the p = 1 Solve record that gives W_1:
-on finite diagrams the compact solve, whose potentials price the basepoint
-at 0 on both sides (the normalization h(x0) = 0), and otherwise the square
-solve of the padded costs.  The potentials assemble into a 1-Lipschitz
+the compact solve's, immortal atoms included, whose potentials price the
+basepoint at 0 on both sides (the normalization h(x0) = 0), or the square
+solve's where the compact solve declines (an optimum too small next to
+the basepoint costs, or data that breaks the triangle inequality around
+immortal atoms).  The potentials assemble into a 1-Lipschitz
 function h on the atoms, and the McShane formula extends h to the whole
 space without increasing the Lipschitz constant.
 """
@@ -62,8 +64,9 @@ class DualCertificate:
 def certificate_of(alpha: Diagram, beta: Diagram, solved: Solve) -> DualCertificate:
     """The matching and dual potentials of a p = 1 Solve of alpha against beta.
 
-    They are the compact solve's, lifted to the padded matrix, or else the
-    square solve's.  An infinite primal (possible only with infinite ground
+    They are the compact solve's, lifted to the padded matrix, with every
+    pad potential 0, or the square solve's where the compact solve
+    declines.  An infinite primal (possible only with infinite ground
     distances) has no potentials.  Any other p is a PreconditionError.
     """
     if solved.p != 1.0:

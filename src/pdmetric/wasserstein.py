@@ -15,12 +15,14 @@ p-th powers.  The padded matrix's m pad rows are copies of one row and
 its n pad columns copies of one column, so it is solved on the n left
 atoms against the m right atoms plus one diagonal column that any number
 of rows may take (the "diagonal as one extra node" of hera and gudhi),
-and the permutation and duals are lifted back to the padded matrix.  Two
-cases are solved on the square matrix, the only solve that builds it
-(Costs.square): infinite basepoint costs (immortal atoms), and an optimum
-too small next to the basepoint costs to survive their subtraction.  For
-p > 1 that matrix is scaled by a bound on the optimum; p = 1 has no
-powers to keep in range, so its square solve runs on the costs unscaled.
+and the permutation and duals are lifted back to the padded matrix.
+Immortal atoms (infinite basepoint cost) take that solve too.  The square
+matrix, the only solve that builds it (Costs.square), serves what the
+compact solve declines: an optimum too small next to the basepoint costs
+to survive their subtraction, data that breaks the triangle inequality
+around immortal atoms, and problems with no finite assignment.  For p > 1
+that matrix is scaled by a bound on the optimum; p = 1 has no powers to
+keep in range, so its square solve runs on the costs unscaled.
 A request builds its costs once and solves them once (solve), and its
 value, its matching and, at p = 1, kr_duality's certificate from the
 duals all read that one Solve.
@@ -166,40 +168,51 @@ def _compact_assignment(work: Costs) -> AssignmentResult | None:
     """The padded optimum, solved on n rows and m + 1 columns, then lifted.
 
     Rows may share one diagonal column of entries a_i; atom entries are
-    c_ij - b_j, so the padded optimum is the compact one plus sum b_j.  Rows
-    on the diagonal take the pad columns in row order, pad rows the atom
-    columns left over in ascending order, then the rest.  The duals (u, 0^m)
-    and (v_j + b_j, 0^n) are feasible for the padded matrix, since v_j <= 0
-    and u_i <= a_i, and tight on that permutation, since v_j = 0 on the
-    columns no atom row takes.  A side may be empty, or both: with no atom
-    rows v_j is 0, so the lifted v is b.  Returns None when the optimum is
-    too small next to the entries for their differences to decide it.
+    c_ij - s_j, where s_j is b_j if finite and 0 for an immortal column
+    (b_j = inf).  A padded permutation's total is its compact one plus
+    sum s_j when no pad row takes an immortal column, and inf otherwise, so
+    a finite lifted total is the padded optimum.  Rows on the diagonal take
+    the pad columns in row order, pad rows the atom columns left over in
+    ascending order, then the rest.  The duals (u, 0^m) and (v_j + s_j, 0^n)
+    are feasible for the padded matrix, since v_j <= 0 and u_i <= a_i, and
+    tight on that permutation, since v_j = 0 on the columns no atom row
+    takes.  A side may be empty, or both: with no atom rows v_j is 0, so
+    the lifted v is s.
 
-    work's basepoint costs are finite.  Nothing of size (n+m)^2 is built:
+    Returns None when the lifted total is inf, or too small next to the
+    entries for their differences to decide it.  A failed solve lifts as
+    all-diagonal, whose total is inf (some row has a_i = inf).  On metric
+    data d(x, x0) = inf and d(y, x0) < inf force d(x, y) = inf, so an
+    immortal row can take only an immortal column, and the lifted total is
+    inf only when no finite assignment exists.  Data that breaks the
+    triangle inequality may leave an immortal column to a pad row instead.
+
+    Nothing of size (n+m)^2 is built:
     the padded total is the fsum of the entries the lifted permutation
     takes (Costs.matched), the same float as over the whole padded row set,
     and the guard reads the largest finite entry of b and the compact rows.
     """
     c, a, b = work
     n, m = len(a), len(b)
-    compact = [[*map(sub, row, b), ai] for row, ai in zip(c, a)]
+    shift = [0.0 if bj == INF else bj for bj in b]
+    compact = [[*map(sub, row, shift), ai] for row, ai in zip(c, a)]
     _, match, u, v = hungarian(compact, shared=True)
-    perm = _lift(match, m)
+    perm = _lift(match or [m] * n, m)
     total = math.fsum(work.matched(perm))
-    if total < (n + m) * _CANCEL * _finite_max([b, *compact]):
+    if math.isinf(total) or total < (n + m) * _CANCEL * _finite_max([b, *compact]):
         return None
     return AssignmentResult(total, perm, (*u, *[0.0] * m),
-                            (*map(add, v or [0.0] * m, b), *[0.0] * n))
+                            (*map(add, v or [0.0] * m, shift), *[0.0] * n))
 
 
 def _power_assignment(costs: Costs, p: float) -> tuple[Costs, AssignmentResult]:
     """An argmin of sum c ** p, solved on scaled powers; returns (powers, result).
 
-    When every basepoint cost is finite, the optimum is solved on n rows and
-    a shared diagonal column (_compact_assignment), on powers (c / c_max) ** p,
-    which cannot overflow; at p > 1 one of them is 1, so an optimum the
-    compact solve accepts is far above where underflow could decide it.
-    Otherwise, or when the compact solve declines, the square matrix is
+    The optimum is solved on n rows and a shared diagonal column
+    (_compact_assignment), on powers (c / c_max) ** p, c_max the largest
+    finite cost, which cannot overflow; at p > 1 one of them is 1, so an
+    optimum the compact solve accepts is far above where underflow could
+    decide it.  When the compact solve declines, the square matrix is
     solved instead.  At p = 1 that is costs as they are, with no powers to
     keep in range.  At p > 1 it is the powers taken over bound = r^(1/p) b,
     b the bottleneck value, with the entries above bound forbidden: no
@@ -210,11 +223,10 @@ def _power_assignment(costs: Costs, p: float) -> tuple[Costs, AssignmentResult]:
     values off costs.  When b is inf, no assignment is finite, and costs is
     solved as is.
     """
-    if INF not in costs.a and INF not in costs.b:
-        work = costs if p == 1.0 else _powers(costs, p, _finite_max([*costs.c, costs.a, costs.b]))
-        result = _compact_assignment(work)
-        if result is not None:
-            return work, result
+    work = costs if p == 1.0 else _powers(costs, p, _finite_max([*costs.c, costs.a, costs.b]))
+    result = _compact_assignment(work)
+    if result is not None:
+        return work, result
     r = len(costs.a) + len(costs.b)
     bound = INF if p == 1.0 else bottleneck_assignment(*costs) * (r * (1.0 + 1e-9)) ** (1.0 / p)
     work = costs if math.isinf(bound) else _powers(costs, p, bound)
@@ -251,8 +263,10 @@ class Solve(NamedTuple):
         diagonal if it is tight to some pad column, and an atom column may
         be left to the pad rows if it is tight to some pad row.  Pad rows
         are alike, and so are pad columns, so the largest pad dual decides
-        each test exactly (subtraction is monotone).  The pad rows left
-        over take pad columns at 0, which the largest pad duals leave tight.
+        each test exactly (subtraction is monotone).  An immortal row never
+        takes the diagonal, nor is an immortal column left to the pad rows:
+        their inf entries are never tight.  The pad rows left over take pad
+        columns at 0, which the largest pad duals leave tight.
         At p = inf the duals are 0 and the tolerance is the bottleneck value
         t.  The search starts from a shared-column solve of the indicators
         of entries above t, whose padded optimum is 0, so its matching lies

@@ -415,15 +415,19 @@ def test_root_exports_only_entry_points():
     assert int(count) <= 40 and resolved == "True"
 
 
-@pytest.mark.parametrize("where", ["diagram", "space-file"])
+@pytest.mark.parametrize("where", ["diagram", "space-file", "generators", "zero"])
 def test_json_nested_past_the_recursion_limit_is_a_parse_error(capsys, tmp_path, halfplane_pair,
                                                               where):
     # Nesting too deep for the JSON parser is malformed input: exit 2 with
-    # one error line, as at any depth it can parse, and no traceback.
+    # one error line, as at any depth it can parse, and no traceback.  That
+    # holds for a file and for a flag's JSON value alike.
+    nested = "[" * 1100 + "]" * 1100
     deep = tmp_path / "deep.json"
-    deep.write_text("[" * 1100 + "]" * 1100)
+    deep.write_text(nested)
     a, b = halfplane_pair
-    flags = ["--space", "halfplane"] if where == "diagram" else ["--space-file", str(deep)]
-    code, out, err = run(capsys, ["distance", a, str(deep) if where == "diagram" else b, *flags])
+    argv = {"diagram": [a, str(deep), "--space", "halfplane"],
+            "space-file": [a, b, "--space-file", str(deep)]}.get(
+                where, [a, b, "--space", "stargraph", f"--{where}", nested])
+    code, out, err = run(capsys, ["distance", *argv])
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and err.count("\n") == 1

@@ -150,6 +150,14 @@ def test_large_p_matching_matches_golden_output(capsys, monkeypatch, pinned, arg
     check_cli_pin(capsys, monkeypatch, pinned, args)
 
 
+def test_bare_and_matched_immortal_p64_values_agree():
+    # The bare value is the square solve's own, read off its costs; the
+    # matched one is the lp norm of the tie-broken matching's costs.
+    bare, matched = (json.loads((GOLDEN / f"immortal-p64-{kind}.json").read_text())["value"]
+                     for kind in ("value", "matching"))
+    assert math.isclose(bare, matched, rel_tol=1e-9)
+
+
 @cli_pin_group("overflow")
 def test_overflowing_persistence_matches_golden_output(capsys, monkeypatch, pinned, args):
     check_cli_pin(capsys, monkeypatch, pinned, args)
@@ -165,9 +173,9 @@ def large_p_instances():
     """Seeded half-plane pairs of 10 to 30 atoms a side at large p.
 
     Float points mostly solve compactly, integer-grid points have exact ties
-    that make the compact solve decline at larger p, and the immortal pairs
-    (grid points plus 1 to 3 immortal atoms a side, equal counts) take the
-    square solve.
+    that make the compact solve decline at larger p, and so do the immortal
+    pairs (grid points plus 1 to 3 immortal atoms a side, equal counts),
+    which the compact solve takes otherwise.
     """
     rng = random.Random(4096)
     for kind in LARGE_P_KINDS:

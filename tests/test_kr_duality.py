@@ -69,9 +69,9 @@ def test_support_function_handles_coincident_points():
 
 
 def test_certificate_is_the_compact_solves_duals():
-    # The certificate is the W_1 solve's duals: on finite diagrams the
-    # compact solve prices the basepoint at 0 on both sides, the paper's
-    # h(x0) = 0, so every pad potential is 0.
+    # The certificate is the W_1 solve's duals: the compact solve prices the
+    # basepoint at 0 on both sides, the paper's h(x0) = 0, so every pad
+    # potential is 0.  That holds with immortal atoms too (the golden pair).
     rng = random.Random(1414)
     space = halfplane_quotient(2.0, 1.0)
 
@@ -83,7 +83,9 @@ def test_certificate_is_the_compact_solves_duals():
                  for name in ("grid40-left.json", "grid40-right.json"))
     pairs = [(diagram_from_list(points(rng.randint(1, 8)), space),
               diagram_from_list(points(rng.randint(1, 8)), space)) for _ in range(20)]
-    pairs += [(diagram_from_list(points(5), space), empty_diagram(space)), grid]
+    immortal = tuple(load_diagram(str(GOLDEN / name), halfplane_quotient(2.0, 1.0, extended=True))
+                     for name in ("immortal-left.json", "immortal-right.json"))
+    pairs += [(diagram_from_list(points(5), space), empty_diagram(space)), grid, immortal]
     for alpha, beta in pairs:
         cert = kr_certificate(alpha, beta)
         n, m, r = cert.n, cert.m, cert.r

@@ -11,7 +11,14 @@ from pdmetric.assignment import exhaustive_min, min_cost_assignment
 from pdmetric.diagram import diagram_from_list, empty_diagram
 from pdmetric.errors import DomainError, PreconditionError, SizeLimitError
 from pdmetric.io import load_diagram
-from pdmetric.kr_duality import certificate_of, kr_certificate
+from pdmetric.kr_duality import (
+    certificate_of,
+    duality_gap,
+    feasibility_violation,
+    kr_certificate,
+    support_function,
+    tightness_violation,
+)
 from pdmetric.metric_core import INF, FiniteSpace, lp_norm, remetrize
 from pdmetric.spaces import halfplane_quotient
 from pdmetric.wasserstein import (
@@ -253,35 +260,89 @@ def solve_calls(monkeypatch):
 
 
 @pytest.mark.parametrize("p", [1.0, 2.0])
-def test_immortal_atoms_take_the_square_solve(p, solve_calls):
-    # Immortal atoms (infinite basepoint cost) take the square solve, at
-    # p > 1 on powers bounded by the bottleneck value and at p = 1 on the
-    # costs as they are, each building its square matrix once; every padded
-    # problem with finite basepoint costs takes the compact one, an empty
-    # side included, and builds none.
+def test_immortal_atoms_take_the_compact_solve(p, solve_calls):
+    # Immortal atoms (infinite basepoint cost) take the compact solve: an
+    # immortal column is not shifted, and on metric data an immortal row can
+    # take only an immortal column.  No padded matrix is built.
     calls = solve_calls
     space = halfplane_quotient(INF, p, extended=True)
     alpha, beta = diagrams(space, [(0.0, INF), (1.0, 3.0), (2.0, 2.5)], [(0.5, INF), (1.0, 3.5)])
     expected = brute_force_wasserstein(alpha, beta, p)
-    calls.clear()  # the oracle builds the square matrix too
+    calls.clear()  # the oracle builds the square matrix
     assert wasserstein_value(alpha, beta, p) == pytest.approx(expected, rel=1e-12)
     assert wasserstein(alpha, beta, p)[0] == pytest.approx(expected, rel=1e-12)
+    assert calls == ["compact"] * 2
+    # With no finite assignment the compact solve's lifted total is inf, so
+    # it declines, whether an immortal row finds no immortal column or an
+    # immortal column is left to a pad row.  The square solve then says so
+    # (at p > 1 the bound is inf first) with the completed maximum matching.
     square = ["build", "square"] if p == 1.0 else ["bound", "build", "square"]
-    assert calls == square * 2
-    # With no finite assignment the square solve says so (at p > 1 the
-    # bound is inf first).
-    calls.clear()
-    alpha, beta = diagrams(space, [(0.0, INF), (1.0, 3.0)], [])
-    assert wasserstein_value(alpha, beta, p) == INF
-    assert calls == square
-    # Without the immortal atoms the same diagrams solve compactly, also
-    # against an empty diagram on either side.
+    for points in ([(0.0, INF), (1.0, 3.0)], []), ([(0.0, INF)], [(1.0, 3.5)]), \
+            ([(1.0, 3.0)], [(0.5, INF)]):
+        calls.clear()
+        solved = solve(*diagrams(space, *points), p)
+        assert solved.value == INF and calls == ["compact", *square]
+        assert solved.result == min_cost_assignment(solved.costs.square())
+    # So do the same diagrams without the immortal atoms, also against an
+    # empty diagram on either side.
     for points in ([(1.0, 3.0), (2.0, 2.5)], [(1.0, 3.5)]), ([(1.0, 3.0)], []), ([], [(1.0, 3.5)]):
         alpha, beta = diagrams(space, *points)
         expected = brute_force_wasserstein(alpha, beta, p)
         calls.clear()
         assert wasserstein_value(alpha, beta, p) == pytest.approx(expected, rel=1e-12)
         assert calls == ["compact"]
+
+
+@pytest.mark.parametrize("p, expected", [(1.0, 6.0), (2.0, math.sqrt(26.0))])
+def test_non_metric_immortal_data_falls_back_to_the_square_solve(p, expected, solve_calls):
+    # A FiniteSpace may break the triangle inequality: here y is immortal
+    # (d(y, o) = inf) yet d(x, y) = 5 for the immortal x, and z is mortal
+    # with d(x, z) = 1.  The compact relaxation gives x to z and leaves y to
+    # a pad row, an infinite lifted total, so the square solve decides.
+    inf = INF
+    space = FiniteSpace(["o", "x", "y", "z"],
+                        [[0, inf, inf, 1], [inf, 0, 5, 1], [inf, 5, 0, 3], [1, 1, 3, 0]], "o")
+    alpha, beta = diagrams(space, ["x"], ["y", "z"])
+    assert brute_force_wasserstein(alpha, beta, p) == pytest.approx(expected, rel=1e-12)
+    solve_calls.clear()
+    assert wasserstein_value(alpha, beta, p) == pytest.approx(expected, rel=1e-12)
+    square = ["build", "square"] if p == 1.0 else ["bound", "build", "square"]
+    assert solve_calls == ["compact", *square]
+    value, matching = wasserstein(alpha, beta, p)
+    assert value == pytest.approx(expected, rel=1e-12)
+    assert [pair[:2] for pair in matching.pairs] == [(0, 0), (BASEPOINT, 1)]
+
+
+def immortal_pairs(rng, p, count):
+    """Seeded extended half-plane pairs: 0-3 mortal and 0-2 immortal atoms a
+    side, the immortal counts equal about half the time, n + m <= 9."""
+    space = halfplane_quotient(2.0, p, extended=True)
+    for _ in range(count):
+        k = rng.randint(0, 2)
+        immortal = [k, k if rng.random() < 0.5 else rng.randint(0, 2)]
+        mortal = [rng.randint(0, 3), rng.randint(0, 3)]
+        if sum(immortal) + sum(mortal) > 9:
+            mortal[0] -= 1
+        sides = []
+        for k, births in zip(immortal, [[rng.randint(0, 4) for _ in range(j)] for j in mortal]):
+            points = [(float(b), float(b + rng.randint(0, 3))) for b in births]
+            sides.append(points + [(float(rng.randint(0, 4)), INF) for _ in range(k)])
+        yield diagrams(space, *sides)
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, 3.5, 7.0, 64.0, INF])
+def test_immortal_pairs_match_brute_force(p):
+    # Both values agree with the oracle (inf with inf), and at p = 1 every
+    # finite certificate is feasible and tight with a zero duality gap.
+    for alpha, beta in immortal_pairs(random.Random(2326), p, 60):
+        expected = brute_force_wasserstein(alpha, beta, p)
+        for value in (wasserstein_value(alpha, beta, p), wasserstein(alpha, beta, p)[0]):
+            assert value == expected or value == pytest.approx(expected, rel=1e-9)
+        cert = kr_certificate(alpha, beta) if p == 1.0 else None
+        if cert is not None and cert.has_certificate:
+            assert feasibility_violation(cert) <= 1e-12
+            assert tightness_violation(cert) <= 1e-8
+            assert duality_gap(alpha, beta, support_function(cert)) == pytest.approx(0.0, abs=1e-9)
 
 
 @pytest.mark.parametrize("p", [2.0, 64.0])
@@ -314,18 +375,18 @@ def test_two_empty_diagrams_take_one_compact_solve(p, solve_calls):
 
 def test_certificate_reads_the_w1_solve(solve_calls):
     # kr_certificate's potentials are the duals of the one W_1 solve: the
-    # compact one on finite diagrams, the unbounded square one on immortal.
+    # compact one, immortal atoms included, or the unbounded square one when
+    # no finite matching exists (and the certificate has no potentials).
     space = halfplane_quotient(INF, 1.0, extended=True)
-    for points in ([(1.0, 3.0), (2.0, 2.5)], [(1.0, 3.5)]), ([(1.0, 3.0)], []), ([], [(1.0, 3.5)]):
+    for points in ([(1.0, 3.0), (2.0, 2.5)], [(1.0, 3.5)]), ([(1.0, 3.0)], []), \
+            ([], [(1.0, 3.5)]), ([(0.0, INF), (1.0, 3.0)], [(0.5, INF)]):
         solve_calls.clear()
         cert = kr_certificate(*diagrams(space, *points))
         assert cert.has_certificate
         assert solve_calls == ["compact"]
-    for points in ([(0.0, INF), (1.0, 3.0)], [(0.5, INF)]), ([(0.0, INF)], []):
-        solve_calls.clear()
-        cert = kr_certificate(*diagrams(space, *points))
-        assert cert.has_certificate == bool(points[1])
-        assert solve_calls == ["build", "square"]
+    solve_calls.clear()
+    assert not kr_certificate(*diagrams(space, [(0.0, INF)], [])).has_certificate
+    assert solve_calls == ["compact", "build", "square"]
 
 
 def test_distance_with_matching_and_certificate_solves_once(monkeypatch, capsys):
