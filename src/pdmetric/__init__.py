@@ -58,8 +58,8 @@ __version__ = "0.1.0"
 # that `pdmetric distance` does not pay for them.
 _LAZY = {
     "run_suite": "verify",
-    **dict.fromkeys(["LipschitzMap", "check_maximality", "converse_stability",
-                     "extend_lipschitz"], "universality"),
+    **dict.fromkeys(["check_maximality", "converse_stability", "extend_lipschitz"],
+                    "universality"),
 }
 
 
@@ -77,7 +77,6 @@ __all__ = [
     "HalfPlaneSpace",
     "INF",
     "IntervalSpace",
-    "LipschitzMap",
     "PreconditionError",
     "SizeLimitError",
     "StarGraphSpace",

@@ -9,9 +9,11 @@ the compact solve's, immortal atoms included, whose potentials price the
 basepoint at 0 on both sides (the normalization h(x0) = 0), or the square
 solve's where the compact solve declines (an optimum too small next to
 the basepoint costs, or data that breaks the triangle inequality around
-immortal atoms).  The potentials assemble into a 1-Lipschitz
-function h on the atoms, and the McShane formula extends h to the whole
-space without increasing the Lipschitz constant.
+immortal atoms).  A pair with no finite assignment, which the solve
+decides by its bottleneck value, has no duals and so no potentials.
+The potentials assemble into a 1-Lipschitz function h on the atoms, and
+the McShane formula extends h to the whole space without increasing the
+Lipschitz constant.
 """
 
 from __future__ import annotations
@@ -66,8 +68,10 @@ def certificate_of(alpha: Diagram, beta: Diagram, solved: Solve) -> DualCertific
 
     They are the compact solve's, lifted to the padded matrix, with every
     pad potential 0, or the square solve's where the compact solve
-    declines.  An infinite primal (possible only with infinite ground
-    distances) has no potentials.  Any other p is a PreconditionError.
+    declines.  A solve with no result has no finite assignment (possible
+    only with infinite ground distances): its primal is inf, with no
+    potentials, and its permutation the completed one Solve.permutation
+    gives.  Any other p is a PreconditionError.
     """
     if solved.p != 1.0:
         raise PreconditionError("dual certificates are available for p = 1 only")
@@ -75,8 +79,8 @@ def certificate_of(alpha: Diagram, beta: Diagram, solved: Solve) -> DualCertific
     n, m = alpha.size, beta.size
     left = tuple(alpha.expand()) + (space.basepoint,) * m
     right = tuple(beta.expand()) + (space.basepoint,) * n
-    if result.u is None:
-        return DualCertificate(space, INF, None, None, result.permutation, left, right, n, m)
+    if result is None:
+        return DualCertificate(space, INF, None, None, solved.permutation(), left, right, n, m)
     y = tuple(result.u) + tuple(-v for v in result.v)
     dual = math.fsum(result.u) + math.fsum(result.v)
     return DualCertificate(space, result.total, dual, y, result.permutation, left, right, n, m)

@@ -37,17 +37,6 @@ _TOLERANCE = 1e-9
 
 
 @dataclass(frozen=True)
-class LipschitzMap:
-    """A point map together with an optional declared Lipschitz norm."""
-
-    func: Callable
-    declared_norm: float | None = None
-
-    def __call__(self, x):
-        return self.func(x)
-
-
-@dataclass(frozen=True)
 class MetricMonoid:
     """A commutative monoid carrying a metric, with a declared subadditivity
     exponent: dist(a + b, a' + b') <= ||(dist(a, a'), dist(b, b'))||_p."""

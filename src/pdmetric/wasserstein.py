@@ -16,16 +16,19 @@ its n pad columns copies of one column, so it is solved on the n left
 atoms against the m right atoms plus one diagonal column that any number
 of rows may take (the "diagonal as one extra node" of hera and gudhi),
 and the permutation and duals are lifted back to the padded matrix.
-Immortal atoms (infinite basepoint cost) take that solve too.  The square
-matrix, the only solve that builds it (Costs.square), serves what the
-compact solve declines: an optimum too small next to the basepoint costs
-to survive their subtraction, data that breaks the triangle inequality
-around immortal atoms, and problems with no finite assignment.  For p > 1
-that matrix is scaled by a bound on the optimum; p = 1 has no powers to
-keep in range, so its square solve runs on the costs unscaled.
-A request builds its costs once and solves them once (solve), and its
-value, its matching and, at p = 1, kr_duality's certificate from the
-duals all read that one Solve.
+Immortal atoms (infinite basepoint cost) take that solve too.  When the
+compact solve declines, the bottleneck value decides what follows, at
+every p (_solve picks every route).  If it is inf, no assignment is
+finite: the value is inf, and the square matrix (Costs.square) is built
+only if a matching is asked for, to complete one.  Otherwise the square
+solve serves what was declined: an optimum too small next to the
+basepoint costs to survive their subtraction, or data that breaks the
+triangle inequality around immortal atoms.  For p > 1 that matrix is
+scaled by a bound on the optimum; p = 1 has no powers to keep in range,
+so its square solve runs on the costs unscaled.  A request builds its
+costs once and solves them once (solve), and its value, its matching
+and, at p = 1, kr_duality's certificate from the duals all read that one
+Solve.
 """
 
 from __future__ import annotations
@@ -87,17 +90,12 @@ class Costs(NamedTuple):
 
     It stands for the (n+m) x (n+m) padded matrix whose n atom rows are c[i]
     followed by n copies of a[i], and whose m pad rows are b followed by n
-    zeros.  entry reads one entry of that matrix; square builds it.
+    zeros.  matched reads the entries a permutation takes; square builds it.
     """
 
     c: list[list[float]]
     a: list[float]
     b: list[float]
-
-    def entry(self, i: int, j: int) -> float:
-        if i < len(self.a):
-            return self.c[i][j] if j < len(self.b) else self.a[i]
-        return self.b[j] if j < len(self.b) else 0.0
 
     def matched(self, perm) -> list[float]:
         """The entries a padded permutation takes, less its pad-pad zeros."""
@@ -205,40 +203,14 @@ def _compact_assignment(work: Costs) -> AssignmentResult | None:
                             (*map(add, v or [0.0] * m, shift), *[0.0] * n))
 
 
-def _power_assignment(costs: Costs, p: float) -> tuple[Costs, AssignmentResult]:
-    """An argmin of sum c ** p, solved on scaled powers; returns (powers, result).
-
-    The optimum is solved on n rows and a shared diagonal column
-    (_compact_assignment), on powers (c / c_max) ** p, c_max the largest
-    finite cost, which cannot overflow; at p > 1 one of them is 1, so an
-    optimum the compact solve accepts is far above where underflow could
-    decide it.  When the compact solve declines, the square matrix is
-    solved instead.  At p = 1 that is costs as they are, with no powers to
-    keep in range.  At p > 1 it is the powers taken over bound = r^(1/p) b,
-    b the bottleneck value, with the entries above bound forbidden: no
-    optimum uses them, since its lp value is at most r^(1/p) b (the 1e-9
-    margin keeps rounding from forbidding more).  Every kept power is then
-    at most 1 and the optimum about 1/r or more; at bound 0 the kept entries
-    are the zeros.  Its total is in units of bound ** p, so callers read
-    values off costs.  When b is inf, no assignment is finite, and costs is
-    solved as is.
-    """
-    work = costs if p == 1.0 else _powers(costs, p, _finite_max([*costs.c, costs.a, costs.b]))
-    result = _compact_assignment(work)
-    if result is not None:
-        return work, result
-    r = len(costs.a) + len(costs.b)
-    bound = INF if p == 1.0 else bottleneck_assignment(*costs) * (r * (1.0 + 1e-9)) ** (1.0 / p)
-    work = costs if math.isinf(bound) else _powers(costs, p, bound)
-    return work, min_cost_assignment(work.square())
-
-
 class Solve(NamedTuple):
-    """One solve of a W_p problem, costs.
+    """One solve of a W_p problem, costs, as _solve routes it.
 
-    At finite p, (work, result) is what _power_assignment returns and value
-    the lp value of result.permutation on costs, not its scaled total.  At
-    p = inf, value is the bottleneck value and work and result are None.
+    work is the matrix the assignment ran on (costs, or their scaled
+    powers) and result its assignment, with duals; value is the lp value of
+    result.permutation on costs, not its scaled total.  work and result are
+    None exactly when p = inf, value the bottleneck value, or when no
+    assignment is finite, value inf.
     """
 
     costs: Costs
@@ -271,8 +243,9 @@ class Solve(NamedTuple):
         t.  The search starts from a shared-column solve of the indicators
         of entries above t, whose padded optimum is 0, so its matching lies
         in the threshold graph.  An infinite value has no optimum to break
-        ties among: the square solve's permutation stands, or at p = inf
-        infeasible_assignment's, with no hungarian attempt bound to fail.
+        ties among.  With no finite assignment, at any p, the permutation is
+        infeasible_assignment's on the square matrix, built only here; a
+        finite optimum whose lp value overflows keeps its solve's.
         """
         costs, result = self.costs, self.result
         n, m = len(costs.a), len(costs.b)
@@ -299,18 +272,46 @@ class Solve(NamedTuple):
     def matching(self) -> Matching:
         """The optimal permutation as pairs of atoms, pad-pad pairs left out."""
         n, m = len(self.costs.a), len(self.costs.b)
-        # A pad-pad pair costs 0 and carries no information.
-        pairs = tuple(MatchedPair(i if i < n else BASEPOINT, j if j < m else BASEPOINT,
-                                  self.costs.entry(i, j))
-                      for i, j in enumerate(self.permutation()) if i < n or j < m)
+        perm = self.permutation()
+        # A pad-pad pair costs 0 and carries no information.  Costs.matched
+        # reads the kept slots in this order: atom rows, then pad rows.
+        kept = [(i, j) for i, j in enumerate(perm) if i < n or j < m]
+        pairs = tuple(MatchedPair(i if i < n else BASEPOINT, j if j < m else BASEPOINT, cost)
+                      for (i, j), cost in zip(kept, self.costs.matched(perm)))
         total = lp_norm([pair.cost for pair in pairs], self.p)
         return Matching(p=self.p, total=total, pairs=pairs)
 
 
 def _solve(costs: Costs, p: float) -> Solve:
+    """The one solve of costs at p, and the one place that picks its route.
+
+    p = inf is the bottleneck search.  At finite p the compact solve
+    (_compact_assignment) runs first: at p = 1 on the costs, and at p > 1 on
+    powers (c / c_max) ** p, c_max the largest finite cost, which cannot
+    overflow and of which one is 1, so an optimum it accepts is far above
+    where underflow could decide it.  When it declines, the bottleneck value b
+    decides the rest.  b = inf means no assignment is finite: the record is
+    p = inf's, with no result, and Solve.permutation completes it.  A finite
+    b takes the square solve: at p = 1 on the costs as they are, with no
+    powers to keep in range, and at p > 1 on the powers over bound =
+    r^(1/p) b, with the entries above bound forbidden.  No optimum uses
+    them, since its lp value is at most r^(1/p) b (the 1e-9 margin keeps
+    rounding from forbidding more).  Every kept power is then at most 1
+    and the optimum about 1/r or more; at bound 0 the kept entries are the
+    zeros.  Totals are in units of the scale, so values are read off costs.
+    """
     if p == INF:
         return Solve(costs, p, bottleneck_assignment(*costs), None, None)
-    work, result = _power_assignment(costs, p)
+    work = costs if p == 1.0 else _powers(costs, p, _finite_max([*costs.c, costs.a, costs.b]))
+    result = _compact_assignment(work)
+    if result is None:
+        bound = bottleneck_assignment(*costs)
+        if math.isinf(bound):
+            return Solve(costs, p, INF, None, None)
+        if p != 1.0:
+            r = len(costs.a) + len(costs.b)
+            work = _powers(costs, p, bound * (r * (1.0 + 1e-9)) ** (1.0 / p))
+        result = min_cost_assignment(work.square())
     # At p = 1 the solve ran on costs themselves, so a positive total is
     # already the fsum of the matched costs that lp_norm would return.
     if p == 1.0 and result.total > 0.0:

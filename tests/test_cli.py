@@ -393,9 +393,9 @@ def test_cli_import_leaves_verify_out():
         "import sys, pdmetric.cli\n"
         "print(sorted({'pdmetric.verify', 'pdmetric.universality'} & set(sys.modules)))\n"
         "import pdmetric\n"
-        "from pdmetric import LipschitzMap, run_suite, wasserstein\n"
+        "from pdmetric import check_maximality, run_suite, wasserstein\n"
         "print(run_suite is pdmetric.verify.run_suite,\n"
-        "      LipschitzMap is pdmetric.universality.LipschitzMap,\n"
+        "      check_maximality is pdmetric.universality.check_maximality,\n"
         "      wasserstein is pdmetric.wasserstein_value.__globals__['wasserstein'])\n"
     )
     assert fresh_python(code).splitlines() == ["[]", "True True True"]

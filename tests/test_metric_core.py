@@ -406,8 +406,8 @@ def _pairwise_cases():
 def test_pairwise_matches_dist(rng):
     """pairwise is dist on every pair and against the basepoint, exactly;
     _space_costs stands for the padded matrix of the per-pair definition,
-    built by square and read by entry, also with an empty side and with
-    immortal atoms (infinite distance to the basepoint)."""
+    as square builds it, also with an empty side and with immortal atoms
+    (infinite distance to the basepoint)."""
     immortal = 0
     for space, points in _pairwise_cases():
         x0 = space.basepoint
@@ -427,8 +427,6 @@ def test_pairwise_matches_dist(rng):
             expected += [[space.dist(y, x0) for y in right] + [0.0] * n for _ in right]
             costs = _space_costs(alpha, beta)
             assert costs.square() == expected
-            assert [[costs.entry(i, j) for j in range(len(expected))]
-                    for i in range(len(expected))] == expected
             immortal += INF in costs.a
     assert immortal >= 3
 

@@ -11,7 +11,6 @@ from pdmetric.metric_core import INF, FiniteSpace, p_strengthen
 from pdmetric.spaces import halfplane_quotient
 from pdmetric.universality import (
     REAL_LINE,
-    LipschitzMap,
     MetricMonoid,
     check_maximality,
     check_restriction_trichotomy,
@@ -50,13 +49,6 @@ def test_lipschitz_norm_degenerate_cases():
     split = FiniteSpace(["o", "a"], [[0.0, INF], [INF, 0.0]], "o")
     assert lipschitz_norm({"o": 0.0, "a": 5.0}.__getitem__, split,
                           REAL_LINE.dist) == 0.0
-
-
-def test_lipschitz_map_wrapper():
-    wrapped = LipschitzMap({"o": 0.0, "a": 2.0, "b": 2.0}.__getitem__,
-                           declared_norm=2.0)
-    assert wrapped("a") == 2.0
-    assert wrapped.declared_norm == 2.0
 
 
 def test_extend_lipschitz_is_bounded_by_norm():

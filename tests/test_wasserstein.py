@@ -274,15 +274,18 @@ def test_immortal_atoms_take_the_compact_solve(p, solve_calls):
     assert calls == ["compact"] * 2
     # With no finite assignment the compact solve's lifted total is inf, so
     # it declines, whether an immortal row finds no immortal column or an
-    # immortal column is left to a pad row.  The square solve then says so
-    # (at p > 1 the bound is inf first) with the completed maximum matching.
-    square = ["build", "square"] if p == 1.0 else ["bound", "build", "square"]
+    # immortal column is left to a pad row.  The bound is then inf, at every
+    # p, and the value says so with no result and no padded matrix.  Only a
+    # matching builds it, once, to complete the maximum finite matching
+    # that min_cost_assignment falls back to.
     for points in ([(0.0, INF), (1.0, 3.0)], []), ([(0.0, INF)], [(1.0, 3.5)]), \
             ([(1.0, 3.0)], [(0.5, INF)]):
         calls.clear()
         solved = solve(*diagrams(space, *points), p)
-        assert solved.value == INF and calls == ["compact", *square]
-        assert solved.result == min_cost_assignment(solved.costs.square())
+        assert solved.value == INF and solved.result is None and calls == ["compact", "bound"]
+        permutation = solved.permutation()
+        assert calls == ["compact", "bound", "build"]
+        assert permutation == min_cost_assignment(solved.costs.square()).permutation
     # So do the same diagrams without the immortal atoms, also against an
     # empty diagram on either side.
     for points in ([(1.0, 3.0), (2.0, 2.5)], [(1.0, 3.5)]), ([(1.0, 3.0)], []), ([], [(1.0, 3.5)]):
@@ -306,8 +309,7 @@ def test_non_metric_immortal_data_falls_back_to_the_square_solve(p, expected, so
     assert brute_force_wasserstein(alpha, beta, p) == pytest.approx(expected, rel=1e-12)
     solve_calls.clear()
     assert wasserstein_value(alpha, beta, p) == pytest.approx(expected, rel=1e-12)
-    square = ["build", "square"] if p == 1.0 else ["bound", "build", "square"]
-    assert solve_calls == ["compact", *square]
+    assert solve_calls == ["compact", "bound", "build", "square"]
     value, matching = wasserstein(alpha, beta, p)
     assert value == pytest.approx(expected, rel=1e-12)
     assert [pair[:2] for pair in matching.pairs] == [(0, 0), (BASEPOINT, 1)]
@@ -345,6 +347,47 @@ def test_immortal_pairs_match_brute_force(p):
             assert duality_gap(alpha, beta, support_function(cert)) == pytest.approx(0.0, abs=1e-9)
 
 
+@pytest.mark.parametrize("p", [1.0, 2.0, 3.5, 7.0, 64.0, INF])
+def test_solve_path_hands_the_square_solve_only_finite_assignments(monkeypatch, solve_calls, p):
+    # _solve is the one router: "no finite assignment" is decided by the
+    # bound, so every matrix it hands min_cost_assignment has a finite
+    # assignment, and the fallback for one that has none is never reached.
+    # An infeasible pair builds the padded matrix only for its matching or
+    # certificate, once, and never square-solves it.  Each diagram against
+    # itself has a zero optimum, which the compact solve declines, so the
+    # square solve runs too.
+    results = []
+    real = wasserstein_module.min_cost_assignment
+
+    def recording(matrix):
+        results.append(real(matrix))
+        return results[-1]
+
+    monkeypatch.setattr(wasserstein_module, "min_cost_assignment", recording)
+    infeasible = 0
+    for alpha, beta in immortal_pairs(random.Random(2326), p, 60):
+        for pair in (alpha, beta), (alpha, alpha):
+            solve_calls.clear()
+            if wasserstein_value(*pair, p) < INF:
+                wasserstein(*pair, p)
+                if p == 1.0:
+                    kr_certificate(*pair)
+                continue
+            infeasible += 1
+            route = ["bound"] if p == INF else ["compact", "bound"]
+            assert solve_calls == route
+            solve_calls.clear()
+            wasserstein(*pair, p)
+            assert solve_calls == route + ["build"]
+            if p == 1.0:
+                solve_calls.clear()
+                kr_certificate(*pair)
+                assert solve_calls == route + ["build"]
+    assert infeasible >= 20
+    assert all(result.u is not None for result in results)
+    assert len(results) >= 40 or p == INF
+
+
 @pytest.mark.parametrize("p", [2.0, 64.0])
 @pytest.mark.parametrize("d_ab", [0.0, INF])
 def test_all_zero_costs_take_one_compact_solve(p, d_ab, solve_calls):
@@ -375,8 +418,9 @@ def test_two_empty_diagrams_take_one_compact_solve(p, solve_calls):
 
 def test_certificate_reads_the_w1_solve(solve_calls):
     # kr_certificate's potentials are the duals of the one W_1 solve: the
-    # compact one, immortal atoms included, or the unbounded square one when
-    # no finite matching exists (and the certificate has no potentials).
+    # compact one, immortal atoms included.  When no finite matching exists
+    # the bound says so, the certificate has no potentials, and the padded
+    # matrix is built once, for its completed permutation.
     space = halfplane_quotient(INF, 1.0, extended=True)
     for points in ([(1.0, 3.0), (2.0, 2.5)], [(1.0, 3.5)]), ([(1.0, 3.0)], []), \
             ([], [(1.0, 3.5)]), ([(0.0, INF), (1.0, 3.0)], [(0.5, INF)]):
@@ -386,14 +430,14 @@ def test_certificate_reads_the_w1_solve(solve_calls):
         assert solve_calls == ["compact"]
     solve_calls.clear()
     assert not kr_certificate(*diagrams(space, [(0.0, INF)], [])).has_certificate
-    assert solve_calls == ["compact", "build", "square"]
+    assert solve_calls == ["compact", "bound", "build"]
 
 
 def test_distance_with_matching_and_certificate_solves_once(monkeypatch, capsys):
     # The value, the matching and the W_1 certificate read one solve record.
     # Every module that binds the solver's names is counted.
     calls = []
-    for attr in ("_space_costs", "_power_assignment"):
+    for attr in ("_space_costs", "_solve"):
         def recording(*args, _attr=attr, _real=getattr(wasserstein_module, attr)):
             calls.append(_attr)
             return _real(*args)
@@ -405,7 +449,7 @@ def test_distance_with_matching_and_certificate_solves_once(monkeypatch, capsys)
                      "--p", "1", "--matching", "--certificate"])
     assert code == 0
     assert capsys.readouterr().out == (GOLDEN / "grid40-p1-certificate.json").read_text()
-    assert calls == ["_space_costs", "_power_assignment"]
+    assert calls == ["_space_costs", "_solve"]
 
 
 @pytest.mark.parametrize("p", [1.0, 2.0, INF])
