@@ -19,24 +19,20 @@ lex_smallest_matching
                  W_p problem the rows are the atoms, the pad rows one node,
                  and the graph the optimal duals' equality subgraph (or the
                  bottleneck threshold graph).
-exhaustive_min   brute-force enumeration over all permutations, guarded at
-                 n <= 9; the independent oracle for everything else.  It
-                 evaluates a cached permutation table in fixed blocks of rows,
-                 so a call's memory stays bounded (under 1 MB at n = 9).
+exhaustive_min   the optimum over all permutations, guarded at n <= 9; the
+                 independent oracle for everything else.  An exact dynamic
+                 program over column subsets, 2^n n steps where listing the
+                 permutations takes n! n.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from bisect import bisect_left, bisect_right
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 from .errors import SizeLimitError
-from .metric_core import INF, as_exponent
-
-if TYPE_CHECKING:
-    import numpy as np
+from .metric_core import INF, as_exponent, ext_fsum
 
 EXHAUSTIVE_LIMIT = 9
 
@@ -47,11 +43,12 @@ def hungarian(costs, shared: bool = False
 
     Returns (total, perm, u, v) where perm[i] is the column matched to row
     i and (u, v) are feasible dual potentials tight on matched pairs; every
-    v[j] is <= 0, and 0 on a column no row takes.  When no assignment
-    avoids the inf entries it returns (inf, None, None, None).  Each row is
-    matched by a shortest augmenting path search in the reduced costs
-    (Crouse 2016); among tied columns the search takes a free one, which
-    ends the search at once on the zero corner of padded diagrams.
+    v[j] is <= 0, and 0 on a column no row takes.  total is the sum of the
+    matched entries (ext_fsum: inf past the float range).  When no
+    assignment avoids the inf entries it returns (inf, None, None, None).
+    Each row is matched by a shortest augmenting path search in the reduced
+    costs (Crouse 2016); among tied columns the search takes a free one,
+    which ends the search at once on the zero corner of padded diagrams.
 
     With shared, the last column may take any number of rows (so n may
     exceed k): a search that reaches it stops there, it never becomes
@@ -99,7 +96,7 @@ def hungarian(costs, shared: bool = False
             col4row[i], j = j, col4row[i]
         if shared:
             row4col[-1] = -1
-    total = math.fsum([row[j] for row, j in zip(costs, col4row)])
+    total = ext_fsum([row[j] for row, j in zip(costs, col4row)])
     return total, col4row, u, v
 
 
@@ -332,34 +329,19 @@ def lex_smallest_matching(adjacency: list[list[int]], optional: list[bool],
     return tuple(match[:n])
 
 
-_PERM_CACHE: dict[int, np.ndarray] = {}
-
-# Rows of the permutation table exhaustive_min evaluates at once, so its
-# float temporaries stay near PERM_BLOCK * n entries whatever n! is.
-PERM_BLOCK = 1024
-
-
-def _permutation_array(n: int) -> np.ndarray:
-    """Every permutation of range(n), one per row in lexicographic order (cached)."""
-    cached = _PERM_CACHE.get(n)
-    if cached is None:
-        import numpy as np
-        count = math.factorial(n)
-        flat = itertools.chain.from_iterable(itertools.permutations(range(n)))
-        cached = np.fromiter(flat, dtype=np.int8, count=count * n).reshape(count, n)
-        _PERM_CACHE[n] = cached
-    return cached
-
-
 def exhaustive_min(costs, p) -> float:
     """min over all permutations of the lp combination of matched entries.
 
-    Enumerates every permutation outright, so it is the oracle the fast
-    solvers are checked against.  Guarded at n <= EXHAUSTIVE_LIMIT.  The
-    cached permutation table (n! * n bytes) is read in blocks of PERM_BLOCK
-    rows, each evaluated on its own, so a call's float temporaries stay
-    bounded (under 1 MB at n = 9) and the result is the minimum of the
-    block minima, the same float as over the whole table at once.
+    The oracle the fast solvers are checked against, guarded at n <=
+    EXHAUSTIVE_LIMIT.  An exact dynamic program over column subsets: the
+    optimum of rows 0..|S| taking S + {j} is the least, over j, of the
+    optimum of rows 0..|S|-1 taking S extended by row |S|'s entry in column
+    j, since an lp combination grows with that of its first entries.  A
+    column set that no finite partial assignment reaches stays at inf.  At
+    p = inf a partial optimum is its largest entry, exactly.  At finite p it
+    is kept as its norm, its largest entry top and the sum of (e / top) ** p
+    over its entries e, rescaled when a larger entry arrives, as in lp_norm,
+    so that no scale or spread of input over- or underflows.
     """
     p = as_exponent(p)
     n = len(costs)
@@ -369,22 +351,42 @@ def exhaustive_min(costs, p) -> float:
         raise SizeLimitError(
             f"exhaustive enumeration limited to n <= {EXHAUSTIVE_LIMIT}, got {n}"
         )
-    import numpy as np
-    matrix = np.asarray(costs, dtype=float)
-    perms = _permutation_array(n)
-    rows = np.arange(n)[None, :]
-    minima = []
-    for start in range(0, len(perms), PERM_BLOCK):
-        picked = matrix[rows, perms[start:start + PERM_BLOCK]]
-        top = picked.max(axis=1)
-        if p == INF:
-            minima.append(top.min())
+    rows = [[float(c) for c in row] for row in costs]
+    bits = [1 << j for j in range(n)]
+    full = (1 << n) - 1
+    # norms[S]: the optimum of rows 0..|S|-1 taking the columns in S.
+    norms = [INF] * (full + 1)
+    norms[0] = 0.0
+    if p == INF:
+        for taken in range(full):
+            top = norms[taken]
+            if top == INF:
+                continue
+            for bit, e in zip(bits, rows[taken.bit_count()]):
+                if taken & bit:
+                    continue
+                if e < top:
+                    e = top
+                if e < norms[taken | bit]:
+                    norms[taken | bit] = e
+        return norms[full]
+    inv = 1.0 / p
+    tops, sums = [0.0] * (full + 1), [0.0] * (full + 1)
+    for taken in range(full):
+        if norms[taken] == INF:
             continue
-        # Each permutation's lp norm scaled by its own largest entry, as in
-        # lp_norm, so that no scale or spread of input over- or underflows.
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = picked / top[:, None]
-            np.power(ratio, p, out=ratio)
-            norms = top * ratio.sum(axis=1) ** (1.0 / p)
-        minima.append(np.where((top > 0.0) & np.isfinite(top), norms, top).min())
-    return float(np.min(minima))
+        top, s = tops[taken], sums[taken]
+        for bit, e in zip(bits, rows[taken.bit_count()]):
+            if taken & bit:
+                continue
+            if e > top:
+                t, u = e, s * (top / e) ** p + 1.0
+            elif top > 0.0:
+                t, u = top, s + (e / top) ** p
+            else:  # every entry so far, and e, is 0
+                t, u = top, s
+            norm = t * u ** inv
+            grown = taken | bit
+            if norm < norms[grown]:
+                norms[grown], tops[grown], sums[grown] = norm, t, u
+    return norms[full]

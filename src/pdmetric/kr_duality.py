@@ -24,7 +24,7 @@ from typing import Mapping
 
 from .diagram import Diagram
 from .errors import DomainError, PreconditionError
-from .metric_core import INF
+from .metric_core import INF, ext_fsum
 from .wasserstein import Solve, _require_same_space, solve, wasserstein_value
 
 FEASIBILITY_TOLERANCE = 1e-12
@@ -82,7 +82,11 @@ def certificate_of(alpha: Diagram, beta: Diagram, solved: Solve) -> DualCertific
     if result is None:
         return DualCertificate(space, INF, None, None, solved.permutation(), left, right, n, m)
     y = tuple(result.u) + tuple(-v for v in result.v)
-    dual = math.fsum(result.u) + math.fsum(result.v)
+    # A potential may be negative (compact duals), so where one side's sum
+    # overflows, the exact sum of both decides.
+    u_sum, v_sum = ext_fsum(result.u), ext_fsum(result.v)
+    dual = (u_sum + v_sum if math.isfinite(u_sum) and math.isfinite(v_sum)
+            else ext_fsum([*result.u, *result.v]))
     return DualCertificate(space, result.total, dual, y, result.permutation, left, right, n, m)
 
 
@@ -182,7 +186,7 @@ def dual_objective(h, alpha: Diagram, beta: Diagram) -> float:
     n, m = alpha.size, beta.size
     terms = [lookup(x) for x in alpha.expand()]
     terms += [-lookup(y) for y in beta.expand()]
-    total = math.fsum(terms)
+    total = ext_fsum(terms)
     if n != m:
         try:
             base = lookup(alpha.space.basepoint)

@@ -60,12 +60,36 @@ def parse_float(obj) -> float:
     return float(obj)
 
 
+def ext_fsum(values: Sequence[float]) -> float:
+    """math.fsum of a sequence of extended reals, a total past the float range read as +-inf.
+
+    fsum raises OverflowError once a partial sum overflows, even where terms
+    of the other sign would bring the total back in range.  The finite terms
+    are then summed exactly, as fractions: a total in range is the float
+    fsum rounds to, and one past it the inf of its sign.  An inf term
+    decides the total, as in fsum.
+    """
+    try:
+        return math.fsum(values)
+    except OverflowError:
+        pass
+    infinite = [v for v in values if math.isinf(v)]
+    if infinite:
+        return math.fsum(infinite)
+    from fractions import Fraction  # imported only once a partial sum overflows
+    exact = sum(map(Fraction, values))
+    try:
+        return float(exact)
+    except OverflowError:
+        return INF if exact > 0 else -INF
+
+
 def lp_norm(values: Iterable[float], p) -> float:
     """lp norm of a finite sequence of nonnegative extended reals.
 
-    Empty input gives 0, any inf entry gives inf.  The finite-p branch is
-    scaled by the maximum entry so that large exponents neither overflow
-    nor lose the leading term to underflow.
+    Empty input gives 0, any inf entry gives inf, and a norm past the float
+    range inf.  The finite-p branch is scaled by the maximum entry so that
+    large exponents neither overflow nor lose the leading term to underflow.
     """
     p = as_exponent(p)
     vals = [float(v) for v in values]
@@ -77,7 +101,7 @@ def lp_norm(values: Iterable[float], p) -> float:
     if top == 0.0 or math.isinf(top) or p == INF:
         return top
     if p == 1.0:
-        return math.fsum(vals)
+        return ext_fsum(vals)
     return top * math.fsum((v / top) ** p for v in vals) ** (1.0 / p)
 
 

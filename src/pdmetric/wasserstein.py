@@ -51,7 +51,7 @@ from .assignment import (
 )
 from .diagram import Diagram
 from .errors import DomainError, PreconditionError, SizeLimitError
-from .metric_core import INF, QuotientSpace, as_exponent, lp_norm
+from .metric_core import INF, QuotientSpace, as_exponent, ext_fsum, lp_norm
 
 BASEPOINT = "basepoint"
 
@@ -196,7 +196,7 @@ def _compact_assignment(work: Costs) -> AssignmentResult | None:
     compact = [[*map(sub, row, shift), ai] for row, ai in zip(c, a)]
     _, match, u, v = hungarian(compact, shared=True)
     perm = _lift(match or [m] * n, m)
-    total = math.fsum(work.matched(perm))
+    total = ext_fsum(work.matched(perm))
     if math.isinf(total) or total < (n + m) * _CANCEL * _finite_max([b, *compact]):
         return None
     return AssignmentResult(total, perm, (*u, *[0.0] * m),

@@ -519,49 +519,48 @@ def only_finite_on(perm, rng):
             for i in range(n)]
 
 
+# Entries that tie, vanish, are forbidden, or sit at either end of the float range.
+ENTRY_KINDS = [
+    lambda rng: rng.uniform(0.0, 10.0),
+    lambda rng: float(rng.randint(0, 2)),
+    lambda rng: 0.0 if rng.random() < 0.7 else rng.uniform(0.0, 10.0),
+    lambda rng: INF if rng.random() < 0.5 else rng.uniform(0.0, 10.0),
+    lambda rng: rng.choice([1e-300, 1e300]) * rng.uniform(1.0, 10.0),
+    lambda rng: rng.choice([0.0, 5e-324, 1e-310, 2e-308]) * rng.randint(1, 9),
+]
+
+
 def test_exhaustive_min_matches_pure_python():
-    # Sizes 7 and 8 span several blocks of the permutation table, and the
-    # inf matrices leave one finite permutation: the first row of the
-    # second block, the last row of the first, and the table's last row,
-    # which sits in its last partial block.
+    # The oracle against the literal enumeration of every permutation.  The
+    # inf matrices leave one finite permutation of 8 columns: rows 1024, 1023
+    # and the last of their table in lexicographic order.
     rng = random.Random(99)
     table = list(itertools.permutations(range(8)))
-    for p in (1.0, 2.0, 3.5, INF):
-        matrices = [random_matrix(rng, rng.randint(1, 6)) for _ in range(20)]
-        matrices += [random_matrix(rng, 7), random_matrix(rng, 8),
-                     random_matrix(rng, 8, with_inf=0.6)]
-        matrices += [only_finite_on(table[row], rng)
-                     for row in (assignment.PERM_BLOCK, assignment.PERM_BLOCK - 1, -1)]
-        for costs in matrices:
-            n = len(costs)
+    matrices = [[[kind(rng) for _ in range(n)] for _ in range(n)]
+                for kind in ENTRY_KINDS for n in range(1, 7) for _ in range(2)]
+    matrices += [random_matrix(rng, 7), random_matrix(rng, 8, with_inf=0.6)]
+    matrices += [only_finite_on(table[row], rng) for row in (1024, 1023, -1)]
+    for costs in matrices:
+        n = len(costs)
+        # A permutation that takes an inf entry has lp value inf at every p.
+        picks = [picked for perm in itertools.permutations(range(n))
+                 if INF not in (picked := [costs[i][perm[i]] for i in range(n)])]
+        for p in (1.0, 1.5, 2.0, 3.5, 7.0, 64.0, 200.0, 1e4, INF):
             got = exhaustive_min(costs, p)
             if p == INF:
-                expected = brute_minimax(costs)
+                assert got == min((max(picked) for picked in picks), default=INF)
+                continue
+            expected = min((lp_norm(picked, p) for picked in picks), default=INF)
+            if 0.0 in (got, expected) or INF in (got, expected):
+                assert got == expected
             else:
-                expected = min(
-                    math.fsum(costs[i][perm[i]] ** p for i in range(n)) ** (1.0 / p)
-                    for perm in itertools.permutations(range(n))
-                )
-            assert got == pytest.approx(expected, rel=1e-12)
-
-
-def test_exhaustive_min_fills_and_rebuilds_its_permutation_cache():
-    # Each verify-all benchmark pass clears _PERM_CACHE so that it starts
-    # as cold as a fresh process; the clear must reach the oracle's table.
-    costs = random_matrix(random.Random(4), 4)
-    value = exhaustive_min(costs, 2.0)
-    table = assignment._PERM_CACHE[4]
-    assert [tuple(row) for row in table.tolist()] == list(itertools.permutations(range(4)))
-    assignment._PERM_CACHE.clear()
-    assert exhaustive_min(costs, 2.0) == value
-    assert assignment._PERM_CACHE[4] is not table
-    assert (assignment._PERM_CACHE[4] == table).all()
+                assert got == pytest.approx(expected, rel=1e-12)
 
 
 @pytest.mark.parametrize("p", [2.0, INF])
 def test_exhaustive_min_memory_stays_bounded(p):
-    # The 9! x 9 table is cached; a call walks it in blocks of rows, so its
-    # temporaries stay far below the 26 MB one float copy of the table takes.
+    # A call keeps a few numbers per column subset, 2^9 of them, far below
+    # the 26 MB one float copy of the 9! x 9 permutation table would take.
     n = EXHAUSTIVE_LIMIT
     costs = random_matrix(random.Random(6), n)
     exhaustive_min(costs, p)

@@ -370,6 +370,25 @@ def test_distance_large_exponent_at_large_scale(capsys, tmp_path):
         assert json.loads(out)["value"] == pytest.approx(1e10 * 2.0 ** (1.0 / 40), rel=1e-9)
 
 
+@pytest.mark.parametrize("extra", [[], ["--matching"], ["--certificate"],
+                                   ["--matching", "--certificate"]])
+def test_distance_w1_past_the_float_range_is_inf(capsys, tmp_path, extra):
+    # Two atoms each 2^-0.5 * 2e308 from the diagonal: W_1 is their sum,
+    # past the largest float, so it reads inf, as W_2 of the same data does.
+    a = write(tmp_path, "a.json", {"space": "halfplane", "atoms": [[[-1e308, 1e308], 2]]})
+    b = write(tmp_path, "b.json", {"space": "halfplane", "atoms": []})
+    code, out, err = run(capsys, ["distance", a, b, "--space", "halfplane", "--q", "2",
+                                  "--p", "1", *extra])
+    assert code == 0, err
+    payload = json.loads(out)
+    assert payload["value"] == "inf"
+    if "--matching" in extra:
+        assert payload["matching"]["total"] == "inf"
+        assert [pair["cost"] for pair in payload["matching"]["pairs"]] == [1.41421356237e308] * 2
+    if "--certificate" in extra:
+        assert payload["certificate"]["primal"] == payload["certificate"]["dual"] == "inf"
+
+
 def fresh_python(code):
     """stdout of `code` run in a new interpreter that imports this pdmetric."""
     src = os.path.dirname(os.path.dirname(cli.__file__))
@@ -381,9 +400,30 @@ def fresh_python(code):
 
 
 def test_cli_import_leaves_numpy_out():
-    # numpy serves only the brute-force oracle, so the CLI must not pay for it.
+    # The package has no runtime dependency, so importing the CLI loads no numpy.
     code = "import sys, pdmetric.cli; print('numpy' in sys.modules)"
     assert fresh_python(code) == "False"
+
+
+@pytest.mark.parametrize("blocked", [True, False])
+def test_oracle_runs_on_the_standard_library(blocked):
+    # The brute-force oracle needs no numpy: with its import blocked the
+    # oracle suite and a brute-force W_p still pass, and otherwise they
+    # leave numpy unloaded.
+    code = (
+        ("import sys; sys.modules['numpy'] = None\n" if blocked else "import sys\n")
+        + "from pdmetric import brute_force_wasserstein, run_suite, wasserstein_value\n"
+        "from pdmetric.diagram import diagram_from_list\n"
+        "from pdmetric.spaces import HalfPlaneSpace\n"
+        "space = HalfPlaneSpace(2.0, 2.0)\n"
+        "alpha = diagram_from_list([(0.0, 2.0), (1.0, 4.0), (3.0, 3.5), (0.5, 6.0)], space)\n"
+        "beta = diagram_from_list([(0.0, 3.0), (2.0, 5.0), (1.0, 1.5)], space)\n"
+        "brute = brute_force_wasserstein(alpha, beta, 2.0)\n"
+        "print(run_suite('oracle', 7, 2)['passed'],\n"
+        "      abs(brute - wasserstein_value(alpha, beta, 2.0)) <= 1e-12 * brute,\n"
+        "      'numpy' in sys.modules and sys.modules['numpy'] is not None)\n"
+    )
+    assert fresh_python(code) == "True True False"
 
 
 def test_cli_import_leaves_verify_out():

@@ -210,6 +210,17 @@ def test_infinite_primal_has_no_certificate():
     assert cert.y is None
 
 
+def test_certificate_past_the_float_range():
+    # Two atoms 1e308 from the diagonal: the optimum is finite in the reals
+    # but past the largest float, so primal and dual read inf, with duals.
+    alpha = make([(-1e308, 1e308), (-1e308, 1e308)])
+    beta = empty_diagram(SPACE)
+    cert = kr_certificate(alpha, beta)
+    assert cert.primal_value == cert.dual_value == INF
+    assert cert.y == (1e308, 1e308, 0.0, 0.0)
+    assert dual_objective(support_function(cert), alpha, beta) == INF
+
+
 def test_empty_instance_certificate():
     cert = kr_certificate(empty_diagram(SPACE), empty_diagram(SPACE))
     assert cert.primal_value == 0.0

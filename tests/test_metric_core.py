@@ -13,6 +13,7 @@ from pdmetric.metric_core import (
     check_metric_axioms,
     check_p_strengthened,
     check_subset_dist_compatible,
+    ext_fsum,
     lp_norm,
     p_strengthen,
     product_metric,
@@ -65,6 +66,16 @@ def test_lp_norm_scales_to_avoid_overflow():
     # Naive sum of p-th powers would overflow to inf here.
     big = 1e200
     assert lp_norm([big, big], 2) == pytest.approx(big * math.sqrt(2.0))
+
+
+def test_sums_past_the_float_range_are_inf():
+    big = 1e308
+    assert lp_norm([big, big], 1) == INF
+    assert ext_fsum([big, big]) == INF and ext_fsum([-big, -big]) == -INF
+    # A partial sum overflows, yet the total is in range: it is the exact sum, rounded.
+    assert ext_fsum([big, big, -big, 1.0]) == math.fsum([big, 1.0])
+    assert ext_fsum([big, big, INF]) == INF
+    assert ext_fsum([0.5, 0.25]) == 0.75 and ext_fsum([]) == 0.0
 
 
 def test_lp_norm_rejects_negatives():
