@@ -10,4 +10,9 @@ class PreconditionError(ValueError):
 
 
 class SizeLimitError(ValueError):
-    """An exhaustive routine was asked to enumerate past its size guard."""
+    """An input is past a size guard.
+
+    The guards: the brute-force oracle enumerates at most n + m = 9 atoms
+    (assignment.EXHAUSTIVE_LIMIT), and a diagram payload holds at most
+    10,000 atoms counted with multiplicity (io.MAX_DIAGRAM_ATOMS).
+    """

@@ -12,7 +12,7 @@ import json
 import math
 
 from .diagram import Diagram
-from .errors import DomainError
+from .errors import DomainError, SizeLimitError
 from .kr_duality import DualCertificate, SupportFunction
 from .metric_core import INF, FiniteSpace, PointedSpace, as_exponent, parse_float
 from .spaces import (
@@ -25,6 +25,12 @@ from .spaces import (
 from .wasserstein import Matching
 
 SIGNIFICANT_DIGITS = 12
+
+# The most atoms, counted with multiplicity, that one diagram payload may
+# hold.  Far above any input the tests and benchmarks read (n <= 200), and
+# checked as the counts are read, before any atom is expanded: the dense
+# solve holds n x m costs, and 1,000 atoms a side already take seconds.
+MAX_DIAGRAM_ATOMS = 10_000
 
 
 def parse_exponent_text(text: str) -> float:
@@ -130,6 +136,11 @@ def diagram_to_json(diagram: Diagram) -> dict:
 
 
 def diagram_from_json(data: dict, space: PointedSpace) -> Diagram:
+    """The diagram a JSON payload encodes over space.
+
+    A payload of more than MAX_DIAGRAM_ATOMS atoms, counted with
+    multiplicity, is a SizeLimitError.
+    """
     if not isinstance(data, dict):
         raise ValueError(f"malformed diagram payload: {type(data).__name__} is not an object")
     declared = data.get("space")
@@ -138,15 +149,19 @@ def diagram_from_json(data: dict, space: PointedSpace) -> Diagram:
         raise DomainError(
             f"diagram declares space {declared!r} but {space_id!r} was supplied"
         )
-    points = []
+    points, total = [], 0
     try:
         for encoded, count in data["atoms"]:
             if isinstance(count, bool) or int(count) != count:
                 raise ValueError(f"atom count {count!r} is not an integer")
             if count < 1:
                 raise DomainError("atom counts must be positive")
+            total += int(count)
+            if total > MAX_DIAGRAM_ATOMS:
+                raise SizeLimitError(f"a diagram may hold at most {MAX_DIAGRAM_ATOMS} atoms "
+                                     "counted with multiplicity")
             points.extend([space.point_from_json(encoded)] * int(count))
-    except DomainError:
+    except (DomainError, SizeLimitError):
         raise
     except (KeyError, IndexError, TypeError, ValueError, OverflowError) as exc:
         # Structural problems are parse errors, not domain errors.

@@ -7,10 +7,12 @@ with equality along the optimal matching, and equal objective values.  A
 certificate reads the duals of the p = 1 Solve record that gives W_1:
 the compact solve's, immortal atoms included, whose potentials price the
 basepoint at 0 on both sides (the normalization h(x0) = 0), or the square
-solve's where the compact solve declines (an optimum too small next to
-the basepoint costs, or data that breaks the triangle inequality around
-immortal atoms).  A pair with no finite assignment, which the solve
-decides by its bottleneck value, has no duals and so no potentials.
+solve's where the compact solve declines a positive optimum (one too
+small next to the basepoint costs, or data that breaks the triangle
+inequality around immortal atoms).  Where the solve's bottleneck value
+decides W_1, the record has no duals: at 0 the optimum is a zero-cost
+matching, certified by zero potentials, and at inf no assignment is
+finite, so there are no potentials.
 The potentials assemble into a 1-Lipschitz function h on the atoms, and
 the McShane formula extends h to the whole space without increasing the
 Lipschitz constant.
@@ -25,7 +27,7 @@ from typing import Mapping
 from .diagram import Diagram
 from .errors import DomainError, PreconditionError
 from .metric_core import INF, ext_fsum
-from .wasserstein import Solve, _require_same_space, solve, wasserstein_value
+from .wasserstein import Solve, _require_same_space, solve
 
 FEASIBILITY_TOLERANCE = 1e-12
 COINCIDENCE_TOLERANCE = 1e-9
@@ -68,10 +70,13 @@ def certificate_of(alpha: Diagram, beta: Diagram, solved: Solve) -> DualCertific
 
     They are the compact solve's, lifted to the padded matrix, with every
     pad potential 0, or the square solve's where the compact solve
-    declines.  A solve with no result has no finite assignment (possible
-    only with infinite ground distances): its primal is inf, with no
-    potentials, and its permutation the completed one Solve.permutation
-    gives.  Any other p is a PreconditionError.
+    declines a positive optimum.  A solve with no result was decided by
+    its bottleneck value.  At 0 every potential is 0, and the permutation
+    is Solve.permutation's, a zero-cost matching.  At inf no assignment is
+    finite (possible only with infinite ground distances): the primal is
+    inf, with no potentials, and the permutation the completed one
+    Solve.permutation gives.  The dual value is one exact sum of all
+    potentials (ext_fsum).  Any other p is a PreconditionError.
     """
     if solved.p != 1.0:
         raise PreconditionError("dual certificates are available for p = 1 only")
@@ -79,15 +84,16 @@ def certificate_of(alpha: Diagram, beta: Diagram, solved: Solve) -> DualCertific
     n, m = alpha.size, beta.size
     left = tuple(alpha.expand()) + (space.basepoint,) * m
     right = tuple(beta.expand()) + (space.basepoint,) * n
-    if result is None:
+    if result is None and solved.value:
         return DualCertificate(space, INF, None, None, solved.permutation(), left, right, n, m)
-    y = tuple(result.u) + tuple(-v for v in result.v)
-    # A potential may be negative (compact duals), so where one side's sum
-    # overflows, the exact sum of both decides.
-    u_sum, v_sum = ext_fsum(result.u), ext_fsum(result.v)
-    dual = (u_sum + v_sum if math.isfinite(u_sum) and math.isfinite(v_sum)
-            else ext_fsum([*result.u, *result.v]))
-    return DualCertificate(space, result.total, dual, y, result.permutation, left, right, n, m)
+    # A bound-0 record is a zero optimum: zero potentials are feasible, as
+    # costs are >= 0, and tight on its zero-cost matching.
+    zeros = (0.0,) * (n + m)
+    _, perm, u, v = result or (0.0, solved.permutation(), zeros, zeros)
+    # One exact sum: a potential may be negative (compact duals), so no
+    # partial sum's overflow decides it.
+    return DualCertificate(space, solved.value, ext_fsum([*u, *v]), (*u, *(-x for x in v)),
+                           perm, left, right, n, m)
 
 
 def kr_certificate(alpha: Diagram, beta: Diagram) -> DualCertificate:
@@ -217,7 +223,10 @@ def duality_gap(alpha: Diagram, beta: Diagram, candidate) -> float:
 
     The candidate must be 1-Lipschitz on the padded support (violations up
     to 1e-12 are treated as rounding); weak duality then makes the gap
-    nonnegative, with zero exactly at optimal potentials.
+    nonnegative, with zero exactly at optimal potentials.  Where both pass
+    the largest float, the gap is the exact sum of the optimal matching's
+    costs and the dual objective's terms negated; an infinite candidate
+    value against an infinite W_1 leaves it nan.
     """
     _require_same_space(alpha, beta)
     space = alpha.space
@@ -243,4 +252,13 @@ def duality_gap(alpha: Diagram, beta: Diagram, candidate) -> float:
                     f"candidate is not 1-Lipschitz: |h({x!r}) - h({y!r})| = "
                     f"{abs(hx - hy)} > {d}"
                 )
-    return wasserstein_value(alpha, beta, 1) - dual_objective(candidate, alpha, beta)
+    w1 = solve(alpha, beta, 1)
+    gap = w1.value - dual_objective(candidate, alpha, beta)
+    # inf - inf: where the candidate is finite, both sides passed the
+    # largest float, and the exact sum decides.
+    if math.isnan(gap) and all(math.isfinite(hx) for _, hx in covered):
+        n, m = alpha.size, beta.size
+        base = lookup(space.basepoint) if n != m else 0.0
+        gap = ext_fsum([*w1.costs.matched(w1.permutation()), *(-lookup(x) for x in alpha.expand()),
+                        *map(lookup, beta.expand()), *[base if n > m else -base] * abs(n - m)])
+    return gap

@@ -17,13 +17,15 @@ atoms against the m right atoms plus one diagonal column that any number
 of rows may take (the "diagonal as one extra node" of hera and gudhi),
 and the permutation and duals are lifted back to the padded matrix.
 Immortal atoms (infinite basepoint cost) take that solve too.  When the
-compact solve declines, the bottleneck value decides what follows, at
-every p (_solve picks every route).  If it is inf, no assignment is
-finite: the value is inf, and the square matrix (Costs.square) is built
-only if a matching is asked for, to complete one.  Otherwise the square
-solve serves what was declined: an optimum too small next to the
-basepoint costs to survive their subtraction, or data that breaks the
-triangle inequality around immortal atoms.  For p > 1 that matrix is
+compact solve declines, the bottleneck value t decides what follows, at
+every p (_solve picks every route), since t <= W_p <= r^(1/p) t.  If t
+is inf, no assignment is finite: the value is inf, and the square matrix
+(Costs.square) is built only if a matching is asked for, to complete
+one.  If t is 0, so is W_p, and the optima are the zero-cost matchings,
+whose ties are broken as at p = inf.  Otherwise the square solve serves
+what was declined: a positive optimum too small next to the basepoint
+costs to survive their subtraction, or data that breaks the triangle
+inequality around immortal atoms.  For p > 1 that matrix is
 scaled by a bound on the optimum; p = 1 has no powers to keep in range,
 so its square solve runs on the costs unscaled.  A request builds its
 costs once and solves them once (solve), and its value, its matching
@@ -209,8 +211,9 @@ class Solve(NamedTuple):
     work is the matrix the assignment ran on (costs, or their scaled
     powers) and result its assignment, with duals; value is the lp value of
     result.permutation on costs, not its scaled total.  work and result are
-    None exactly when p = inf, value the bottleneck value, or when no
-    assignment is finite, value inf.
+    None exactly when the bottleneck bound decides the value, which is then
+    the bottleneck value: at p = inf, when no assignment is finite (inf),
+    and for a zero optimum (0, at any p).
     """
 
     costs: Costs
@@ -239,13 +242,16 @@ class Solve(NamedTuple):
         takes the diagonal, nor is an immortal column left to the pad rows:
         their inf entries are never tight.  The pad rows left over take pad
         columns at 0, which the largest pad duals leave tight.
-        At p = inf the duals are 0 and the tolerance is the bottleneck value
-        t.  The search starts from a shared-column solve of the indicators
-        of entries above t, whose padded optimum is 0, so its matching lies
-        in the threshold graph.  An infinite value has no optimum to break
-        ties among.  With no finite assignment, at any p, the permutation is
-        infeasible_assignment's on the square matrix, built only here; a
-        finite optimum whose lp value overflows keeps its solve's.
+        A record the bound decided has no duals: they are 0 and the
+        tolerance is its bottleneck value t, so the search runs on the
+        threshold graph at t, which at t = 0 holds the zero entries of the
+        costs (not of underflowed powers).  It starts from a shared-column
+        solve of the indicators of entries above t, whose padded optimum is
+        0, so its matching lies in the threshold graph.  An infinite value
+        has no optimum to break ties among.  With no finite assignment, at
+        any p, the permutation is infeasible_assignment's on the square
+        matrix, built only here; a finite optimum whose lp value overflows
+        keeps its solve's.
         """
         costs, result = self.costs, self.result
         n, m = len(costs.a), len(costs.b)
@@ -285,37 +291,37 @@ class Solve(NamedTuple):
 def _solve(costs: Costs, p: float) -> Solve:
     """The one solve of costs at p, and the one place that picks its route.
 
-    p = inf is the bottleneck search.  At finite p the compact solve
+    It has three exits.  At finite p the compact solve
     (_compact_assignment) runs first: at p = 1 on the costs, and at p > 1 on
     powers (c / c_max) ** p, c_max the largest finite cost, which cannot
     overflow and of which one is 1, so an optimum it accepts is far above
-    where underflow could decide it.  When it declines, the bottleneck value b
-    decides the rest.  b = inf means no assignment is finite: the record is
-    p = inf's, with no result, and Solve.permutation completes it.  A finite
-    b takes the square solve: at p = 1 on the costs as they are, with no
-    powers to keep in range, and at p > 1 on the powers over bound =
-    r^(1/p) b, with the entries above bound forbidden.  No optimum uses
-    them, since its lp value is at most r^(1/p) b (the 1e-9 margin keeps
-    rounding from forbidding more).  Every kept power is then at most 1
-    and the optimum about 1/r or more; at bound 0 the kept entries are the
-    zeros.  Totals are in units of the scale, so values are read off costs.
+    where underflow could decide it.  Otherwise the bottleneck value t
+    bounds W_p: t <= W_p <= r^(1/p) t.  Where that bound decides the value,
+    the record is the bound's, t with no result, and Solve.permutation
+    breaks its ties on the threshold graph at t: at p = inf; at t = inf,
+    where no assignment is finite; and at t = 0, where at every p the
+    optima are the zero-cost matchings.  A finite positive t takes the
+    square solve: at p = 1 on the costs as they are, with no powers to
+    keep in range, and at p > 1 on the powers over bound = r^(1/p) t, with
+    the entries above bound forbidden.  No optimum uses them, since its lp
+    value is at most r^(1/p) t (the 1e-9 margin keeps rounding from
+    forbidding more).  Every kept power is then
+    at most 1 and the optimum about 1/r or more.  Totals are in units of
+    the scale, so every value is the lp norm of the costs the permutation
+    takes.
     """
-    if p == INF:
-        return Solve(costs, p, bottleneck_assignment(*costs), None, None)
-    work = costs if p == 1.0 else _powers(costs, p, _finite_max([*costs.c, costs.a, costs.b]))
-    result = _compact_assignment(work)
-    if result is None:
-        bound = bottleneck_assignment(*costs)
-        if math.isinf(bound):
-            return Solve(costs, p, INF, None, None)
-        if p != 1.0:
-            r = len(costs.a) + len(costs.b)
-            work = _powers(costs, p, bound * (r * (1.0 + 1e-9)) ** (1.0 / p))
-        result = min_cost_assignment(work.square())
-    # At p = 1 the solve ran on costs themselves, so a positive total is
-    # already the fsum of the matched costs that lp_norm would return.
-    if p == 1.0 and result.total > 0.0:
-        return Solve(costs, p, result.total, work, result)
+    if p != INF:
+        work = costs if p == 1.0 else _powers(costs, p, _finite_max([*costs.c, costs.a, costs.b]))
+        result = _compact_assignment(work)
+        if result is not None:
+            return Solve(costs, p, lp_norm(costs.matched(result.permutation), p), work, result)
+    bound = bottleneck_assignment(*costs)
+    if p == INF or not 0.0 < bound < INF:
+        return Solve(costs, p, bound, None, None)
+    if p != 1.0:
+        r = len(costs.a) + len(costs.b)
+        work = _powers(costs, p, bound * (r * (1.0 + 1e-9)) ** (1.0 / p))
+    result = min_cost_assignment(work.square())
     return Solve(costs, p, lp_norm(costs.matched(result.permutation), p), work, result)
 
 

@@ -2,11 +2,11 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
 from pdmetric import cli
-from pdmetric.errors import SizeLimitError
 
 
 def write(tmp_path, name, payload):
@@ -347,16 +347,16 @@ def test_help_exits_cleanly(capsys):
     capsys.readouterr()
 
 
-def test_size_guard_exit_code(capsys, monkeypatch, halfplane_pair):
-    a, b = halfplane_pair
-
-    def boom(args):
-        raise SizeLimitError("enumeration past the size guard")
-
-    monkeypatch.setattr(cli, "cmd_distance", boom)
-    code, _, err = run(capsys, ["distance", a, b, "--space", "halfplane"])
-    assert code == 4
-    assert "size guard" in err
+def test_size_guard_exit_code(capsys, tmp_path, halfplane_pair):
+    # A multiplicity of 10^8 is refused as its count is read, before the
+    # atom is expanded into a list of that length.
+    a, _ = halfplane_pair
+    huge = write(tmp_path, "huge.json", {"space": "halfplane", "atoms": [[[0, 1], 100000000]]})
+    began = time.monotonic()
+    code, out, err = run(capsys, ["distance", a, huge, "--space", "halfplane"])
+    assert time.monotonic() - began < 1.0
+    assert code == 4 and out == ""
+    assert err.count("error:") == 1 and "at most 10000 atoms" in err
 
 
 def test_distance_large_exponent_at_large_scale(capsys, tmp_path):

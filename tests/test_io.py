@@ -4,8 +4,9 @@ import math
 import pytest
 
 from pdmetric.diagram import diagram_from_list
-from pdmetric.errors import DomainError
+from pdmetric.errors import DomainError, SizeLimitError
 from pdmetric.io import (
+    MAX_DIAGRAM_ATOMS,
     SPACES,
     diagram_from_json,
     diagram_to_json,
@@ -142,6 +143,17 @@ def test_nonpositive_count_is_domain_error():
     space = halfplane_quotient(INF, 1.0)
     with pytest.raises(DomainError):
         diagram_from_json({"atoms": [[[0.0, 2.0], 0]]}, space)
+
+
+def test_total_multiplicity_is_bounded():
+    # The bound is on the total over all atoms, checked as the counts are
+    # read: the last atom's count passes it before any expansion.
+    space = halfplane_quotient(INF, 1.0)
+    first = [[0.0, 2.0], MAX_DIAGRAM_ATOMS - 1]
+    assert diagram_from_json({"atoms": [first, [[1.0, 3.0], 1]]}, space).size == MAX_DIAGRAM_ATOMS
+    for last in (2, 10 ** 100):
+        with pytest.raises(SizeLimitError, match=f"at most {MAX_DIAGRAM_ATOMS} atoms"):
+            diagram_from_json({"atoms": [first, [[1.0, 3.0], last]]}, space)
 
 
 def test_load_diagram_from_file(tmp_path):

@@ -221,6 +221,23 @@ def test_certificate_past_the_float_range():
     assert dual_objective(support_function(cert), alpha, beta) == INF
 
 
+@pytest.mark.parametrize("flip", [False, True])
+def test_duality_gap_past_the_float_range(flip):
+    # W_1 and the certificate's dual objective both read inf, so their float
+    # difference is nan; the exact sum of the matched costs less the dual's
+    # terms gives the gap at optimal potentials, 0, in either order.
+    alpha = make([(-1e308, 1e308), (-1e308, 1e308)])
+    pair = (empty_diagram(SPACE), alpha) if flip else (alpha, empty_diagram(SPACE))
+    h = support_function(kr_certificate(*pair))
+    assert wasserstein_value(*pair, 1.0) == dual_objective(h, *pair) == INF
+    assert duality_gap(*pair, h) == 0.0
+    # An infinite candidate value against an infinite W_1 has no gap.
+    space = halfplane_quotient(INF, 1.0, extended=True)
+    immortal = diagram_from_list([(0.0, INF)], space)
+    candidate = {immortal.expand()[0]: INF, space.basepoint: 0.0}
+    assert math.isnan(duality_gap(immortal, empty_diagram(space), candidate))
+
+
 def test_empty_instance_certificate():
     cert = kr_certificate(empty_diagram(SPACE), empty_diagram(SPACE))
     assert cert.primal_value == 0.0

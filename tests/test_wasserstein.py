@@ -354,8 +354,10 @@ def test_solve_path_hands_the_square_solve_only_finite_assignments(monkeypatch, 
     # assignment, and the fallback for one that has none is never reached.
     # An infeasible pair builds the padded matrix only for its matching or
     # certificate, once, and never square-solves it.  Each diagram against
-    # itself has a zero optimum, which the compact solve declines, so the
-    # square solve runs too.
+    # itself has a zero optimum, so where the compact solve declines it, the
+    # bound of 0 ends the solve: no padded matrix is built or square-solved
+    # for its value, its matching or its W_1 certificate, whose potentials
+    # are 0 with a zero duality gap.
     results = []
     real = wasserstein_module.min_cost_assignment
 
@@ -364,28 +366,68 @@ def test_solve_path_hands_the_square_solve_only_finite_assignments(monkeypatch, 
         return results[-1]
 
     monkeypatch.setattr(wasserstein_module, "min_cost_assignment", recording)
-    infeasible = 0
+    route = ["bound"] if p == INF else ["compact", "bound"]
+    infeasible = declined = 0
     for alpha, beta in immortal_pairs(random.Random(2326), p, 60):
-        for pair in (alpha, beta), (alpha, alpha):
-            solve_calls.clear()
-            if wasserstein_value(*pair, p) < INF:
-                wasserstein(*pair, p)
-                if p == 1.0:
-                    kr_certificate(*pair)
-                continue
-            infeasible += 1
-            route = ["bound"] if p == INF else ["compact", "bound"]
-            assert solve_calls == route
-            solve_calls.clear()
-            wasserstein(*pair, p)
-            assert solve_calls == route + ["build"]
+        solve_calls.clear()
+        assert wasserstein_value(alpha, alpha, p) == 0.0
+        if solve_calls == route:
+            declined += 1
+            wasserstein(alpha, alpha, p)
+            cert = kr_certificate(alpha, alpha) if p == 1.0 else None
+            assert "build" not in solve_calls and "square" not in solve_calls
+            if cert is not None:
+                assert cert.dual_value == 0.0 and set(cert.y) == {0.0}
+                assert duality_gap(alpha, alpha, support_function(cert)) == 0.0
+        solve_calls.clear()
+        if wasserstein_value(alpha, beta, p) < INF:
+            wasserstein(alpha, beta, p)
             if p == 1.0:
-                solve_calls.clear()
-                kr_certificate(*pair)
-                assert solve_calls == route + ["build"]
-    assert infeasible >= 20
+                kr_certificate(alpha, beta)
+            continue
+        infeasible += 1
+        assert solve_calls == route
+        solve_calls.clear()
+        wasserstein(alpha, beta, p)
+        assert solve_calls == route + ["build"]
+        if p == 1.0:
+            solve_calls.clear()
+            kr_certificate(alpha, beta)
+            assert solve_calls == route + ["build"]
+    assert infeasible >= 20 and declined >= 40
     assert all(result.u is not None for result in results)
-    assert len(results) >= 40 or p == INF
+
+
+def value_cases():
+    """One pair per route of _solve: alpha, beta, p and the solves it makes."""
+    small = [(1.0, 3.0), (2.0, 2.5)], [(1.0, 3.5)]
+    square = ["compact", "bound", "build", "square"]
+    inf = INF
+    finite = FiniteSpace(["o", "x", "y", "z"],
+                         [[0, inf, inf, 1], [inf, 0, 5, 1], [inf, 5, 0, 3], [1, 1, 3, 0]], "o")
+    extended = halfplane_quotient(2.0, 64.0, extended=True)
+    immortal = [load_diagram(str(GOLDEN / f"immortal-{side}.json"), extended)
+                for side in ("left", "right")]
+    zero = diagrams(halfplane_quotient(2.0, 2.0), small[0]) * 2
+    overflow = diagrams(halfplane_quotient(2.0, 1.0), [(-1e308, 1e308)] * 2, [])
+    for name, pair, p, route in [
+            ("compact p=1", diagrams(halfplane_quotient(INF, 1.0), *small), 1.0, ["compact"]),
+            ("compact p=2", diagrams(halfplane_quotient(INF, 2.0), *small), 2.0, ["compact"]),
+            ("square p=1", diagrams(finite, ["x"], ["y", "z"]), 1.0, square),
+            ("immortal p=64", immortal, 64.0, square),
+            ("zero optimum", zero, 2.0, ["compact", "bound"]),
+            ("fsum overflow", overflow, 1.0, square)]:
+        yield pytest.param(*pair, p, route, id=name)
+
+
+@pytest.mark.parametrize("alpha, beta, p, route", value_cases())
+def test_every_value_is_the_lp_norm_of_the_matched_costs(alpha, beta, p, route, solve_calls):
+    # One formula for the value on every route: the lp norm of the costs the
+    # solve's permutation takes (the tie-broken one where the bound decided).
+    solved = solve(alpha, beta, p)
+    assert solve_calls == route
+    perm = solved.result.permutation if solved.result else solved.permutation()
+    assert solved.value == lp_norm(solved.costs.matched(perm), p)
 
 
 @pytest.mark.parametrize("p", [2.0, 64.0])
