@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
+from itertools import chain, groupby
 from typing import NamedTuple
 
 from .errors import SizeLimitError
@@ -229,8 +230,13 @@ def min_cost_assignment(costs) -> AssignmentResult:
 
 
 def _ranked(rows) -> tuple[list[list[int]], list[list[float]]]:
-    """Each row's columns sorted by cost, and their costs in that order."""
-    order = [sorted(range(len(row)), key=row.__getitem__) for row in rows]
+    """Each row's columns sorted by cost, and their costs in that order.
+
+    Every order is a permutation of one list of column indices, so the
+    orders share its int objects rather than making new ones each.
+    """
+    index = list(range(len(rows[0])))
+    order = [sorted(index, key=row.__getitem__) for row in rows]
     return order, [[row[j] for j in cols] for row, cols in zip(rows, order)]
 
 
@@ -247,12 +253,18 @@ def bottleneck_assignment(c, a, b) -> float:
     probe's matching; a side with nothing required is covered at once.  With
     one diagram empty every atom takes a pad, so the value is the largest
     basepoint cost, and no search runs.
+
+    No t below the largest, over atoms of both sides, of min(basepoint
+    cost, cheapest atom cost) is feasible: that atom is required at t and
+    has no edge.  So the search probes that bound first and bisects above
+    it, over the distinct finite entries (and the pads' 0) in one sorted
+    list.  The search holds the rank lists of both sides and that list;
+    the transposed block is dropped once ranked.
     """
     n, m = len(a), len(b)
     if not n or not m:
         return max(a or b, default=0.0)
-    cols = [list(col) for col in zip(*c)]
-    sides = [(a, *_ranked(c), m, [-1] * n), (b, *_ranked(cols), n, [-1] * m)]
+    sides = [(a, *_ranked(c), m, [-1] * n), (b, *_ranked(list(zip(*c))), n, [-1] * m)]
 
     def feasible(t: float) -> bool:
         runs = []
@@ -270,11 +282,18 @@ def bottleneck_assignment(c, a, b) -> float:
                 return False
         return True
 
-    # Binary search over the distinct finite entries (and the pads' 0).
-    values = sorted(set().union(a, b, [0.0], *sides[0][2]) - {INF})
+    low = max(min(x, row[0]) for need, _, ranked, _, _ in sides for x, row in zip(need, ranked))
+    if low == INF:
+        return INF
+    # Sorted and deduplicated, each value kept as its first occurrence (a,
+    # b, the pads' 0, then the rows) as a set union would keep it.
+    values = [x for x, _ in groupby(sorted(chain(a, b, [0.0], *sides[0][2]))) if x != INF]
+    lo = bisect_left(values, low)
+    if feasible(values[lo]):
+        return values[lo]
     if not feasible(values[-1]):
         return INF
-    return values[bisect_left(values, True, hi=len(values) - 1, key=feasible)]
+    return values[bisect_left(values, True, lo + 1, len(values) - 1, key=feasible)]
 
 
 def lex_smallest_matching(adjacency: list[list[int]], optional: list[bool],

@@ -182,16 +182,25 @@ def support_function(cert: DualCertificate) -> SupportFunction:
     return SupportFunction(cert.space, tuple(order), values)
 
 
+def _real(point, value) -> float:
+    """A candidate's value at point; KR potentials are real-valued, so an
+    infinite or NaN one is a PreconditionError."""
+    if not math.isfinite(value):
+        raise PreconditionError(f"candidate value at {point!r} is not finite: {value}")
+    return value
+
+
 def dual_objective(h, alpha: Diagram, beta: Diagram) -> float:
     """sum h(a_i) - sum h(b_j) + (m - n) h(x0).
 
-    h may be a SupportFunction or a plain mapping.  The basepoint value is
-    only consulted when the diagram sizes differ.
+    h may be a SupportFunction or a plain mapping of real values; a
+    non-finite one is a PreconditionError.  The basepoint value is only
+    consulted when the diagram sizes differ.
     """
     lookup = h.value if isinstance(h, SupportFunction) else h.__getitem__
     n, m = alpha.size, beta.size
-    terms = [lookup(x) for x in alpha.expand()]
-    terms += [-lookup(y) for y in beta.expand()]
+    terms = [_real(x, lookup(x)) for x in alpha.expand()]
+    terms += [-_real(y, lookup(y)) for y in beta.expand()]
     total = ext_fsum(terms)
     if n != m:
         try:
@@ -201,7 +210,7 @@ def dual_objective(h, alpha: Diagram, beta: Diagram) -> float:
                 "candidate must assign a value to the basepoint when the "
                 "diagram sizes differ"
             ) from None
-        total += (m - n) * base
+        total += (m - n) * _real(alpha.space.basepoint, base)
     return total
 
 
@@ -221,12 +230,13 @@ def mcshane_extend(h: SupportFunction, x, space=None) -> float:
 def duality_gap(alpha: Diagram, beta: Diagram, candidate) -> float:
     """W_1(alpha, beta) minus the candidate's dual objective.
 
-    The candidate must be 1-Lipschitz on the padded support (violations up
-    to 1e-12 are treated as rounding); weak duality then makes the gap
-    nonnegative, with zero exactly at optimal potentials.  Where both pass
-    the largest float, the gap is the exact sum of the optimal matching's
-    costs and the dual objective's terms negated; an infinite candidate
-    value against an infinite W_1 leaves it nan.
+    The candidate must be real-valued and 1-Lipschitz on the padded
+    support (violations up to 1e-12 are treated as rounding); weak duality
+    then makes the gap nonnegative, with zero exactly at optimal
+    potentials.  A non-finite candidate value is a PreconditionError naming
+    its point.  Where W_1 and the dual objective both pass the largest
+    float, the gap is the exact sum of the optimal matching's costs and the
+    dual objective's terms negated.
     """
     _require_same_space(alpha, beta)
     space = alpha.space
@@ -237,11 +247,12 @@ def duality_gap(alpha: Diagram, beta: Diagram, candidate) -> float:
     covered = []
     for point in points:
         try:
-            covered.append((point, lookup(point)))
+            value = lookup(point)
         except (KeyError, DomainError):
             if point == space.basepoint and alpha.size == beta.size:
                 continue
             raise PreconditionError(f"candidate gives no value at {point!r}") from None
+        covered.append((point, _real(point, value)))
     for i, (x, hx) in enumerate(covered):
         for y, hy in covered[i + 1:]:
             d = space.dist(x, y)
@@ -254,9 +265,9 @@ def duality_gap(alpha: Diagram, beta: Diagram, candidate) -> float:
                 )
     w1 = solve(alpha, beta, 1)
     gap = w1.value - dual_objective(candidate, alpha, beta)
-    # inf - inf: where the candidate is finite, both sides passed the
-    # largest float, and the exact sum decides.
-    if math.isnan(gap) and all(math.isfinite(hx) for _, hx in covered):
+    # inf - inf: the candidate is finite, so both sides passed the largest
+    # float, and the exact sum decides.
+    if math.isnan(gap):
         n, m = alpha.size, beta.size
         base = lookup(space.basepoint) if n != m else 0.0
         gap = ext_fsum([*w1.costs.matched(w1.permutation()), *(-lookup(x) for x in alpha.expand()),

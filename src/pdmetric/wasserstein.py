@@ -11,11 +11,12 @@ negative one is a DomainError.  p = inf is the bottleneck (minimax)
 problem, solved by threshold search on the atom block: a threshold is
 feasible when the atoms farther than it from the basepoint can be matched
 to atoms within it.  For finite p the assignment runs on the entrywise
-p-th powers.  The padded matrix's m pad rows are copies of one row and
-its n pad columns copies of one column, so it is solved on the n left
-atoms against the m right atoms plus one diagonal column that any number
-of rows may take (the "diagonal as one extra node" of hera and gudhi),
-and the permutation and duals are lifted back to the padded matrix.
+p-th powers, taken row by row as the compact rows are built, so a value
+holds no powers matrix.  The padded matrix's m pad rows are copies of
+one row and its n pad columns copies of one column, so it is solved on
+the n left atoms against the m right atoms plus one diagonal column that
+any number of rows may take (the "diagonal as one extra node" of hera and
+gudhi), and the permutation and duals are lifted back to the padded matrix.
 Immortal atoms (infinite basepoint cost) take that solve too.  When the
 compact solve declines, the bottleneck value t decides what follows, at
 every p (_solve picks every route), since t <= W_p <= r^(1/p) t.  If t
@@ -138,13 +139,23 @@ def _finite_max(rows) -> float:
     return top
 
 
-def _powers(costs: Costs, p: float, bound: float) -> Costs:
-    """(x / bound) ** p for every entry of costs; entries above bound are inf
+def _power_row(row, p: float, bound: float) -> list[float]:
+    """The entries of row an assignment at p runs on.  At p = 1 that is row
+    itself: there are no powers to keep in range.  At p > 1 it is
+    (x / bound) ** p for every entry x; entries above bound are inf
     (forbidden), and bound 0 scales by 1."""
+    if p == 1.0:
+        return row
     scale = bound or 1.0
-    rows = [[INF if x > bound else (x / scale) ** p for x in row]
-            for row in (*costs.c, costs.a, costs.b)]
-    return Costs(rows[:-2], rows[-2], rows[-1])
+    return [INF if x > bound else (x / scale) ** p for x in row]
+
+
+def _powers(costs: Costs, p: float, bound: float) -> Costs:
+    """_power_row of every row of costs: the matrix a square solve runs on,
+    and that Solve.permutation rebuilds to break its ties."""
+    c, a, b = costs
+    return Costs([_power_row(row, p, bound) for row in c], _power_row(a, p, bound),
+                 _power_row(b, p, bound))
 
 
 def _lift(match, m: int) -> tuple[int, ...]:
@@ -164,8 +175,14 @@ def _lift(match, m: int) -> tuple[int, ...]:
     return (*perm, *[j for j in range(m) if j not in taken], *range(pad, m + len(match)))
 
 
-def _compact_assignment(work: Costs) -> AssignmentResult | None:
+def _compact_assignment(costs: Costs, p: float = 1.0, bound: float = 0.0
+                        ) -> AssignmentResult | None:
     """The padded optimum, solved on n rows and m + 1 columns, then lifted.
+
+    It runs on _power_row of each row: the costs as they are at p = 1, and
+    at p > 1 their powers over bound, each row powered as its compact row
+    is built, so no powers matrix exists beside the compact rows.  Below,
+    a_i, b_j and c_ij are the entries it runs on.
 
     Rows may share one diagonal column of entries a_i; atom entries are
     c_ij - s_j, where s_j is b_j if finite and 0 for an immortal column
@@ -189,16 +206,18 @@ def _compact_assignment(work: Costs) -> AssignmentResult | None:
 
     Nothing of size (n+m)^2 is built:
     the padded total is the fsum of the entries the lifted permutation
-    takes (Costs.matched), the same float as over the whole padded row set,
-    and the guard reads the largest finite entry of b and the compact rows.
+    takes (Costs.matched, powered), the same float as over the whole padded
+    row set, and the guard reads the largest finite entry of b and the
+    compact rows.
     """
-    c, a, b = work
+    c, a, b = costs
     n, m = len(a), len(b)
+    a, b = _power_row(a, p, bound), _power_row(b, p, bound)
     shift = [0.0 if bj == INF else bj for bj in b]
-    compact = [[*map(sub, row, shift), ai] for row, ai in zip(c, a)]
+    compact = [[*map(sub, _power_row(row, p, bound), shift), ai] for row, ai in zip(c, a)]
     _, match, u, v = hungarian(compact, shared=True)
     perm = _lift(match or [m] * n, m)
-    total = ext_fsum(work.matched(perm))
+    total = ext_fsum(_power_row(costs.matched(perm), p, bound))
     if math.isinf(total) or total < (n + m) * _CANCEL * _finite_max([b, *compact]):
         return None
     return AssignmentResult(total, perm, (*u, *[0.0] * m),
@@ -208,18 +227,22 @@ def _compact_assignment(work: Costs) -> AssignmentResult | None:
 class Solve(NamedTuple):
     """One solve of a W_p problem, costs, as _solve routes it.
 
-    work is the matrix the assignment ran on (costs, or their scaled
-    powers) and result its assignment, with duals; value is the lp value of
-    result.permutation on costs, not its scaled total.  work and result are
-    None exactly when the bottleneck bound decides the value, which is then
-    the bottleneck value: at p = inf, when no assignment is finite (inf),
-    and for a zero optimum (0, at any p).
+    result is the assignment, with duals, and value the lp value of
+    result.permutation on costs, not its scaled total.  At p > 1 the
+    assignment ran on the powers of costs over scale (_powers): c_max, the
+    largest finite cost, on the compact route, and r^(1/p) t on the square
+    route.  The record keeps the scale, not the powers, and only
+    Solve.permutation rebuilds them, the same floats.  At p = 1 it ran on
+    the costs, and scale is unused there and where result is None.  result
+    is None exactly when the bottleneck bound decides the value, which is
+    then the bottleneck value: at p = inf, when no assignment is finite
+    (inf), and for a zero optimum (0, at any p).
     """
 
     costs: Costs
     p: float
     value: float
-    work: Costs | None
+    scale: float
     result: AssignmentResult | None
 
     def permutation(self) -> tuple[int, ...]:
@@ -264,7 +287,7 @@ class Solve(NamedTuple):
                     for row, ai in zip(costs.c, costs.a)]
             start = hungarian(over, shared=True)[1]
         else:
-            work, u, v = self.work, result.u, result.v
+            work, u, v = _powers(costs, self.p, self.scale), result.u, result.v
             tol = 1e-9 * result.total / max(1, n + m)
             start = [min(j, m) for j in result.permutation[:n]]
         pad_u, pad_v = max(u[n:], default=0.0), max(v[m:], default=0.0)
@@ -308,21 +331,24 @@ def _solve(costs: Costs, p: float) -> Solve:
     forbidding more).  Every kept power is then
     at most 1 and the optimum about 1/r or more.  Totals are in units of
     the scale, so every value is the lp norm of the costs the permutation
-    takes.
+    takes.  Each route holds the costs and one working matrix at a time:
+    the compact rows, powered as they are built; the bottleneck search's
+    rank lists; or the square matrix, whose powers are dropped once it is
+    built.  The record keeps the scale of the powers, not the powers.
     """
+    scale = 0.0 if p in (1.0, INF) else _finite_max([*costs.c, costs.a, costs.b])
     if p != INF:
-        work = costs if p == 1.0 else _powers(costs, p, _finite_max([*costs.c, costs.a, costs.b]))
-        result = _compact_assignment(work)
+        result = _compact_assignment(costs, p, scale)
         if result is not None:
-            return Solve(costs, p, lp_norm(costs.matched(result.permutation), p), work, result)
+            return Solve(costs, p, lp_norm(costs.matched(result.permutation), p), scale, result)
     bound = bottleneck_assignment(*costs)
     if p == INF or not 0.0 < bound < INF:
-        return Solve(costs, p, bound, None, None)
+        return Solve(costs, p, bound, scale, None)
     if p != 1.0:
         r = len(costs.a) + len(costs.b)
-        work = _powers(costs, p, bound * (r * (1.0 + 1e-9)) ** (1.0 / p))
-    result = min_cost_assignment(work.square())
-    return Solve(costs, p, lp_norm(costs.matched(result.permutation), p), work, result)
+        scale = bound * (r * (1.0 + 1e-9)) ** (1.0 / p)
+    result = min_cost_assignment(_powers(costs, p, scale).square())
+    return Solve(costs, p, lp_norm(costs.matched(result.permutation), p), scale, result)
 
 
 def solve(alpha: Diagram, beta: Diagram, p) -> Solve:

@@ -456,15 +456,49 @@ def test_bottleneck_value_matches_exhaustive_oracle():
     assert min(seen.values()) >= 30, seen
 
 
+def search_lower_bound(c, a, b):
+    """The largest, over atoms of both sides, of min(basepoint cost, cheapest atom cost)."""
+    return max(min(x, min(entries)) for x, entries in [*zip(a, c), *zip(b, zip(*c))])
+
+
+def test_bottleneck_search_probes_its_lower_bound_first(monkeypatch):
+    # No threshold below the largest, over atoms of both sides, of
+    # min(basepoint cost, cheapest atom cost) is feasible, and the search
+    # probes that bound first.  Where it is the value, one probe ends the
+    # search: at most one run on the rows and one on the columns.
+    rng = random.Random(1108)
+    runs = []
+    cold = assignment.has_perfect_matching
+    monkeypatch.setattr(assignment, "has_perfect_matching",
+                        lambda *args: runs.append(args) or cold(*args))
+    seen = {"at the bound": 0, "above it": 0}
+    for costs, n, oracle in bottleneck_instances(rng, 600):
+        c, a, b = as_costs(costs, n)
+        if not a or not b:
+            continue
+        runs.clear()
+        value = bottleneck_assignment(c, a, b)
+        assert value == exhaustive_min(oracle, INF)
+        low = search_lower_bound(c, a, b)
+        assert value >= low
+        if value == low:
+            assert len(runs) <= 2
+        seen["at the bound" if value == low else "above it"] += 1
+    assert min(seen.values()) >= 30, seen
+
+
 def test_bottleneck_warm_started_probes_match_a_cold_solve(monkeypatch):
     # Below 5 every atom must be matched, and 50 columns cannot all be
-    # covered by 40 rows; right atom 0 must be matched below 1e6, and every
-    # left atom is about 1e3 from it.  So the row runs saturate while the
-    # column run keeps failing, and each failed probe hands both matchings
-    # to the next.
+    # covered by 40 rows; right atom 0 must be matched below 1e6, left atom
+    # 0 is 0.5 from it and every other left atom about 1e3.  So the search's
+    # lower bound, the largest over atoms of min(basepoint cost, cheapest
+    # atom cost), is 0.5, and the value lies above it, among the basepoint
+    # costs in [5, 6].  The row runs saturate while the column run keeps
+    # failing, and each failed probe hands both matchings to the next.
     rng = random.Random(5)
     n, m = 40, 50
     rows = [[1e3 + rng.random() if j == 0 else rng.random() for j in range(m)] for _ in range(n)]
+    rows[0][0] = 0.5
     costs = [row + [5.0 + rng.random()] * n for row in rows]
     costs += [[1e6] + [5.0 + rng.random() for _ in range(m - 1)] + [0.0] * n] * m
     probes = []
@@ -475,11 +509,13 @@ def test_bottleneck_warm_started_probes_match_a_cold_solve(monkeypatch):
         return cold(adjacency, n_right, start)
 
     monkeypatch.setattr(assignment, "has_perfect_matching", recording)
-    value = bottleneck_assignment(*as_costs(costs, n))
+    c, a, b = as_costs(costs, n)
+    value = bottleneck_assignment(c, a, b)
     assert len(probes) >= 12
     assert sum(k == m and warm > 0 for k, warm in probes) >= 5  # row runs
     assert sum(k == n and warm > 0 for k, warm in probes) >= 5  # column runs
-    assert value == min(row[0] for row in rows)
+    low = search_lower_bound(c, a, b)
+    assert low == 0.5 and 5.0 < value < 6.0
     # Cold: the square threshold graph is perfect at the value, not below it.
     r = n + m
     below = max(c for row in costs for c in row if c < value)

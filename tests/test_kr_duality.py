@@ -231,11 +231,33 @@ def test_duality_gap_past_the_float_range(flip):
     h = support_function(kr_certificate(*pair))
     assert wasserstein_value(*pair, 1.0) == dual_objective(h, *pair) == INF
     assert duality_gap(*pair, h) == 0.0
-    # An infinite candidate value against an infinite W_1 has no gap.
+    # An infinite candidate value is refused, even against an infinite W_1.
     space = halfplane_quotient(INF, 1.0, extended=True)
     immortal = diagram_from_list([(0.0, INF)], space)
     candidate = {immortal.expand()[0]: INF, space.basepoint: 0.0}
-    assert math.isnan(duality_gap(immortal, empty_diagram(space), candidate))
+    with pytest.raises(PreconditionError, match="not finite"):
+        duality_gap(immortal, empty_diagram(space), candidate)
+
+
+@pytest.mark.parametrize("bad", [INF, -INF, math.nan])
+def test_non_finite_candidate_values_are_refused(bad):
+    # KR potentials are real-valued.  An infinite value on an atom of each
+    # side passes the 1-Lipschitz check, which compares nan, and would sum
+    # inf - inf; each is refused with the point it sits at.
+    space = halfplane_quotient(INF, 1.0, extended=True)
+    alpha, beta = (diagram_from_list([point], space) for point in [(0.0, INF), (1.0, INF)])
+    candidate = {(0.0, INF): bad, (1.0, INF): bad}
+    with pytest.raises(PreconditionError, match=r"at \(0\.0, inf\) is not finite"):
+        dual_objective(candidate, alpha, beta)
+    with pytest.raises(PreconditionError, match=r"at \(0\.0, inf\) is not finite"):
+        duality_gap(alpha, beta, candidate)
+    # So is a non-finite basepoint value when the sizes differ.
+    mortal = diagram_from_list([(0.0, 2.0)], space)
+    candidate = {(0.0, 2.0): 0.0, space.basepoint: bad}
+    with pytest.raises(PreconditionError, match="not finite"):
+        dual_objective(candidate, mortal, empty_diagram(space))
+    with pytest.raises(PreconditionError, match="not finite"):
+        duality_gap(mortal, empty_diagram(space), candidate)
 
 
 def test_empty_instance_certificate():

@@ -1,6 +1,8 @@
 import importlib
 import math
 import random
+import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -538,6 +540,63 @@ def test_infinite_bottleneck_permutation_makes_no_hungarian_call(monkeypatch):
     assert solved.permutation() == expected
     assert wasserstein(alpha, beta, INF)[1].pairs == solved.matching().pairs
     assert calls == []
+
+
+def dense_points(rng, n):
+    """n distinct off-diagonal points with float coordinates."""
+    points = set()
+    while len(points) < n:
+        birth = rng.uniform(0.0, 10.0)
+        points.add((birth, birth + rng.uniform(0.05, 5.0)))
+    return sorted(points)
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 7.0])
+def test_value_only_compact_solve_builds_no_powers(monkeypatch, solve_calls, p):
+    # The compact rows are built from the costs, each row powered as it
+    # goes, so a value builds no powers matrix; the record keeps the scale,
+    # and only a matching rebuilds the powers, once, for its tie-break.
+    rng = random.Random(28)
+    space = halfplane_quotient(INF, p)
+    alpha, beta = diagrams(space, dense_points(rng, 12), dense_points(rng, 9))
+    calls = []
+    real = wasserstein_module._powers
+    monkeypatch.setattr(wasserstein_module, "_powers",
+                        lambda *args: calls.append(args[1:]) or real(*args))
+    solved = solve(alpha, beta, p)
+    assert solve_calls == ["compact"] and calls == []
+    assert solved.value == lp_norm(solved.costs.matched(solved.result.permutation), p)
+    costs = solved.costs
+    assert solved.scale == max(x for row in (*costs.c, costs.a, costs.b) for x in row)
+    solve_calls.clear()
+    total, _ = wasserstein(alpha, beta, p)
+    assert solve_calls == ["compact"] and calls == [(p, solved.scale)]
+    assert total == pytest.approx(solved.value, rel=1e-12)
+
+
+@pytest.mark.parametrize("n, p, share", [(80, 1.0, 1.25), (80, 2.0, 1.25), (300, INF, 4.0)])
+def test_value_only_solve_holds_one_working_matrix(n, p, share):
+    # Beyond its costs, a value-only solve holds one n x (m + 1) working
+    # matrix: the compact rows, with no powers matrix beside them, or at
+    # p = inf the bottleneck search's rank lists and one sorted list of
+    # thresholds, with no set of every entry and no kept transposed copy.
+    # The costs are built untraced, which is faster, and their size is
+    # that of their distinct objects, as tracemalloc would count them.
+    rng = random.Random(n)
+    space = halfplane_quotient(INF, p)
+    costs = wasserstein_module._space_costs(
+        *diagrams(space, dense_points(rng, n), dense_points(rng, n)))
+    rows = (*costs.c, costs.a, costs.b)
+    objects = {id(obj): obj for obj in (costs, costs.c, *rows)}
+    objects.update((id(x), x) for row in rows for x in row)
+    held = sum(map(sys.getsizeof, objects.values()))
+    tracemalloc.start()
+    try:
+        _solve(costs, p)
+        extra = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert extra <= share * held
 
 
 def test_certificate_of_a_p_two_solve_is_refused():
