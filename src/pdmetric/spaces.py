@@ -48,8 +48,8 @@ class HalfPlane(MetricSpace):
             raise TypeError(f"extended must be true or false, got {extended!r}")
         self.q = as_exponent(q)
         self.extended = extended
-        # The diagonal distance's factor 2**(1/q - 1), where 1/inf reads as 0.
-        self._diag_scale = 2.0 ** ((0.0 if self.q == INF else 1.0 / self.q) - 1.0)
+        # The diagonal distance's factor 2**(1/q - 1); 1/inf is 0.0 in IEEE floats.
+        self._diag_scale = 2.0 ** (1.0 / self.q - 1.0)
 
     @property
     def signature(self) -> tuple:
@@ -387,6 +387,10 @@ class StarGraphSpace(PointedSpace):
 
     def __init__(self, generators, zero):
         generators = tuple(generators)
+        try:  # diagrams, certificates and support functions hash the points
+            hash((generators, zero))
+        except TypeError as exc:
+            raise DomainError(f"stargraph points must be hashable: {exc}") from None
         if len(set(generators)) != len(generators):
             raise DomainError("generators must be distinct")
         if zero in generators:

@@ -11,22 +11,21 @@ at most its tolerance; a failing check's witness is its worst instance,
 and a NaN margin fails the check.
 
 Determinism: all randomness flows through random.Random seeded from the
-suite seed and a per-check tag, so reports are reproducible byte for byte
-for a fixed seed regardless of process or platform.
+suite seed and a per-check tag, and nothing else is read, so a report
+depends only on the suite, the seed and the samples: it is reproducible
+byte for byte regardless of process, platform or environment.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import os
 import random
 import zlib
 from typing import Callable, Iterator
 
 from .assignment import exhaustive_min, min_cost_assignment
 from .diagram import Diagram, diagram_from_list, empty_diagram, include
-from .errors import PreconditionError
 from .kr_duality import (
     dual_objective,
     duality_gap,
@@ -80,7 +79,6 @@ from .wasserstein import (
 )
 
 DEFAULT_SEED = 20177
-SEED_ENV_VAR = "PDMETRIC_SEED"
 
 VALUE_TOL = 1e-9
 FEASIBILITY_TOL = 1e-12
@@ -89,21 +87,6 @@ RATIO_REL_TOL = 1e-12
 
 P_VALUES = (1.0, 1.5, 2.0, INF)
 Q_VALUES = (1.0, 2.0, INF)
-
-
-def resolve_seed(seed: int | None = None) -> int:
-    """Explicit seed, else the PDMETRIC_SEED environment variable, else the default."""
-    if seed is not None:
-        return int(seed)
-    env = os.environ.get(SEED_ENV_VAR)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise PreconditionError(
-                f"{SEED_ENV_VAR} must be an integer, got {env!r}"
-            ) from None
-    return DEFAULT_SEED
 
 
 def _rng(seed: int, tag: str) -> random.Random:
@@ -116,13 +99,13 @@ def random_diagram(space, rng: random.Random, max_size: int, min_size: int = 0) 
     return Diagram.from_normal_points([space.sample_point(rng) for _ in range(size)], space)
 
 
-def random_finite_space(rng: random.Random, size: int = 4, scale: float = 3.0) -> FiniteSpace:
+def random_finite_space(rng: random.Random, size: int = 4) -> FiniteSpace:
     """A random finite metric space: symmetric positive entries closed under shortest paths."""
     labels = [f"x{i}" for i in range(size)]
     matrix = [[0.0] * size for _ in range(size)]
     for i in range(size):
         for j in range(i + 1, size):
-            matrix[i][j] = matrix[j][i] = rng.uniform(0.25 * scale, scale)
+            matrix[i][j] = matrix[j][i] = rng.uniform(0.75, 3.0)
     for k in range(size):
         for i in range(size):
             for j in range(size):
@@ -132,15 +115,20 @@ def random_finite_space(rng: random.Random, size: int = 4, scale: float = 3.0) -
     return FiniteSpace(labels, matrix, labels[0])
 
 
-def _sample_spaces(seed: int, tag: str, p: float):
-    """The rotation of spaces the randomized suites draw instances from."""
-    rng = _rng(seed, tag + "/finite")
-    return [
-        ("halfplane-q1", halfplane_quotient(1.0, p)),
-        ("halfplane-q2", halfplane_quotient(2.0, p)),
-        ("halfplane-qinf", halfplane_quotient(INF, p)),
-        ("finite", random_finite_space(rng)),
-    ]
+def _sample_spaces(seed: int, tag: str, count: int):
+    """Yield (p, name, space, rng, per_space): for each exponent p, the
+    rotation of spaces a randomized suite draws count instances from, all
+    drawing from one rng."""
+    for p in P_VALUES:
+        rng = _rng(seed, f"{tag}/p{p:g}")
+        spaces = [
+            ("halfplane-q1", halfplane_quotient(1.0, p)),
+            ("halfplane-q2", halfplane_quotient(2.0, p)),
+            ("halfplane-qinf", halfplane_quotient(INF, p)),
+            ("finite", random_finite_space(_rng(seed, f"{tag}/p{p:g}/finite"))),
+        ]
+        for name, space in spaces:
+            yield p, name, space, rng, max(1, count // len(spaces))
 
 
 def _check(name: str, ok: bool, witness: dict | None = None) -> Report:
@@ -179,12 +167,11 @@ SUITES: dict[str, Callable[..., dict]] = {}
 
 def _suite(name: str):
     """Register a generator of check Reports as the suite name in SUITES;
-    the registered function resolves its seed and returns the report dict."""
+    the registered function returns the report dict."""
 
     def register(checks: Callable[..., Iterator[Report]]) -> Callable[..., dict]:
         @functools.wraps(checks)
-        def suite(seed: int | None = None, *args, **keywords) -> dict:
-            seed = resolve_seed(seed)
+        def suite(seed: int = DEFAULT_SEED, *args, **keywords) -> dict:
             reports = list(checks(seed, *args, **keywords))
             return {
                 "suite": name,
@@ -289,33 +276,24 @@ def metric_axioms_suite(seed: int, triples: int = 1000, *,
 @_suite("padding")
 def padding_suite(seed: int, instances: int = 300) -> Iterator[Report]:
     """Adding basepoint atoms never changes a diagram or any W_p value."""
-    for p in P_VALUES:
-        spaces = _sample_spaces(seed, f"padding/p{p:g}", p)
-        rng = _rng(seed, f"padding/p{p:g}")
-        per_space = max(1, instances // len(spaces))
-        for name, space in spaces:
-            ok = True
-            witness = None
-            for _ in range(per_space):
-                alpha = random_diagram(space, rng, 3)
-                beta = random_diagram(space, rng, 3)
-                pad_a = alpha + diagram_from_list(
-                    [space.basepoint] * rng.randint(1, 4), space)
-                pad_b = beta + diagram_from_list(
-                    [space.basepoint] * rng.randint(1, 4), space)
-                if pad_a != alpha or pad_b != beta:
-                    ok = False
-                    witness = {"reason": "canonical form kept a basepoint atom",
-                               "alpha": repr(alpha)}
-                    break
-                plain = wasserstein_value(alpha, beta, p)
-                padded = wasserstein_value(pad_a, pad_b, p)
-                if plain != padded:
-                    ok = False
-                    witness = {"alpha": repr(alpha), "beta": repr(beta),
-                               "plain": plain, "padded": padded}
-                    break
-            yield _check(f"padding[{name},p={p:g}]", ok, witness)
+    for p, name, space, rng, per_space in _sample_spaces(seed, "padding", instances):
+        change = _Worst()
+        for _ in range(per_space):
+            alpha = random_diagram(space, rng, 3)
+            beta = random_diagram(space, rng, 3)
+            pad_a = alpha + diagram_from_list(
+                [space.basepoint] * rng.randint(1, 4), space)
+            pad_b = beta + diagram_from_list(
+                [space.basepoint] * rng.randint(1, 4), space)
+            change.see(0.0 if pad_a == alpha and pad_b == beta else INF,
+                       lambda: {"reason": "canonical form kept a basepoint atom",
+                                "alpha": repr(alpha)})
+            plain = wasserstein_value(alpha, beta, p)
+            padded = wasserstein_value(pad_a, pad_b, p)
+            change.see(0.0 if plain == padded else INF,
+                       lambda: {"alpha": repr(alpha), "beta": repr(beta),
+                                "plain": plain, "padded": padded})
+        yield change.check(f"padding[{name},p={p:g}]", 0.0)
 
     # The empty diagram is the additive identity and is at distance 0 from itself.
     space = halfplane_quotient(2.0, 1.0)
@@ -333,24 +311,20 @@ def padding_suite(seed: int, instances: int = 300) -> Iterator[Report]:
 @_suite("subadditivity")
 def subadditivity_suite(seed: int, quadruples: int = 500) -> Iterator[Report]:
     """W_p(a + b, c + d) <= ||(W_p(a, c), W_p(b, d))||_p on random quadruples."""
-    for p in P_VALUES:
-        spaces = _sample_spaces(seed, f"subadd/p{p:g}", p)
-        rng = _rng(seed, f"subadd/p{p:g}")
-        per_space = max(1, quadruples // len(spaces))
-        for name, space in spaces:
-            excess = _Worst()
-            for _ in range(per_space):
-                a = random_diagram(space, rng, 3)
-                b = random_diagram(space, rng, 3)
-                c = random_diagram(space, rng, 3)
-                d = random_diagram(space, rng, 3)
-                joint = wasserstein_value(a + b, c + d, p)
-                split = lp_norm(
-                    [wasserstein_value(a, c, p), wasserstein_value(b, d, p)], p)
-                excess.see(joint - split,
-                           lambda: {"a": repr(a), "b": repr(b), "c": repr(c),
-                                    "d": repr(d), "joint": joint, "split": split})
-            yield excess.check(f"subadditivity[{name},p={p:g}]", VALUE_TOL)
+    for p, name, space, rng, per_space in _sample_spaces(seed, "subadd", quadruples):
+        excess = _Worst()
+        for _ in range(per_space):
+            a = random_diagram(space, rng, 3)
+            b = random_diagram(space, rng, 3)
+            c = random_diagram(space, rng, 3)
+            d = random_diagram(space, rng, 3)
+            joint = wasserstein_value(a + b, c + d, p)
+            split = lp_norm(
+                [wasserstein_value(a, c, p), wasserstein_value(b, d, p)], p)
+            excess.see(joint - split,
+                       lambda: {"a": repr(a), "b": repr(b), "c": repr(c),
+                                "d": repr(d), "joint": joint, "split": split})
+        yield excess.check(f"subadditivity[{name},p={p:g}]", VALUE_TOL)
 
 
 # ---------------------------------------------------------------------------
@@ -385,8 +359,7 @@ def monotonicity_suite(seed: int, pairs: int = 500) -> Iterator[Report]:
             for q in P_VALUES[i:]:
                 wp = wasserstein_value(alpha, empty, p)
                 wq = wasserstein_value(alpha, empty, q)
-                expected = n ** ((1.0 / p if p != INF else 0.0)
-                                 - (1.0 / q if q != INF else 0.0))
+                expected = n ** (1.0 / p - 1.0 / q)
                 rel.see(abs(wp / wq - expected) / expected,
                         lambda: {"n": n, "p": p, "q": q, "ratio": wp / wq,
                                  "expected": expected})
@@ -402,21 +375,17 @@ def oracle_suite(seed: int, instances: int = 500, *,
                  max_size: int = 4) -> Iterator[Report]:
     """The assignment solver against brute-force enumeration, plus the
     closed-form anagram distance against the generic W_1 solver."""
-    for p in P_VALUES:
-        spaces = _sample_spaces(seed, f"oracle/p{p:g}", p)
-        rng = _rng(seed, f"oracle/p{p:g}")
-        per_space = max(1, instances // len(spaces))
-        for name, space in spaces:
-            gap = _Worst()
-            for _ in range(per_space):
-                alpha = random_diagram(space, rng, max_size)
-                beta = random_diagram(space, rng, max_size)
-                solver = wasserstein_value(alpha, beta, p)
-                brute = brute_force_wasserstein(alpha, beta, p)
-                gap.see(abs(solver - brute) if solver != brute else 0.0,  # inf == inf is exact
-                        lambda: {"alpha": repr(alpha), "beta": repr(beta),
-                                 "solver": solver, "brute": brute})
-            yield gap.check(f"oracle[{name},p={p:g}]", VALUE_TOL)
+    for p, name, space, rng, per_space in _sample_spaces(seed, "oracle", instances):
+        gap = _Worst()
+        for _ in range(per_space):
+            alpha = random_diagram(space, rng, max_size)
+            beta = random_diagram(space, rng, max_size)
+            solver = wasserstein_value(alpha, beta, p)
+            brute = brute_force_wasserstein(alpha, beta, p)
+            gap.see(abs(solver - brute) if solver != brute else 0.0,  # inf == inf is exact
+                    lambda: {"alpha": repr(alpha), "beta": repr(beta),
+                             "solver": solver, "brute": brute})
+        yield gap.check(f"oracle[{name},p={p:g}]", VALUE_TOL)
 
     # Assignment duals: feasible and tight at the reported optimum.
     rng = _rng(seed, "oracle/duals")
@@ -579,7 +548,7 @@ def strengthening_suite(seed: int, pairs: int = 500) -> Iterator[Report]:
 
         # Idempotence and the sandwich d_p <= d <= 2^(1 - 1/p) d_p, sampled
         # over fresh random spaces so the pair count is honest.
-        factor = 2.0 ** (1.0 - (1.0 / p if p != INF else 0.0))
+        factor = 2.0 ** (1.0 - 1.0 / p)
         idem, low, high = _Worst(), _Worst(), _Worst()
         sampled = 0
         while sampled < pairs:
@@ -614,7 +583,7 @@ def strengthening_suite(seed: int, pairs: int = 500) -> Iterator[Report]:
     for p, q in ((1.0, 2.0), (1.0, INF), (2.0, INF), (1.5, 2.0)):
         lower = quotient_metric(ambient, subset_dist, p, label="diagonal")
         upper = quotient_metric(ambient, subset_dist, q, label="diagonal")
-        factor = 2.0 ** ((1.0 / p) - (1.0 / q if q != INF else 0.0))
+        factor = 2.0 ** (1.0 / p - 1.0 / q)
         for _ in range(pairs // 4):
             x = ambient.sample_point(rng)
             y = ambient.sample_point(rng)
@@ -716,9 +685,7 @@ def universality_suite(seed: int, pairs: int = 200) -> Iterator[Report]:
     rng = _rng(seed, "universality/maximality")
     base = random_finite_space(rng, size=3)
     for q in (1.0, 2.0, INF):
-        def rho(a: Diagram, b: Diagram, _q=q) -> float:
-            return wasserstein_value(a, b, _q)
-
+        rho = functools.partial(wasserstein_value, p=q)
         report = check_maximality(base, rho, 1.0, max_size=2,
                                   rng=_rng(seed, f"universality/max/q{q:g}"))
         yield Report(f"maximality[W_{q:g}]", report.status, report.witness)
@@ -806,10 +773,7 @@ def converse_stability_suite(seed: int, pairs: int = 200) -> Iterator[Report]:
     rng = _rng(seed, "converse/roundtrip")
     for p in (1.0, INF):
         base = random_finite_space(rng, size=4)
-
-        def rho(a: Diagram, b: Diagram, _p=p) -> float:
-            return wasserstein_value(a, b, _p)
-
+        rho = functools.partial(wasserstein_value, p=p)
         report = converse_stability(base, rho, p,
                                     rng=_rng(seed, f"converse/rt/p{p:g}"),
                                     sample_diagrams=max(10, pairs // 10))
@@ -849,10 +813,14 @@ def word_metric_suite(seed: int, max_order: int = 12) -> Iterator[Report]:
 
 
 def run_suite(name: str, seed: int | None = None, samples: int | None = None) -> dict:
-    """Run one named suite, or every suite under "all"."""
+    """Run one named suite, or every suite under "all", at seed (None reads
+    as DEFAULT_SEED).  Raises ValueError for an unknown suite or samples < 1."""
+    if name != "all" and name not in SUITES:
+        known = ", ".join(sorted(SUITES) + ["all"])
+        raise ValueError(f"unknown suite {name!r}; known suites: {known}")
     if samples is not None and samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
-    seed = resolve_seed(seed)
+    seed = DEFAULT_SEED if seed is None else int(seed)
     if name == "all":
         reports = [run_suite(suite, seed, samples) for suite in SUITES]
         return {
@@ -861,9 +829,6 @@ def run_suite(name: str, seed: int | None = None, samples: int | None = None) ->
             "passed": all(r["passed"] for r in reports),
             "suites": reports,
         }
-    if name not in SUITES:
-        known = ", ".join(sorted(SUITES) + ["all"])
-        raise PreconditionError(f"unknown suite {name!r}; known suites: {known}")
     if samples is None:
         return SUITES[name](seed)
     return SUITES[name](seed, int(samples))

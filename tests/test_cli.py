@@ -218,11 +218,24 @@ def test_verify_deterministic(capsys):
     assert json.loads(first)["seed"] == 7
 
 
-def test_verify_seed_from_environment(capsys, monkeypatch):
+def test_verify_reads_no_seed_from_the_environment(capsys, monkeypatch):
+    # A report depends only on the suite, the seed and the samples.
     monkeypatch.setenv("PDMETRIC_SEED", "424242")
     code, out, _ = run(capsys, ["verify", "--suite", "padding", "--samples", "10"])
     assert code == 0
-    assert json.loads(out)["seed"] == 424242
+    assert json.loads(out)["seed"] == 20177
+
+
+@pytest.mark.parametrize("flags", [[], ["--matching"], ["--certificate"]],
+                         ids=["bare", "matching", "certificate"])
+def test_unhashable_stargraph_identity_is_domain_error(capsys, tmp_path, flags):
+    a = write(tmp_path, "a.json", {"atoms": [[[1], 1]]})
+    e = write(tmp_path, "e.json", {"atoms": []})
+    code, out, err = run(capsys, [
+        "distance", a, e, "--space", "stargraph", "--generators", "[[1], [2]]",
+        "--zero", "[[0]]", "--p", "1", *flags])
+    assert (code, out) == (3, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("spec, flags", [

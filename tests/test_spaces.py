@@ -199,6 +199,16 @@ def test_star_graph_metric():
     assert not space.contains((2,))
 
 
+@pytest.mark.parametrize("generators, zero", [
+    ([(1,), (2,)], ([0],)),
+    ([([1],), (2,)], (0,)),
+], ids=["identity", "generator"])
+def test_star_graph_points_must_be_hashable(generators, zero):
+    # Diagrams, certificates and support functions hash the points.
+    with pytest.raises(DomainError, match="hashable"):
+        StarGraphSpace(generators, zero)
+
+
 def test_finite_abelian_group():
     group = FiniteAbelianGroup((2, 3))
     assert len(group) == 6

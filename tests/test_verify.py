@@ -8,13 +8,10 @@ from pathlib import Path
 import pytest
 
 from pdmetric import verify
-from pdmetric.errors import PreconditionError
 from pdmetric.io import dump_json, json_ready
 from pdmetric.metric_core import INF
 from pdmetric.spaces import halfplane_quotient
 from pdmetric.verify import (
-    DEFAULT_SEED,
-    SEED_ENV_VAR,
     SUITES,
     _Worst,
     _random_lipschitz_candidate,
@@ -22,7 +19,6 @@ from pdmetric.verify import (
     metric_axioms_suite,
     oracle_suite,
     random_diagram,
-    resolve_seed,
     run_suite,
     word_metric_suite,
 )
@@ -97,20 +93,6 @@ def test_each_suite_solves_its_pinned_values(monkeypatch, name):
     assert digest.hexdigest() == SOLVED_VALUE_DIGESTS[name]
 
 
-def test_resolve_seed_precedence(monkeypatch):
-    monkeypatch.delenv(SEED_ENV_VAR, raising=False)
-    assert resolve_seed(None) == DEFAULT_SEED
-    monkeypatch.setenv(SEED_ENV_VAR, "314159")
-    assert resolve_seed(None) == 314159
-    assert resolve_seed(11) == 11
-
-
-def test_bad_environment_seed(monkeypatch):
-    monkeypatch.setenv(SEED_ENV_VAR, "not-a-seed")
-    with pytest.raises(PreconditionError):
-        resolve_seed(None)
-
-
 def test_reports_are_deterministic():
     first = run_suite("subadditivity", seed=99, samples=30)
     second = run_suite("subadditivity", seed=99, samples=30)
@@ -126,8 +108,10 @@ def test_different_seeds_change_witness_sampling():
 
 
 def test_unknown_suite_name():
-    with pytest.raises(PreconditionError):
+    # A plain ValueError is a usage error, which the CLI exits 2 on.
+    with pytest.raises(ValueError, match="unknown suite 'nonsense'") as raised:
         run_suite("nonsense", seed=1)
+    assert raised.type is ValueError
 
 
 def test_run_all_aggregates():
@@ -207,7 +191,7 @@ def test_worst_builds_a_witness_only_for_a_new_worst_or_nan():
     assert not worst.check("nan", INF).ok
 
 
-NAN_MARGIN_SUITES = ["subadditivity", "monotonicity", "quotient-reduced",
+NAN_MARGIN_SUITES = ["padding", "subadditivity", "monotonicity", "quotient-reduced",
                      "strengthening", "oracle"]
 
 
@@ -249,3 +233,18 @@ def test_failing_checks_keep_their_witnesses(monkeypatch, name):
         keys = WITNESS_KEYS[check["property"].split("[")[0]]
         assert isinstance(check["witness"], dict)
         assert set(check["witness"]) == keys, check
+
+
+def test_failing_padding_check_names_its_first_instance(monkeypatch):
+    # Every solve answers a new value, so every instance fails; each check's
+    # witness is still the first instance it drew, whose plain value is the
+    # check's first solve.  padding[empty] makes the one last solve.
+    calls = []
+    monkeypatch.setattr(verify, "wasserstein_value",
+                        lambda a, b, p: calls.append(p) or float(len(calls) - 1))
+    report = run_suite("padding", seed=5, samples=8)
+    checks = report["checks"][:-1]
+    assert len(checks) == 16 and all(c["status"] == "fail" for c in checks)
+    per_check = (len(calls) - 1) // len(checks)
+    assert [(c["witness"]["plain"], c["witness"]["padded"]) for c in checks] == [
+        (per_check * k, per_check * k + 1.0) for k in range(16)]
