@@ -26,11 +26,8 @@ from typing import Mapping
 
 from .diagram import Diagram
 from .errors import DomainError, PreconditionError
-from .metric_core import INF, ext_fsum
+from .metric_core import INF, ROUNDING_TOL, SOLVE_TOL, ext_fsum, relative_excess
 from .wasserstein import Solve, _require_same_space, solve
-
-FEASIBILITY_TOLERANCE = 1e-12
-COINCIDENCE_TOLERANCE = 1e-9
 
 
 @dataclass(frozen=True)
@@ -136,8 +133,10 @@ class SupportFunction:
     """The potentials read as a function on the atoms plus basepoint.
 
     Well defined because feasibility plus tightness force equal potentials
-    on coincident points of a metric space; construction checks that, up
-    to COINCIDENCE_TOLERANCE times the certificate's scale.
+    on coincident points of a metric space.  Construction checks that: two
+    potentials of one point may differ by SOLVE_TOL (metric_core) of the
+    certificate's scale, the largest of its primal value and its potentials'
+    magnitudes, and by no more, at any scale.
     """
 
     space: object
@@ -163,7 +162,7 @@ def support_function(cert: DualCertificate) -> SupportFunction:
         raise PreconditionError("certificate has no potentials")
     r = cert.r
     # Potentials round in proportion to the certificate's scale.
-    tol = COINCIDENCE_TOLERANCE * max(1.0, cert.primal_value, *map(abs, cert.y))
+    scale = max([cert.primal_value, *map(abs, cert.y)])
     values: dict = {}
     order: list = []
     pairs = list(zip(cert.left_points, cert.y[:r])) + list(
@@ -172,7 +171,7 @@ def support_function(cert: DualCertificate) -> SupportFunction:
     for point, val in pairs:
         key = cert.space.canonical(point)
         if key in values:
-            if abs(values[key] - val) > tol:
+            if abs(relative_excess(values[key], val, scale)) > SOLVE_TOL:
                 raise DomainError(f"potentials disagree on coincident point {point!r}: "
                                   f"{values[key]} vs {val}; the ground distance may "
                                   "break the triangle inequality")
@@ -231,12 +230,13 @@ def duality_gap(alpha: Diagram, beta: Diagram, candidate) -> float:
     """W_1(alpha, beta) minus the candidate's dual objective.
 
     The candidate must be real-valued and 1-Lipschitz on the padded
-    support (violations up to 1e-12 are treated as rounding); weak duality
-    then makes the gap nonnegative, with zero exactly at optimal
-    potentials.  A non-finite candidate value is a PreconditionError naming
-    its point.  Where W_1 and the dual objective both pass the largest
-    float, the gap is the exact sum of the optimal matching's costs and the
-    dual objective's terms negated.
+    support: |h(x) - h(y)| may pass d(x, y) by ROUNDING_TOL (metric_core)
+    of the largest of |h(x)|, |h(y)| and d(x, y), which is rounding at any
+    scale, and by no more.  Weak duality then makes the gap nonnegative,
+    with zero exactly at optimal potentials.  A non-finite candidate value
+    is a PreconditionError naming its point.  Where W_1 and the dual
+    objective both pass the largest float, the gap is the exact sum of the
+    optimal matching's costs and the dual objective's terms negated.
     """
     _require_same_space(alpha, beta)
     space = alpha.space
@@ -255,10 +255,9 @@ def duality_gap(alpha: Diagram, beta: Diagram, candidate) -> float:
         covered.append((point, _real(point, value)))
     for i, (x, hx) in enumerate(covered):
         for y, hy in covered[i + 1:]:
+            # An infinite d reads -inf: such a pair imposes no constraint.
             d = space.dist(x, y)
-            if math.isinf(d):
-                continue
-            if abs(hx - hy) > d + FEASIBILITY_TOLERANCE:
+            if relative_excess(abs(hx - hy), d, hx, hy) > ROUNDING_TOL:
                 raise PreconditionError(
                     f"candidate is not 1-Lipschitz: |h({x!r}) - h({y!r})| = "
                     f"{abs(hx - hy)} > {d}"

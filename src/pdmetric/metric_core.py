@@ -84,6 +84,30 @@ def ext_fsum(values: Sequence[float]) -> float:
         return INF if exact > 0 else -INF
 
 
+# Bounds on relative_excess, each a share of the instance's scale.
+SOLVE_TOL = 1e-9       # values from independent solves or summation orders
+ROUNDING_TOL = 1e-12   # a closed form against its own rounding
+
+
+def relative_excess(lhs: float, rhs: float, *inputs: float) -> float:
+    """How far lhs exceeds rhs, as a share of the instance's scale.
+
+    The scale is the largest finite magnitude among lhs, rhs and inputs,
+    the quantities the two were computed from; pass those that cancel, such
+    as potentials summed into a dual objective.  Equal sides, inf against
+    inf included, read 0; an infinite side reads +-inf, and NaN reads inf,
+    so no bound passes it.  The result is <= 0 exactly where lhs <= rhs, so
+    abs() of it bounds a two-sided gap.
+    """
+    if lhs == rhs:
+        return 0.0
+    if math.isnan(lhs) or math.isnan(rhs):
+        return INF
+    if math.isinf(lhs) or math.isinf(rhs):
+        return lhs - rhs
+    return (lhs - rhs) / max(abs(v) for v in (lhs, rhs, *inputs) if math.isfinite(v))
+
+
 def lp_norm(values: Iterable[float], p) -> float:
     """lp norm of a finite sequence of nonnegative extended reals.
 
@@ -460,24 +484,14 @@ class AxiomReport:
         }
 
 
-# Slack for triangle comparisons; exact matrices pass, float noise is forgiven.
-_TRIANGLE_SLACK = 1e-12
-
-
 def check_metric_axioms(space: FiniteSpace) -> AxiomReport:
     """Exhaustive axiom check on a finite space's matrix."""
     m = space.matrix
     n = len(m)
     point_equality = all(m[i][i] == 0.0 for i in range(n))
     symmetry = all(m[i][j] == m[j][i] for i in range(n) for j in range(n))
-    triangle = True
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                lhs = m[i][j]
-                rhs = m[i][k] + m[k][j]
-                if lhs > rhs + _TRIANGLE_SLACK * max(1.0, abs(lhs)):
-                    triangle = False
+    triangle = all(relative_excess(m[i][j], m[i][k] + m[k][j]) <= ROUNDING_TOL
+                   for i in range(n) for j in range(n) for k in range(n))
     separation = all(m[i][j] > 0.0 for i in range(n) for j in range(n) if i != j)
     finiteness = all(not math.isinf(m[i][j]) for i in range(n) for j in range(n))
     return AxiomReport(point_equality, symmetry, triangle, separation, finiteness)
@@ -495,7 +509,7 @@ def check_axioms_sampled(space: MetricSpace, rng, triples: int = 1000) -> Report
         if dxy != space.dist(y, x):
             return Report("metric-axioms", FAIL, {"axiom": "symmetry", "x": repr(x), "y": repr(y)})
         rhs = space.dist(x, z) + space.dist(z, y)
-        if dxy > rhs + _TRIANGLE_SLACK * max(1.0, abs(dxy)):
+        if relative_excess(dxy, rhs) > ROUNDING_TOL:
             return Report(
                 "metric-axioms", FAIL,
                 {"axiom": "triangle", "x": repr(x), "y": repr(y), "z": repr(z),
@@ -507,18 +521,12 @@ def check_axioms_sampled(space: MetricSpace, rng, triples: int = 1000) -> Report
 def check_p_strengthened(space: PointedSpace, p, sample_pairs) -> bool:
     """Does d(x, y) <= ||(d(x, x0), d(x0, y))||_p, that is d <= d_p, hold on the pairs?"""
     strengthened = p_strengthen(space, p).dist
-    for x, y in sample_pairs:
-        lhs = space.dist(x, y)
-        if lhs > strengthened(x, y) + _TRIANGLE_SLACK * max(1.0, abs(lhs)):
-            return False
-    return True
+    return all(relative_excess(space.dist(x, y), strengthened(x, y)) <= ROUNDING_TOL
+               for x, y in sample_pairs)
 
 
 def check_subset_dist_compatible(space: MetricSpace, subset_dist: Callable,
                                  sample_pairs) -> bool:
     """Does sd(x) <= d(x, y) + sd(y) hold on the given pairs?"""
-    for x, y in sample_pairs:
-        bound = space.dist(x, y) + subset_dist(y)
-        if subset_dist(x) > bound + _TRIANGLE_SLACK * max(1.0, abs(bound)):
-            return False
-    return True
+    return all(relative_excess(subset_dist(x), space.dist(x, y) + subset_dist(y)) <= ROUNDING_TOL
+               for x, y in sample_pairs)

@@ -23,17 +23,17 @@ from .metric_core import (
     INF,
     PASS,
     PRECONDITION_FAILED,
+    SOLVE_TOL,
     FiniteSpace,
     PointedSpace,
     Report,
     as_exponent,
     lp_norm,
     p_strengthen,
+    relative_excess,
     remetrize,
 )
 from .wasserstein import wasserstein_value
-
-_TOLERANCE = 1e-9
 
 
 @dataclass(frozen=True)
@@ -101,7 +101,7 @@ def _subadditivity_witness(rho, p: float, diagrams, rng, samples: int):
         a, b, c, d = (pool[rng.randrange(len(pool))] for _ in range(4))
         lhs = rho(a + b, c + d)
         rhs = lp_norm((rho(a, c), rho(b, d)), p)
-        if lhs > rhs + _TOLERANCE * max(1.0, abs(rhs)):
+        if relative_excess(lhs, rhs) > SOLVE_TOL:
             return {"a": repr(a), "b": repr(b), "c": repr(c), "d": repr(d),
                     "lhs": lhs, "rhs": rhs}
     return None
@@ -113,7 +113,7 @@ def _below_wasserstein(name: str, key: str, rho: Callable, pairs, bound: Callabl
     for alpha, beta in pairs:
         limit = bound(alpha, beta)
         value = rho(alpha, beta)
-        if value > limit + _TOLERANCE * max(1.0, abs(limit)):
+        if relative_excess(value, limit) > SOLVE_TOL:
             return Report(name, FAIL, {"alpha": repr(alpha), "beta": repr(beta),
                                        "rho": value, key: limit})
     return Report(name, PASS)
@@ -134,7 +134,7 @@ def check_maximality(space: FiniteSpace, rho: Callable, p, max_size: int,
         for y in space.labels:
             d = space.dist(x, y)
             value = rho(include(x, space), include(y, space))
-            if value > d + _TOLERANCE * max(1.0, abs(d)):
+            if relative_excess(value, d) > SOLVE_TOL:
                 return Report(
                     "maximality", PRECONDITION_FAILED,
                     {"reason": "inclusion is not 1-Lipschitz",
@@ -168,10 +168,10 @@ def check_restriction_trichotomy(space: PointedSpace, p, points=None) -> Report:
         for y in points:
             d = space.dist(x, y)
             dp = strengthened_dist(x, y)
-            if d > dp + _TOLERANCE * max(1.0, abs(dp)):
+            if relative_excess(d, dp) > SOLVE_TOL:
                 strengthened = False
             w = wasserstein_value(include(x, space), include(y, space), p)
-            if abs(w - d) > _TOLERANCE * max(1.0, abs(d)):
+            if abs(relative_excess(w, d)) > SOLVE_TOL:
                 restriction_equals = False
     agree = strengthened == restriction_equals
     return Report(

@@ -6,9 +6,14 @@ makes it return a plain dict report (suitable for JSON output and for
 assertions in tests); each takes its instance count as its second argument.
 
 Most checks bound a margin, such as a triangle excess or a gap to an
-oracle, over many instances.  Such a check passes when its worst margin is
-at most its tolerance; a failing check's witness is its worst instance,
-and a NaN margin fails the check.
+oracle, over many instances.  There is one error model: a margin is
+metric_core.relative_excess, how far one side of the property exceeds the
+other as a share of the instance's own scale, so a check reads the same at
+any scale of input.  A check passes when its worst margin is at most its
+bound: SOLVE_TOL where the sides come from independent solves or
+summation orders, ROUNDING_TOL where a closed form meets its own rounding,
+and 0 where the property is exact.  A failing check's witness is its worst
+instance, and a NaN side fails the check.
 
 Determinism: all randomness flows through random.Random seeded from the
 suite seed and a per-check tag, and nothing else is read, so a report
@@ -39,6 +44,8 @@ from .metric_core import (
     FAIL,
     INF,
     PASS,
+    ROUNDING_TOL,
+    SOLVE_TOL,
     FiniteSpace,
     Report,
     check_axioms_sampled,
@@ -49,6 +56,7 @@ from .metric_core import (
     p_strengthen,
     product_metric,
     quotient_metric,
+    relative_excess,
     remetrize,
 )
 from .spaces import (
@@ -79,11 +87,6 @@ from .wasserstein import (
 )
 
 DEFAULT_SEED = 20177
-
-VALUE_TOL = 1e-9
-FEASIBILITY_TOL = 1e-12
-GAP_TOL = 1e-8
-RATIO_REL_TOL = 1e-12
 
 P_VALUES = (1.0, 1.5, 2.0, INF)
 Q_VALUES = (1.0, 2.0, INF)
@@ -138,10 +141,11 @@ def _check(name: str, ok: bool, witness: dict | None = None) -> Report:
 class _Worst:
     """The worst margin a check has seen, with the witness of that instance.
 
-    A margin is how far an instance goes past the property; a check passes
-    when its worst margin is at most its tolerance.  The start, -inf, passes
-    every tolerance (all are >= 0).  NaN always counts as a new worst, so a
-    NaN margin fails.
+    A margin is how far an instance goes past the property as a share of
+    the instance's scale (relative_excess), or 0 or inf where an instance
+    either keeps or breaks it (padding); a check passes when its worst
+    margin is at most its bound.  The start, -inf, passes every bound (all
+    are >= 0).  NaN always counts as a new worst, so a NaN margin fails.
     """
 
     __slots__ = ("margin", "witness")
@@ -256,13 +260,14 @@ def metric_axioms_suite(seed: int, triples: int = 1000, *,
                 b = random_diagram(space, rng, 3)
                 c = random_diagram(space, rng, 3)
                 ab = wasserstein_value(a, b, p)
-                sym.see(abs(ab - wasserstein_value(b, a, p)))
-                tri.see(ab - (wasserstein_value(a, c, p) + wasserstein_value(c, b, p)),
+                sym.see(abs(relative_excess(ab, wasserstein_value(b, a, p))))
+                via_c = wasserstein_value(a, c, p) + wasserstein_value(c, b, p)
+                tri.see(relative_excess(ab, via_c),
                         lambda: {"alpha": repr(a), "beta": repr(b), "gamma": repr(c)})
                 if index < 50 and wasserstein_value(a, a, p) != 0.0:
                     tri.see(INF, lambda: {"alpha": repr(a), "identity": "W_p(a, a) != 0"})
                     break
-            ok = sym.margin <= VALUE_TOL and tri.margin <= VALUE_TOL
+            ok = sym.margin <= SOLVE_TOL and tri.margin <= SOLVE_TOL
             yield _check(
                 f"wasserstein-pseudometric[p={p:g},q={q:g}]", ok,
                 {"symmetry_gap": sym.margin, "triangle_excess": tri.margin,
@@ -321,10 +326,10 @@ def subadditivity_suite(seed: int, quadruples: int = 500) -> Iterator[Report]:
             joint = wasserstein_value(a + b, c + d, p)
             split = lp_norm(
                 [wasserstein_value(a, c, p), wasserstein_value(b, d, p)], p)
-            excess.see(joint - split,
+            excess.see(relative_excess(joint, split),
                        lambda: {"a": repr(a), "b": repr(b), "c": repr(c),
                                 "d": repr(d), "joint": joint, "split": split})
-        yield excess.check(f"subadditivity[{name},p={p:g}]", VALUE_TOL)
+        yield excess.check(f"subadditivity[{name},p={p:g}]", SOLVE_TOL)
 
 
 # ---------------------------------------------------------------------------
@@ -343,11 +348,11 @@ def monotonicity_suite(seed: int, pairs: int = 500) -> Iterator[Report]:
         beta = random_diagram(space, rng, 3)
         values = [wasserstein_value(alpha, beta, p) for p in exponents]
         for i in range(len(exponents) - 1):
-            excess.see(values[i + 1] - values[i],
+            excess.see(relative_excess(values[i + 1], values[i]),
                        lambda: {"alpha": repr(alpha), "beta": repr(beta),
                                 "p": exponents[i], "q": exponents[i + 1],
                                 "W_p": values[i], "W_q": values[i + 1]})
-    yield excess.check("monotone-in-p", VALUE_TOL)
+    yield excess.check("monotone-in-p", SOLVE_TOL)
 
     # n copies of a unit-persistence point against the empty diagram: the
     # distance is n^(1/p), so W_p / W_q = n^(1/p - 1/q) up to roundoff.
@@ -360,10 +365,10 @@ def monotonicity_suite(seed: int, pairs: int = 500) -> Iterator[Report]:
                 wp = wasserstein_value(alpha, empty, p)
                 wq = wasserstein_value(alpha, empty, q)
                 expected = n ** (1.0 / p - 1.0 / q)
-                rel.see(abs(wp / wq - expected) / expected,
+                rel.see(abs(relative_excess(wp / wq, expected)),
                         lambda: {"n": n, "p": p, "q": q, "ratio": wp / wq,
                                  "expected": expected})
-    yield rel.check("singleton-ratio", RATIO_REL_TOL)
+    yield rel.check("singleton-ratio", ROUNDING_TOL)
 
 
 # ---------------------------------------------------------------------------
@@ -382,10 +387,10 @@ def oracle_suite(seed: int, instances: int = 500, *,
             beta = random_diagram(space, rng, max_size)
             solver = wasserstein_value(alpha, beta, p)
             brute = brute_force_wasserstein(alpha, beta, p)
-            gap.see(abs(solver - brute) if solver != brute else 0.0,  # inf == inf is exact
+            gap.see(abs(relative_excess(solver, brute)),
                     lambda: {"alpha": repr(alpha), "beta": repr(beta),
                              "solver": solver, "brute": brute})
-        yield gap.check(f"oracle[{name},p={p:g}]", VALUE_TOL)
+        yield gap.check(f"oracle[{name},p={p:g}]", SOLVE_TOL)
 
     # Assignment duals: feasible and tight at the reported optimum.
     rng = _rng(seed, "oracle/duals")
@@ -397,12 +402,14 @@ def oracle_suite(seed: int, instances: int = 500, *,
         assert result.u is not None and result.v is not None
         slack = max(result.u[i] + result.v[j] - costs[i][j]
                     for i in range(n) for j in range(n))
-        drift = abs(math.fsum(result.u) + math.fsum(result.v) - result.total)
+        dual = math.fsum(result.u) + math.fsum(result.v)
         direct = exhaustive_min(costs, 1.0)
-        gap.see(max(slack, drift, abs(result.total - direct)),
-                lambda: {"n": n, "slack": slack, "drift": drift,
+        gap.see(max(relative_excess(slack, 0.0, *result.u, *result.v),
+                    abs(relative_excess(dual, result.total, *result.u, *result.v)),
+                    abs(relative_excess(result.total, direct))),
+                lambda: {"n": n, "slack": slack, "drift": abs(dual - result.total),
                          "total": result.total, "exhaustive": direct})
-    yield gap.check("assignment-duals", VALUE_TOL)
+    yield gap.check("assignment-duals", SOLVE_TOL)
 
     # Anagram distance: closed form against the W_1 solver on random words.
     space = AnagramSpace()
@@ -414,9 +421,9 @@ def oracle_suite(seed: int, instances: int = 500, *,
         t = "".join(rng.choice(letters) for _ in range(rng.randint(0, 8)))
         closed = anagram_distance(s, t, space)
         solved = wasserstein_value(word_diagram(s, space), word_diagram(t, space), 1.0)
-        gap.see(abs(closed - solved),
+        gap.see(abs(relative_excess(closed, solved)),
                 lambda: {"s": s, "t": t, "closed": closed, "solved": solved})
-    yield gap.check("anagram-closed-form", VALUE_TOL)
+    yield gap.check("anagram-closed-form", SOLVE_TOL)
 
 
 # ---------------------------------------------------------------------------
@@ -456,26 +463,27 @@ def duality_suite(seed: int, instances: int = 200, *,
             gap.see(INF, lambda: {"reason": "no certificate on finite instance",
                                   "alpha": repr(alpha), "beta": repr(beta)})
             break
-        gap.see(abs(cert.primal_value - cert.dual_value),
+        # The dual value is a sum of potentials that cancel, so they set the scale.
+        gap.see(abs(relative_excess(cert.primal_value, cert.dual_value, *cert.y)),
                 lambda: {"alpha": repr(alpha), "beta": repr(beta),
                          "primal": cert.primal_value, "dual": cert.dual_value})
-        feas.see(feasibility_violation(cert))
-        tight.see(tightness_violation(cert))
+        feas.see(relative_excess(feasibility_violation(cert), 0.0, *cert.y))
+        tight.see(relative_excess(tightness_violation(cert), 0.0, cert.primal_value, *cert.y))
         h = support_function(cert)
-        obj.see(abs(dual_objective(h, alpha, beta) - cert.dual_value))
+        obj.see(abs(relative_excess(dual_objective(h, alpha, beta), cert.dual_value, *cert.y)))
         # The McShane extension agrees on the support and stays 1-Lipschitz
         # against fresh sample points.  Both-empty instances have nothing
         # to extend.
         if h.order:
             for c, v in h.items():
-                obj.see(abs(mcshane_extend(h, c) - v))
+                obj.see(abs(relative_excess(mcshane_extend(h, c), v, *cert.y)))
             probes = [space.sample_point(rng) for _ in range(4)] + list(h.order)
             extended = [mcshane_extend(h, x) for x in probes]
             for x, hx in zip(probes, extended):
                 for y, hy in zip(probes, extended):
                     d = space.dist(x, y)
                     if d < INF:
-                        lip.see(abs(hx - hy) - d)
+                        lip.see(relative_excess(abs(hx - hy), d, hx, hy))
                         lipschitz_pairs += 1
 
         # Weak duality per instance: no 1-Lipschitz candidate beats the
@@ -490,16 +498,15 @@ def duality_suite(seed: int, instances: int = 200, *,
                 margin = duality_gap(alpha, beta, candidate)
             else:
                 margin = cert.primal_value - dual_objective(candidate, alpha, beta)
-            weak.see(-margin,
+            weak.see(relative_excess(0.0, margin, cert.primal_value, *candidate.values()),
                      lambda: {"alpha": repr(alpha), "beta": repr(beta), "margin": margin})
-    yield gap.check("zero-gap", GAP_TOL)
-    yield feas.check("dual-feasibility", FEASIBILITY_TOL,
-                     {"violation": feas.margin})
-    yield tight.check("tightness", GAP_TOL, {"violation": tight.margin})
-    yield obj.check("support-objective", GAP_TOL, {"gap": obj.margin})
-    yield lip.check("mcshane-lipschitz", FEASIBILITY_TOL,
+    yield gap.check("zero-gap", SOLVE_TOL)
+    yield feas.check("dual-feasibility", ROUNDING_TOL, {"violation": feas.margin})
+    yield tight.check("tightness", SOLVE_TOL, {"violation": tight.margin})
+    yield obj.check("support-objective", SOLVE_TOL, {"gap": obj.margin})
+    yield lip.check("mcshane-lipschitz", ROUNDING_TOL,
                     {"excess": lip.margin, "pairs": lipschitz_pairs})
-    yield weak.check("weak-duality", VALUE_TOL)
+    yield weak.check("weak-duality", SOLVE_TOL)
 
     # Degenerate case: two empty diagrams certify a zero distance.
     empty = empty_diagram(space)
@@ -532,18 +539,18 @@ def strengthening_suite(seed: int, pairs: int = 500) -> Iterator[Report]:
             b_base = diagram_from_list(other, base)
             a_strong = diagram_from_list(labels, strong)
             b_strong = diagram_from_list(other, strong)
-            diff = abs(wasserstein_value(a_base, b_base, p)
-                       - wasserstein_value(a_strong, b_strong, p))
+            diff = abs(relative_excess(wasserstein_value(a_base, b_base, p),
+                                       wasserstein_value(a_strong, b_strong, p)))
             gap.see(diff, lambda: {"alpha": labels, "beta": other, "gap": diff})
-        yield gap.check(f"wasserstein-invariant[p={p:g}]", VALUE_TOL)
+        yield gap.check(f"wasserstein-invariant[p={p:g}]", SOLVE_TOL)
 
         # Restriction of W_p along the inclusion recovers d_p on points.
         gap = _Worst()
         for x in base.labels:
             for y in base.labels:
                 restricted = wasserstein_value(include(x, base), include(y, base), p)
-                gap.see(abs(restricted - strong.dist(x, y)))
-        yield gap.check(f"restriction-is-dp[p={p:g}]", VALUE_TOL,
+                gap.see(abs(relative_excess(restricted, strong.dist(x, y))))
+        yield gap.check(f"restriction-is-dp[p={p:g}]", SOLVE_TOL,
                         {"gap": gap.margin})
 
         # Idempotence and the sandwich d_p <= d <= 2^(1 - 1/p) d_p, sampled
@@ -557,13 +564,13 @@ def strengthening_suite(seed: int, pairs: int = 500) -> Iterator[Report]:
             twice = p_strengthen(fresh_strong, p)
             for x in fresh.labels:
                 for y in fresh.labels:
-                    dp = fresh_strong.dist(x, y)
-                    idem.see(abs(twice.dist(x, y) - dp))
-                    low.see(dp - fresh.dist(x, y))
-                    high.see(fresh.dist(x, y) - factor * dp)
+                    d, dp = fresh.dist(x, y), fresh_strong.dist(x, y)
+                    idem.see(abs(relative_excess(twice.dist(x, y), dp)))
+                    low.see(relative_excess(dp, d))
+                    high.see(relative_excess(d, factor * dp))
             sampled += len(fresh.labels) ** 2
-        ok = (idem.margin <= FEASIBILITY_TOL and low.margin <= FEASIBILITY_TOL
-              and high.margin <= VALUE_TOL)
+        ok = (idem.margin <= ROUNDING_TOL and low.margin <= ROUNDING_TOL
+              and high.margin <= SOLVE_TOL)
         yield _check(f"idempotent-and-bounded[p={p:g}]", ok,
                      {"idempotence": idem.margin, "lower": low.margin,
                       "upper": high.margin, "pairs": sampled})
@@ -571,7 +578,8 @@ def strengthening_suite(seed: int, pairs: int = 500) -> Iterator[Report]:
         # The basepoint distance is never strengthened away.
         gap = _Worst()
         for x in base.labels:
-            gap.see(abs(strong.dist(x, base.basepoint) - base.dist(x, base.basepoint)))
+            gap.see(abs(relative_excess(strong.dist(x, base.basepoint),
+                                        base.dist(x, base.basepoint))))
         yield gap.check(f"basepoint-preserved[p={p:g}]", 0.0, {"gap": gap.margin})
 
     # Quotient metrics with exponents p <= q are uniformly equivalent:
@@ -589,9 +597,9 @@ def strengthening_suite(seed: int, pairs: int = 500) -> Iterator[Report]:
             y = ambient.sample_point(rng)
             dq = upper.dist(x, y)
             dp = lower.dist(x, y)
-            excess.see(max(dq - dp, dp - factor * dq),
+            excess.see(max(relative_excess(dq, dp), relative_excess(dp, factor * dq)),
                        lambda: {"p": p, "q": q, "x": x, "y": y, "d_p": dp, "d_q": dq})
-    yield excess.check("quotient-exponent-equivalence", VALUE_TOL)
+    yield excess.check("quotient-exponent-equivalence", SOLVE_TOL)
 
 
 # ---------------------------------------------------------------------------
@@ -612,10 +620,10 @@ def quotient_reduced_suite(seed: int, pairs: int = 200) -> Iterator[Report]:
                 beta = random_diagram(space, rng, 4)
                 direct = wasserstein_value(alpha, beta, p)
                 reduced = wasserstein_quotient_reduced(alpha, beta, p)
-                gap.see(abs(direct - reduced) if direct != reduced else 0.0,
+                gap.see(abs(relative_excess(direct, reduced)),
                         lambda: {"alpha": repr(alpha), "beta": repr(beta),
                                  "direct": direct, "reduced": reduced})
-            yield gap.check(f"quotient-reduced[p={p:g},q={q:g}]", VALUE_TOL)
+            yield gap.check(f"quotient-reduced[p={p:g},q={q:g}]", SOLVE_TOL)
 
 
 # ---------------------------------------------------------------------------
@@ -642,16 +650,17 @@ def universality_suite(seed: int, pairs: int = 200) -> Iterator[Report]:
         beta = random_diagram(space, rng, 4)
         total = extend_lipschitz(persistence, alpha, REAL_LINE, 1.0)
         other = extend_lipschitz(persistence, beta, REAL_LINE, 1.0)
-        excess = abs(total - other) - 2.0 * wasserstein_value(alpha, beta, 1.0)
+        excess = relative_excess(abs(total - other), 2.0 * wasserstein_value(alpha, beta, 1.0),
+                                 total, other)
         bound.see(excess,
                   lambda: {"alpha": repr(alpha), "beta": repr(beta), "excess": excess})
-    yield bound.check("extension-norm-bound", VALUE_TOL)
+    yield bound.check("extension-norm-bound", SOLVE_TOL)
 
     # The bound is attained: one unit-persistence point against nothing.
     alpha = diagram_from_list([(0.0, 2.0)], space)
     attained = abs(extend_lipschitz(persistence, alpha, REAL_LINE, 1.0))
-    ok = abs(attained - 2.0 * wasserstein_value(alpha, empty_diagram(space), 1.0)) \
-        <= VALUE_TOL
+    twice_w = 2.0 * wasserstein_value(alpha, empty_diagram(space), 1.0)
+    ok = abs(relative_excess(attained, twice_w)) <= SOLVE_TOL
     yield _check("extension-norm-attained", ok, {"value": attained})
 
     # On a finite space the Lipschitz norm is exact, and the extension of a
@@ -667,18 +676,19 @@ def universality_suite(seed: int, pairs: int = 200) -> Iterator[Report]:
         for _ in range(pairs // 20):
             a = random_diagram(base, rng, 3)
             b = random_diagram(base, rng, 3)
-            lhs = abs(extend_lipschitz(phi, a, REAL_LINE, 1.0)
-                      - extend_lipschitz(phi, b, REAL_LINE, 1.0))
-            excess.see(lhs - norm * wasserstein_value(a, b, 1.0),
+            ext_a = extend_lipschitz(phi, a, REAL_LINE, 1.0)
+            ext_b = extend_lipschitz(phi, b, REAL_LINE, 1.0)
+            excess.see(relative_excess(abs(ext_a - ext_b), norm * wasserstein_value(a, b, 1.0),
+                                       ext_a, ext_b),
                        lambda: {"labels": base.labels, "values": values,
                                 "alpha": repr(a), "beta": repr(b)})
         best_ratio = max(
             abs(phi(x) - phi(y)) / base.dist(x, y)
             for x in base.labels for y in base.labels if base.dist(x, y) > 0.0)
-        if abs(best_ratio - norm) > VALUE_TOL:
+        if abs(relative_excess(best_ratio, norm)) > SOLVE_TOL:
             excess.see(INF, lambda: {"reason": "norm not attained on points",
                                      "norm": norm, "best_ratio": best_ratio})
-    yield excess.check("finite-extension-norm", VALUE_TOL)
+    yield excess.check("finite-extension-norm", SOLVE_TOL)
 
     # Maximality: any W_q with q >= p passes, and a scaled-up candidate is
     # rejected for breaking the 1-Lipschitz precondition.
@@ -746,9 +756,9 @@ def converse_stability_suite(seed: int, pairs: int = 200) -> Iterator[Report]:
     for _ in range(pairs):
         x = module_space.sample_point(rng)
         y = module_space.sample_point(rng)
-        diff = abs(strengthened.dist(x, y) - interval_interleaving(x, y))
+        diff = abs(relative_excess(strengthened.dist(x, y), interval_interleaving(x, y)))
         gap.see(diff, lambda: {"x": repr(x), "y": repr(y), "gap": diff})
-    yield gap.check("interleaving-is-strengthened-hausdorff", VALUE_TOL)
+    yield gap.check("interleaving-is-strengthened-hausdorff", SOLVE_TOL)
 
     # Interleaving never exceeds Hausdorff, so neither do the diagram metrics.
     rng = _rng(seed, "converse/stability")
@@ -762,11 +772,11 @@ def converse_stability_suite(seed: int, pairs: int = 200) -> Iterator[Report]:
                                  diagram_from_list(others, module_space), INF)
         hard = wasserstein_value(diagram_from_list(points, hausdorff_space),
                                  diagram_from_list(others, hausdorff_space), INF)
-        excess.see(soft - hard,
+        excess.see(relative_excess(soft, hard),
                    lambda: {"points": [repr(p) for p in points],
                             "others": [repr(p) for p in others],
                             "interleaving": soft, "hausdorff": hard})
-    yield excess.check("interleaving-below-hausdorff", VALUE_TOL)
+    yield excess.check("interleaving-below-hausdorff", SOLVE_TOL)
 
     # Restricting a subadditive diagram metric and rebuilding W_p can only
     # grow: rho <= W_p[i* rho].  Checked for rho = W_inf over finite spaces.
@@ -803,7 +813,7 @@ def word_metric_suite(seed: int, max_order: int = 12) -> Iterator[Report]:
         for g in group.elements():
             for h in group.elements():
                 d, w = direct(g, h), realized(g, h)
-                gap.see(abs(d - w), lambda: {**where, "g": g, "h": h, "bfs": d,
+                gap.see(abs(relative_excess(d, w)), lambda: {**where, "g": g, "h": h, "bfs": d,
                                              "wasserstein": w})
         yield gap.check(name, 0.0)
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 from pathlib import Path
@@ -16,8 +17,9 @@ from pdmetric.kr_duality import (
     support_function,
     tightness_violation,
 )
-from pdmetric.metric_core import INF, FiniteSpace
+from pdmetric.metric_core import INF, SOLVE_TOL, FiniteSpace, relative_excess
 from pdmetric.spaces import halfplane_quotient
+from pdmetric.verify import _random_lipschitz_candidate
 from pdmetric.wasserstein import wasserstein_value
 
 SPACE = halfplane_quotient(INF, 1.0)
@@ -129,6 +131,21 @@ def test_support_function_at_large_scales_with_repeated_atoms(scale):
         assert dual_objective(h, alpha, beta) == pytest.approx(cert.primal_value, rel=1e-12)
 
 
+def test_support_function_rejects_a_disagreement_at_small_scale():
+    # Two copies of one atom whose potentials differ by 1e-3 of the
+    # certificate's scale: a tolerance floored at an absolute 1e-9 let it
+    # through once the whole instance sat at 2^-40.
+    scale = 2.0 ** -40
+    alpha = make([(0.0, 2.0 * scale)] * 2)
+    cert = kr_certificate(alpha, make([(0.0, 4.0 * scale)]))
+    assert cert.left_points[0] == cert.left_points[1]
+    support_function(cert)
+    y = list(cert.y)
+    y[1] += 1e-3 * max(map(abs, y))
+    with pytest.raises(DomainError, match="coincident point"):
+        support_function(dataclasses.replace(cert, y=tuple(y)))
+
+
 def test_mcshane_extension_agrees_and_is_lipschitz():
     rng = random.Random(23)
     alpha = make([(0.0, 2.0), (1.0, 5.0), (4.0, 9.0)])
@@ -170,6 +187,26 @@ def test_duality_gap_nonnegative_for_feasible_candidates():
         value = rng.uniform(-2.0, 2.0)
         candidate = {x: value - SPACE.dist(x, anchor) for x in support}
         assert duality_gap(alpha, beta, candidate) >= -1e-9
+
+
+def test_duality_gap_accepts_distance_cones_at_large_scale():
+    # A max of distance cones is 1-Lipschitz up to the rounding of its
+    # distances, which at 2^40 passes any absolute slack.
+    scale = 2.0 ** 40
+    rng = random.Random(11)
+
+    def scaled():
+        return make([(scale * b, scale * d) for b, d in
+                     (SPACE.sample_point(rng) for _ in range(rng.randint(0, 4)))])
+
+    for _ in range(30):
+        alpha, beta = scaled(), scaled()
+        support = sorted(set(alpha.expand()) | set(beta.expand()) | {SPACE.basepoint},
+                         key=SPACE.sort_key)
+        candidate = _random_lipschitz_candidate(support, SPACE.pairwise(support, support)[0],
+                                                rng)
+        gap = duality_gap(alpha, beta, candidate)
+        assert relative_excess(0.0, gap, *candidate.values()) <= SOLVE_TOL
 
 
 def test_duality_gap_rejects_non_lipschitz_candidate():

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from pdmetric.errors import DomainError
 from pdmetric.metric_core import (
     INF,
+    ROUNDING_TOL,
     FiniteSpace,
     as_exponent,
     check_axioms_sampled,
@@ -19,6 +20,7 @@ from pdmetric.metric_core import (
     product_metric,
     pullback_metric,
     quotient_metric,
+    relative_excess,
     remetrize,
 )
 from pdmetric.diagram import diagram_from_list, empty_diagram
@@ -156,6 +158,42 @@ def test_check_metric_axioms_separation_and_finiteness_flags():
     assert not report.separation
     assert not report.finiteness
     assert report.as_dict()["triangle"] is True
+
+
+# d(a, c) = inf against the finite route a-b-c, and d(b, c) = inf against
+# the route through the basepoint a.
+INF_PAST_ROUTE = [[0.0, 1.0, INF], [1.0, 0.0, 1.0], [INF, 1.0, 0.0]]
+INF_PAST_BASEPOINT = [[0.0, 1.0, 1.0], [1.0, 0.0, INF], [1.0, INF, 0.0]]
+
+
+def test_an_infinite_distance_past_a_finite_route_breaks_the_triangle(rng):
+    # A tolerance proportional to an infinite side is inf, which hid these.
+    space = FiniteSpace(["a", "b", "c"], INF_PAST_ROUTE, "a")
+    assert not check_metric_axioms(space).triangle
+    report = check_axioms_sampled(space, rng, triples=200)
+    assert not report.ok and report.witness["axiom"] == "triangle"
+    beyond = FiniteSpace(["a", "b", "c"], INF_PAST_BASEPOINT, "a")
+    assert not check_p_strengthened(beyond, 1.0, [("b", "c")])
+    assert check_p_strengthened(beyond, 1.0, [("a", "b"), ("a", "c")])
+
+
+def test_relative_excess_rules():
+    assert relative_excess(3.0, 2.0) == pytest.approx(1.0 / 3.0)
+    assert relative_excess(2.0, 3.0) == pytest.approx(-1.0 / 3.0)
+    # Inputs that cancel out of both sides still set the scale.
+    assert relative_excess(1e-17, 0.0, 1.0, -1.0) == 1e-17
+    assert relative_excess(1e-17, 0.0) == 1.0
+    assert relative_excess(INF, INF) == 0.0
+    assert relative_excess(INF, 1e300) == INF
+    assert relative_excess(1e300, INF) == -INF
+    assert relative_excess(0.0, 0.0, INF) == 0.0
+    assert relative_excess(1.0, 0.5, INF, math.nan) == 0.5
+    for nan_side in ((math.nan, 1.0), (1.0, math.nan), (math.nan, math.nan)):
+        assert relative_excess(*nan_side) == INF
+        assert not relative_excess(*nan_side) <= ROUNDING_TOL
+    # Scaling every quantity by a power of two leaves the share unchanged.
+    for k in (-600, -40, 40, 600):
+        assert relative_excess(3.0 * 2.0 ** k, 2.0 ** k, 7.0 * 2.0 ** k) == 2.0 / 7.0
 
 
 def test_check_axioms_sampled_passes_on_quotient(rng):

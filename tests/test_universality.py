@@ -154,6 +154,17 @@ def test_restriction_trichotomy_on_raw_space():
     assert report.witness["restriction_equals"] is False
 
 
+def test_restriction_trichotomy_with_an_infinite_distance():
+    # d(a, b) = inf, but W_1 restricts to the route through o, 2; a tolerance
+    # proportional to the infinite side let the two pass as equal.
+    space = FiniteSpace(["o", "a", "b"], [[0.0, 1.0, 1.0], [1.0, 0.0, INF], [1.0, INF, 0.0]],
+                        "o")
+    assert wasserstein_value(include("a", space), include("b", space), 1.0) == 2.0
+    report = check_restriction_trichotomy(space, 1.0)
+    assert report.ok
+    assert report.witness == {"strengthened": False, "restriction_equals": False}
+
+
 def test_converse_stability_roundtrip(rng):
     def rho(a, b):
         return wasserstein_value(a, b, INF)

@@ -10,7 +10,7 @@ import pytest
 from pdmetric import verify
 from pdmetric.io import dump_json, json_ready
 from pdmetric.metric_core import INF
-from pdmetric.spaces import halfplane_quotient
+from pdmetric.spaces import HalfPlane, halfplane_quotient
 from pdmetric.verify import (
     SUITES,
     _Worst,
@@ -248,3 +248,50 @@ def test_failing_padding_check_names_its_first_instance(monkeypatch):
     per_check = (len(calls) - 1) // len(checks)
     assert [(c["witness"]["plain"], c["witness"]["padded"]) for c in checks] == [
         (per_check * k, per_check * k + 1.0) for k in range(16)]
+
+
+# The suites whose instances live on the half-plane, at reduced samples.
+SCALED_SUITES = {
+    "metric-axioms": {"triples": 8, "axiom_triples": 30},
+    "subadditivity": {"quadruples": 16},
+    "oracle": {"instances": 16},
+    "quotient-reduced": {"pairs": 6},
+    "duality": {"instances": 6},
+    "monotonicity": {"pairs": 10},
+    "strengthening": {"pairs": 10},
+    "universality": {"pairs": 10},
+}
+
+
+def statuses_at_scale(monkeypatch, k: int, fault: bool) -> dict:
+    """Every check's status with half-plane samples scaled by 2^k, the
+    solver's values multiplied by 1.01 where fault is set."""
+    factor = 2.0 ** k
+    sample = HalfPlane.sample_point
+    monkeypatch.setattr(HalfPlane, "sample_point",
+                        lambda self, rng: tuple(factor * c for c in sample(self, rng)))
+    if fault:
+        solve = verify.wasserstein_value
+        monkeypatch.setattr(verify, "wasserstein_value", lambda a, b, p: 1.01 * solve(a, b, p))
+    try:
+        return {(name, check["property"]): check["status"]
+                for name, sizes in SCALED_SUITES.items()
+                for check in SUITES[name](4, **sizes)["checks"]}
+    finally:
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize("fault", [False, True])
+def test_every_check_reads_the_same_at_every_scale(monkeypatch, fault):
+    # Scaling by a power of two is exact, and the solver is exactly
+    # equivariant, so a scale-free check must not move: a correct solver
+    # passes everywhere, and a 1% fault fails the same checks everywhere.
+    at_one = statuses_at_scale(monkeypatch, 0, fault)
+    failing = {key for key, status in at_one.items() if status != "pass"}
+    if fault:
+        assert ("oracle", "oracle[halfplane-q2,p=1]") in failing
+        assert ("quotient-reduced", "quotient-reduced[p=2,q=2]") in failing
+    else:
+        assert not failing
+    for k in (-40, 40):
+        assert statuses_at_scale(monkeypatch, k, fault) == at_one, k
